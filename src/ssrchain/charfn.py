@@ -125,25 +125,7 @@ class CharFn:
         expo = n - 1 - self.deflation_order
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if w.imag == 0.0 and abs(w.real) == 1.0:
-                u = z * le
-                small = np.abs(u) < 1e-4
-                us = np.where(small, u, 1.0)
-                series = 1.0 - us * us / 6.0 + us**4 / 120.0
-                direct = np.divide(np.sin(u), u, out=np.ones_like(u), where=~small)
-                x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
-                m11 = (z + 0.5j) / (w * np.exp(1j * u))
-                uk = np.ones_like(z)
-                ukm1 = np.zeros_like(z)
-                ls = np.zeros(z.shape, dtype=float)
-                for _ in range(n - 1):
-                    ukm1, uk = uk, 2.0 * x * uk - ukm1
-                    mag = np.abs(uk)
-                    mask = mag > 1e100
-                    if mask.any():
-                        uk = np.where(mask, uk / np.where(mask, mag, 1.0), uk)
-                        ukm1 = np.where(mask, ukm1 / np.where(mask, mag, 1.0), ukm1)
-                        ls = ls + np.where(mask, np.log10(np.where(mask, mag, 1.0)), 0.0)
-                h = uk * m11 - z * ukm1
+                h, ls = self._scaled_sr(z)
                 out = np.log10(np.abs(h)) + ls
                 if expo:
                     out = out + expo * np.log10(np.abs(z))
@@ -152,6 +134,37 @@ class CharFn:
             m = ((z + 0.5j) / pm, 0.5j * pm, -0.5j / pm, (z - 0.5j) * pm)
             f11, ls = _matpow_11_grid(m, n)
             return np.log10(np.abs(f11)) + ls
+
+    def _scaled_sr(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Delta (T^N)_11 on the phase w = +-1 branch as (mantissa, log10
+        scale): the value is mantissa * 10**scale.  The Chebyshev recurrence
+        is rescaled by positive reals, so the phase of the mantissa is that
+        of the value; points where the recurrence overflows anyway come
+        back non-finite."""
+        p = self.params
+        n = p.n_qubits
+        w = p.phase_unit()
+        le = p.phase_separation()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            u = z * le
+            small = np.abs(u) < 1e-4
+            us = np.where(small, u, 1.0)
+            series = 1.0 - us * us / 6.0 + us**4 / 120.0
+            direct = np.divide(np.sin(u), u, out=np.ones_like(u), where=~small)
+            x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
+            m11 = (z + 0.5j) / (w * np.exp(1j * u))
+            uk = np.ones_like(z)
+            ukm1 = np.zeros_like(z)
+            ls = np.zeros(z.shape, dtype=float)
+            for _ in range(n - 1):
+                ukm1, uk = uk, 2.0 * x * uk - ukm1
+                mag = np.abs(uk)
+                mask = mag > 1e100
+                if mask.any():
+                    uk = np.where(mask, uk / np.where(mask, mag, 1.0), uk)
+                    ukm1 = np.where(mask, ukm1 / np.where(mask, mag, 1.0), ukm1)
+                    ls = ls + np.where(mask, np.log10(np.where(mask, mag, 1.0)), 0.0)
+            return uk * m11 - z * ukm1, ls
 
 
 def _matpow_11(m, n: int) -> complex:

@@ -10,15 +10,20 @@ branch-point kink) localizes it, and a two-dimensional Newton solve on
 Everything here runs in sr-condition mode, whose mirror symmetry
 f(-conj(Delta)) = (-1)^N conj(f(Delta)) pins the colliding pair to the
 imaginary axis: below L_c the two poles are roots of the real scalar
-Im f(-iy), found by plain sign-change bisection; above L_c the pair sits at
-(Delta, -conj(Delta)) and is chased by Newton from symmetry-broken seeds.
+Im f(-iy), bracketed by sign changes on a fixed y-grid evaluated in one
+vectorized pass and refined by Illinois steps on the scalar f; above L_c the
+pair sits at (Delta, -conj(Delta)) and is chased by Newton from
+symmetry-broken seeds.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .charfn import CharFn
 from .core import MODE_SR, ChainParams
@@ -26,6 +31,7 @@ from .errors import BracketError, ContractViolationError, WindowExhaustedError
 from .rootfind import (
     Pole,
     SearchWindow,
+    _accept_tol,
     _classify,
     _newton,
     coalescent_pair,
@@ -35,13 +41,17 @@ from .rootfind import (
 
 BETA_HAT = 1.76  # prior for the L_c ~ beta/N^2 bracket rule
 
-_EPS = 2.220446049250313e-16
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class SSRResult:
-    """Optimized super-superradiant point at fixed qubit number."""
+    """Optimized super-superradiant point at fixed qubit number.
+
+    evaluations is the number of scalar f evaluations the solve made: the
+    axis refinements, Newton and coalescent-pair steps, validation and the
+    fold solve.  The vectorized axis scans are not counted.
+    """
 
     n_qubits: int
     l_critical: float
@@ -73,8 +83,29 @@ def _sr_params(n_qubits: int, separation: float, sr_index: int = 1) -> ChainPara
     return ChainParams(n_qubits=n_qubits, separation=separation, mode=MODE_SR, sr_index=sr_index)
 
 
+class _CountedFn:
+    """A deflated CharFn whose scalar evaluations are tallied on its tracker."""
+
+    def __init__(self, charfn: CharFn, tracker: _PoleTracker):
+        self.charfn = charfn
+        self.tracker = tracker
+
+    def __call__(self, delta: complex) -> complex:
+        self.tracker.evals += 1
+        return self.charfn.eval(delta)
+
+    def noise_scale(self, delta: complex) -> float:
+        return self.charfn.noise_scale(delta)
+
+    def log10_magnitude(self, deltas):
+        return self.charfn.log10_magnitude(deltas)
+
+
 class _PoleTracker:
-    """Warm-started finder of the two smallest nonzero poles vs separation."""
+    """Warm-started finder of the two smallest nonzero poles vs separation.
+
+    evals counts the scalar f evaluations made through fn().
+    """
 
     def __init__(self, n_qubits: int, sr_index: int = 1, depth: float = 2.5):
         self.n = n_qubits
@@ -93,48 +124,78 @@ class _PoleTracker:
         m, rest = 200, 400
         grid = [lo * (knee / lo) ** (i / (m - 1)) for i in range(m)]
         grid += [knee + (hi - knee) * i / rest for i in range(1, rest + 1)]
-        self._ygrid = grid
+        self._ygrid = np.array(grid)
 
-    def fn(self, separation: float) -> CharFn:
-        return CharFn(_sr_params(self.n, separation, self.sr_index), deflation_order=self.n - 1)
+    def fn(self, separation: float) -> _CountedFn:
+        charfn = CharFn(_sr_params(self.n, separation, self.sr_index), deflation_order=self.n - 1)
+        return _CountedFn(charfn, self)
 
-    def _tol(self, fn: CharFn, z: complex) -> float:
-        return max(1e-9, 64.0 * _EPS * fn.noise_scale(z))
-
-    def axis_roots(self, fn: CharFn) -> list[float]:
-        phi = lambda y: fn(-1j * y).imag
-        vals = [phi(y) for y in self._ygrid]
+    def axis_roots(self, fn: _CountedFn) -> list[float]:
+        """Roots of Im f(-iy) above y = 1e-6, one per sign-change cell of
+        the y-grid.  Cells touching a point where f is not finite hold no
+        data and report nothing."""
+        g = self._ygrid
+        h, _ = fn.charfn._scaled_sr(-1j * g)
+        im = h.imag
+        neg = im < 0.0
+        data = np.isfinite(h)
+        cells = np.flatnonzero(data[:-1] & data[1:] & ((im[:-1] == 0.0) | (neg[:-1] != neg[1:])))
         roots = []
-        for i in range(len(vals) - 1):
-            a, b = vals[i], vals[i + 1]
-            if not (math.isfinite(a) and math.isfinite(b)):
-                continue
-            if a == 0.0:
-                roots.append(self._ygrid[i])
-            elif (a < 0.0) != (b < 0.0):
-                lo, hi, flo = self._ygrid[i], self._ygrid[i + 1], a
-                for _ in range(90):
-                    mid = 0.5 * (lo + hi)
-                    fm = phi(mid)
-                    if fm == 0.0:
-                        lo = hi = mid
-                        break
-                    if (flo < 0.0) != (fm < 0.0):
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                    if hi - lo < 1e-15 * (1.0 + hi):
-                        break
-                roots.append(0.5 * (lo + hi))
-        return [y for y in roots if y > 1e-6]
+        for i in cells:
+            y = self._refine_axis_root(fn, float(g[i]), float(g[i + 1]))
+            if y is not None and y > 1e-6:
+                roots.append(y)
+        return roots
 
-    def _valid(self, fn: CharFn, z: complex) -> bool:
-        return (
+    @staticmethod
+    def _refine_axis_root(fn: _CountedFn, lo: float, hi: float) -> float | None:
+        """Illinois (modified regula falsi) on Im f(-iy) inside [lo, hi],
+        keeping a sign-change bracket; None where the scalar f is not finite
+        or does not change sign over the cell."""
+        flo, fhi = fn(-1j * lo), fn(-1j * hi)
+        if not (cmath.isfinite(flo) and cmath.isfinite(fhi)):
+            return None
+        flo, fhi = flo.imag, fhi.imag
+        if flo == 0.0:
+            return lo
+        if fhi == 0.0:
+            return hi
+        if (flo < 0.0) == (fhi < 0.0):
+            return None
+        kept = 0  # +1 when lo survived the last step, -1 when hi did
+        for _ in range(100):
+            if hi - lo < 1e-15 * (1.0 + hi):
+                break
+            c = hi - fhi * (hi - lo) / (fhi - flo)
+            if not lo < c < hi:
+                c = 0.5 * (lo + hi)
+            fc = fn(-1j * c)
+            if not cmath.isfinite(fc):
+                return None
+            fc = fc.imag
+            if fc == 0.0:
+                return c
+            if (fc < 0.0) == (fhi < 0.0):
+                hi, fhi = c, fc
+                if kept == 1:
+                    flo *= 0.5
+                kept = 1
+            else:
+                lo, flo = c, fc
+                if kept == -1:
+                    fhi *= 0.5
+                kept = -1
+        return 0.5 * (lo + hi)
+
+    def _valid(self, fn: _CountedFn, z: complex) -> bool:
+        if not (
             z.imag < -1e-6
             and abs(z.real) <= 1.05 * self.window.re_max
             and -z.imag <= 1.05 * -self.window.im_min
-            and abs(fn(z)) <= 20.0 * self._tol(fn, z)
-        )
+        ):
+            return False
+        fz, tol = fn(z), _accept_tol(fn, z)
+        return cmath.isfinite(fz) and math.isfinite(tol) and abs(fz) <= 20.0 * tol
 
     def _is_complex(self, z: complex) -> bool:
         return abs(z.real) > 1e-7 * (1.0 + abs(z))
@@ -143,12 +204,11 @@ class _PoleTracker:
         """Up to two smallest-|Delta| nonzero poles, |Delta|-sorted; ties
         put the Im Gamma >= 0 member first."""
         fn = self.fn(separation)
-        self.evals += 1
         axis = self.axis_roots(fn)
         cands: list[complex] = [-1j * y for y in axis[:3]]
         # chase the conjugate pair by Newton from the warm estimate
         if len(axis) < 2 and self.warm_complex is not None:
-            z, _, ok = _newton(fn, self.warm_complex, self._tol(fn, self.warm_complex))
+            z, _, ok = _newton(fn, self.warm_complex, _accept_tol(fn, self.warm_complex))
             if ok and self._valid(fn, z) and self._is_complex(z):
                 cands.append(z)
         # near a fold the pair hides below the axis grid (or just off it);
@@ -173,7 +233,7 @@ class _PoleTracker:
             # cold start: brute local minima of the magnitude map; seeds that
             # stall in a flat valley get the coalescent-pair treatment
             for seed in grid_scan_minima(fn.log10_magnitude, self.window, resolution=160):
-                z, _, ok = _newton(fn, seed, self._tol(fn, seed))
+                z, _, ok = _newton(fn, seed, _accept_tol(fn, seed))
                 if ok and self._valid(fn, z):
                     cands.append(z)
                 elif not ok:
@@ -221,11 +281,14 @@ class _PoleTracker:
         return pair
 
     def _cell(self, y: float) -> float:
+        """Width of the grid cell holding y (the lower one at a grid point),
+        or of the last cell when y is off the grid."""
         g = self._ygrid
-        for i in range(len(g) - 1):
-            if g[i] <= y <= g[i + 1]:
-                return g[i + 1] - g[i]
-        return g[-1] - g[-2]
+        i = int(np.searchsorted(g, y))
+        if y < g[0] or i >= len(g):
+            i = len(g) - 1
+        i = max(i, 1)
+        return float(g[i] - g[i - 1])
 
     def rate(self, separation: float) -> float:
         pair = self.pair(separation)
@@ -359,8 +422,7 @@ def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None 
         tracker.rate, xs[ibest - 1], xs[ibest + 1], abstol=1e-10 * width
     )
 
-    y_fold, l_fold, fold_iters = _fold_solve(tracker.fn, 0.5 * rate_gs, l_gs)
-    evaluations = tracker.evals + fold_iters
+    y_fold, l_fold, _ = _fold_solve(tracker.fn, 0.5 * rate_gs, l_gs)
     fin_w = max(hi_fin - lo_fin, 1e-12)
     near_gs = abs(l_fold - l_gs) <= max(10.0 * fin_w, 1e-6 * width)
     improves = 2.0 * y_fold >= rate_gs - 1e-6 * (1.0 + rate_gs)
@@ -373,24 +435,25 @@ def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None 
         y_mid = -0.5 * (r1 + r2).imag
         if abs(y_mid - y_fold) < 1e-3 * (y_fold + 1.0):
             y_fold = y_mid
+        residual = abs(fn(-1j * y_fold))
         return SSRResult(
             n_qubits=n_qubits,
             l_critical=l_fold,
             gamma_ssr=complex(2.0 * y_fold, 0.0),
             coalescence=True,
-            evaluations=evaluations,
-            residual=abs(fn(-1j * y_fold)),
+            evaluations=tracker.evals,
+            residual=residual,
         )
     pair = tracker.pair(l_gs)
     z = pair[0]
-    fn = tracker.fn(l_gs)
+    residual = abs(tracker.fn(l_gs)(z))
     return SSRResult(
         n_qubits=n_qubits,
         l_critical=l_gs,
         gamma_ssr=2j * z,
         coalescence=False,
-        evaluations=evaluations,
-        residual=abs(fn(z)),
+        evaluations=tracker.evals,
+        residual=residual,
     )
 
 

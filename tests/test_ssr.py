@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -7,12 +8,16 @@ from ssrchain import (
     ChainParams,
     ContractViolationError,
     SSRResult,
+    WindowExhaustedError,
+    critical_pair,
     degenerate_pair_probe,
     fit_scaling,
     maximize_over_separation,
     scaling_sweep,
     superradiant_pole,
 )
+from ssrchain.charfn import CharFn
+from ssrchain.rootfind import _accept_tol
 from ssrchain.ssr import _PoleTracker, _golden_max
 
 
@@ -61,6 +66,127 @@ class TestSuperradiantPole:
     def test_requires_sr_mode(self):
         with pytest.raises(ContractViolationError):
             superradiant_pole(ChainParams(2, 0.5, mode="general"))
+
+
+def scalar_axis_scan(fn, grid):
+    """Test-local reference for _PoleTracker.axis_roots: Im f(-iy) on the
+    grid one scalar call at a time, then plain bisection in every
+    sign-change cell whose end values are finite."""
+    phi = lambda y: fn(-1j * y).imag
+    vals = [fn(-1j * y) for y in grid]
+    roots = []
+    for i in range(len(grid) - 1):
+        if not (cmath.isfinite(vals[i]) and cmath.isfinite(vals[i + 1])):
+            continue
+        a, b = vals[i].imag, vals[i + 1].imag
+        if a == 0.0:
+            roots.append(grid[i])
+        elif (a < 0.0) != (b < 0.0):
+            lo, hi, flo = grid[i], grid[i + 1], a
+            while hi - lo >= 1e-15 * (1.0 + hi):
+                mid = 0.5 * (lo + hi)
+                fm = phi(mid)
+                if fm == 0.0:
+                    lo = hi = mid
+                elif (flo < 0.0) != (fm < 0.0):
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            roots.append(0.5 * (lo + hi))
+    return [y for y in roots if y > 1e-6]
+
+
+def rough_critical_separation(n):
+    return ORACLE_LC2 if n == 2 else critical_pair().beta_c / n**2
+
+
+class TestAxisScan:
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+    def test_matches_scalar_reference(self, n, factor):
+        tracker = _PoleTracker(n)
+        fn = tracker.fn(factor * rough_critical_separation(n))
+        grid = [float(y) for y in tracker._ygrid]
+        assert all(cmath.isfinite(fn(-1j * y)) for y in grid)
+        got = tracker.axis_roots(fn)
+        want = scalar_axis_scan(fn, grid)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            # near the fold the pair is a near-double root and rounding makes
+            # Im f change sign many times across a band; both scans may end
+            # anywhere in it
+            z, h = -1j * b, 1e-6 * b
+            slope = abs((fn(z - 1j * h) - fn(z + 1j * h)).imag) / (2.0 * h)
+            band = 16.0 * 2.2e-16 * fn.noise_scale(z) / slope
+            assert abs(a - b) <= 1e-12 * b + 2.0 * band
+        if factor == 0.5:
+            assert got  # the superradiant pole is on the axis below L_c
+
+    @pytest.mark.parametrize("n, sep, depth", [(100, 3.0, 2.5), (50, 3.0, 7.0), (100, 3.0, 7.0)])
+    def test_no_root_where_f_overflows(self, n, sep, depth):
+        tracker = _PoleTracker(n, depth=depth)
+        fn = tracker.fn(sep)
+        grid = [float(y) for y in tracker._ygrid]
+        finite = [cmath.isfinite(fn(-1j * y)) for y in grid]
+        assert not all(finite)
+        for y in tracker.axis_roots(fn):
+            i = max(k for k in range(len(grid) - 1) if grid[k] <= y)
+            assert finite[i] and finite[i + 1]
+
+    def test_refinement_drops_cell_with_overflow_inside(self):
+        calls = []
+
+        def fn(delta):
+            y = -delta.imag
+            calls.append(y)
+            return complex(float("inf"), 0.0) if 0.9 < y < 1.1 else 1j * (y - 1.0)
+
+        assert _PoleTracker._refine_axis_root(fn, 0.5, 1.5) is None
+        assert any(0.9 < y < 1.1 for y in calls)
+
+    def test_refinement_keeps_bracket_and_width(self):
+        fn = lambda delta: 1j * math.expm1(-delta.imag - 1.3)
+        y = _PoleTracker._refine_axis_root(fn, 0.5, 2.0)
+        assert abs(y - 1.3) <= 1e-15 * 2.3
+
+
+class TestOverflowRegression:
+    def test_overflowed_window_gives_no_fake_pole(self):
+        # f overflows over most of the axis at (100, 3.0); the overflow value
+        # inf + 0j once passed for a root of Im f(-iy) with residual inf
+        params = ChainParams(100, 3.0)
+        try:
+            pole = superradiant_pole(params)
+        except WindowExhaustedError:
+            return
+        fn = CharFn(params, deflation_order=99)
+        assert math.isfinite(pole.residual)
+        assert pole.residual <= 20.0 * _accept_tol(fn, pole.delta)
+
+    def test_valid_rejects_non_finite_f(self):
+        tracker = _PoleTracker(100)
+        fn = tracker.fn(3.0)
+        z = -200j
+        assert not cmath.isfinite(fn(z))
+        assert not tracker._valid(fn, z)
+
+
+class TestEvaluationCount:
+    def test_counts_every_scalar_f_call(self, monkeypatch):
+        calls = [0]
+        original = CharFn.eval
+
+        def counted(self, delta):
+            calls[0] += 1
+            return original(self, delta)
+
+        monkeypatch.setattr(CharFn, "eval", counted)
+        monkeypatch.setattr(CharFn, "__call__", counted)
+        res = maximize_over_separation(2)
+        assert res.evaluations == calls[0]
+
+    def test_large_n_budget(self):
+        assert maximize_over_separation(100).evaluations <= 8000
 
 
 class TestMaximize:
