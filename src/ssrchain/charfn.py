@@ -112,6 +112,41 @@ class CharFn:
         except (OverflowError, ZeroDivisionError):
             return float("inf")
 
+    # -- vectorized evaluation ----------------------------------------------
+
+    def eval_many(self, deltas: np.ndarray) -> np.ndarray:
+        """eval on an array of detunings, in one numpy pass.
+
+        The values come from the rescaled recurrences of log10_magnitude.
+        Where those had to rescale, or |Im Delta L| is large enough for
+        cos and exp to approach overflow, the plain arithmetic of eval could
+        overflow, so those points take eval's own value: the result equals
+        eval to rounding where eval is finite and is non-finite where it
+        is not.
+        """
+        p = self.params
+        n = p.n_qubits
+        w = p.phase_unit()
+        le = p.phase_separation()
+        z = np.asarray(deltas, dtype=complex)
+        expo = n - 1 - self.deflation_order
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if w.imag == 0.0 and abs(w.real) == 1.0:
+                h, ls = self._scaled_sr(z)
+                if expo:
+                    h = z**expo * h
+            else:
+                pm = w * np.exp(1j * z * le)
+                m = ((z + 0.5j) / pm, 0.5j * pm, -0.5j / pm, (z - 0.5j) * pm)
+                h, ls = _matpow_11_grid(m, n)
+            # a zero scale means no rescaling happened: h is then the value
+            # of the plain recurrence itself (at N = 1 there is no step that
+            # could rescale, hence the bound on Im u)
+            redo = (ls != 0.0) | ~(np.abs(h) < 1e300) | (np.abs((z * le).imag) > 200.0)
+        for i in zip(*np.nonzero(redo)):
+            h[i] = self.eval(complex(z[i]))
+        return h
+
     # -- vectorized magnitude map ------------------------------------------
 
     def log10_magnitude(self, deltas: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import CharFn, markovian_polynomial
-from .core import MODE_MARKOVIAN, MODE_SR, ChainParams
+from .core import _EPS, MODE_MARKOVIAN, MODE_SR, ChainParams
 from .errors import (
     BoundaryDegeneracyError,
     ContinuationBreakdownError,
@@ -28,9 +28,6 @@ from .errors import (
 ZERO_MODE = "zero-mode"
 MARKOVIAN_LIKE = "markovian-like"
 NON_MARKOVIAN = "exclusively-non-markovian"
-
-_EPS = 2.220446049250313e-16
-
 
 @dataclass(frozen=True)
 class SearchWindow:
@@ -103,83 +100,146 @@ class Pole:
 # argument-principle counting
 
 
-def _walk_phase(fn, z0, f0, z1, f1, floor, depth=0):
-    """Accumulated phase change of fn along [z0, z1], bisecting until each
-    piece rotates by less than ~0.9 rad."""
-    if abs(f0) < floor or abs(f1) < floor:
-        raise _BoundaryZero(z0 if abs(f0) < abs(f1) else z1)
-    dphi = cmath.phase(f1 / f0)
-    if abs(dphi) <= 0.9 and depth >= 1:
-        return dphi
-    if depth >= 36:
-        raise _BoundaryZero(z0)
-    zm = 0.5 * (z0 + z1)
-    fm = fn(zm)
-    return _walk_phase(fn, z0, f0, zm, fm, floor, depth + 1) + _walk_phase(
-        fn, zm, fm, z1, f1, floor, depth + 1
+_PROBE_T = np.array([0.0, 0.21, 0.5, 0.77])
+_EDGE_T = np.arange(17) / 16.0
+
+
+def _vectorized(fn):
+    """fn as a function of a 1-D array of points: CharFn.eval_many, or a
+    plain callable applied point by point."""
+    if isinstance(fn, CharFn):
+        return fn.eval_many
+    return lambda zs: np.array([fn(z) for z in zs.tolist()], dtype=complex)
+
+
+def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.ndarray]:
+    """Winding numbers of f around a batch of windows, walked level by level.
+
+    Each boundary is 4 edges of 16 segments.  A segment is accepted once
+    its phase turns by at most 0.9 rad and it has been bisected at least
+    once; the midpoints of all open segments of the batch are evaluated in
+    one call per level.  The near-zero floor of a window is 1e-13 times the
+    median of 16 coarse boundary probes.  A window fails at its first
+    sample that is below the floor or not finite, at a segment still open
+    after 36 bisections, or at a non-integer winding; its open segments are
+    dropped at once.  Returns (counts, where): where[i] is nan for a counted
+    window and the boundary point that failed otherwise.
+    """
+    nw = len(windows)
+    corners = np.array(
+        [
+            [
+                complex(w.re_min, w.im_min),
+                complex(w.re_max, w.im_min),
+                complex(w.re_max, w.im_max),
+                complex(w.re_min, w.im_max),
+            ]
+            for w in windows
+        ]
     )
+    a = corners[:, :, None]
+    step = np.roll(corners, -1, axis=1)[:, :, None] - a
+    probes = (a + _PROBE_T * step).reshape(nw, -1)
+    samples = a + _EDGE_T * step
+    values = evaluate(np.concatenate([probes.ravel(), samples.ravel()]))
+    probe_mag = np.abs(values[: probes.size]).reshape(nw, -1)
+    f = values[probes.size :].reshape(samples.shape)
 
+    where = np.full(nw, complex("nan"))
+    floor = np.zeros(nw)
+    for i in range(nw):
+        mags = np.sort(probe_mag[i][np.isfinite(probe_mag[i]) & (probe_mag[i] > 0.0)])
+        if mags.size:
+            floor[i] = 1e-13 * mags[mags.size // 2]
+        else:
+            where[i] = corners[i, 0]
 
-class _BoundaryZero(Exception):
-    def __init__(self, where):
-        self.where = where
+    def fail(win, points, bad):
+        # each window keeps the first point it failed at
+        idx = np.flatnonzero(bad)
+        hit, first = np.unique(win[idx], return_index=True)
+        fresh = np.isnan(where[hit])
+        where[hit[fresh]] = points[idx[first[fresh]]]
 
+    def below(fz, win):
+        return ~(np.isfinite(fz) & (np.abs(fz) >= floor[win]))
 
-def _winding(fn, window: SearchWindow) -> int:
-    corners = [
-        complex(window.re_min, window.im_min),
-        complex(window.re_max, window.im_min),
-        complex(window.re_max, window.im_max),
-        complex(window.re_min, window.im_max),
-    ]
-    # magnitude scale from coarse boundary samples sets the near-zero floor
-    probes = []
-    for k in range(4):
-        a, b = corners[k], corners[(k + 1) % 4]
-        for t in (0.0, 0.21, 0.5, 0.77):
-            probes.append(abs(fn(a + t * (b - a))))
-    finite = sorted(v for v in probes if math.isfinite(v) and v > 0.0)
-    if not finite:
-        raise _BoundaryZero(corners[0])
-    floor = 1e-13 * finite[len(finite) // 2]
-    total = 0.0
-    for k in range(4):
-        a, b = corners[k], corners[(k + 1) % 4]
-        samples = [a + (i / 16.0) * (b - a) for i in range(17)]
-        values = [fn(z) for z in samples]
-        for i in range(16):
-            total += _walk_phase(fn, samples[i], values[i], samples[i + 1], values[i + 1], floor)
+    win = np.repeat(np.arange(nw), 4 * 17)
+    fail(win, samples.ravel(), below(f.ravel(), win))
+    keep = np.isnan(where)[:, None, None] & np.ones((1, 4, 16), dtype=bool)
+    z0, f0 = samples[:, :, :-1][keep], f[:, :, :-1][keep]
+    z1, f1 = samples[:, :, 1:][keep], f[:, :, 1:][keep]
+    win = np.repeat(np.arange(nw), 4 * 16)[keep.ravel()]
+    total = np.zeros(nw)
+    depth = 0
+    while z0.size:
+        dphi = np.angle(f1 / f0)
+        done = (np.abs(dphi) <= 0.9) & (depth >= 1)
+        total += np.bincount(win[done], weights=dphi[done], minlength=nw)
+        if depth >= 36:
+            fail(win, z0, ~done)
+            break
+        z0, f0, z1, f1, win = (v[~done] for v in (z0, f0, z1, f1, win))
+        zm = 0.5 * (z0 + z1)
+        fm = evaluate(zm)
+        fail(win, zm, below(fm, win))
+        live = np.isnan(where[win])
+        z0, f0, z1, f1, zm, fm, win = (v[live] for v in (z0, f0, z1, f1, zm, fm, win))
+        z0, f0 = np.concatenate([z0, zm]), np.concatenate([f0, fm])
+        z1, f1 = np.concatenate([zm, z1]), np.concatenate([fm, f1])
+        win = np.concatenate([win, win])
+        depth += 1
+
     count = total / (2.0 * math.pi)
-    nearest = round(count)
-    if abs(count - nearest) > 0.15 or nearest < 0:
-        raise _BoundaryZero(corners[0])
-    return nearest
+    nearest = np.round(count)
+    bad = np.isnan(where) & ((np.abs(count - nearest) > 0.15) | (nearest < 0))
+    where[bad] = corners[bad, 0]
+    return nearest.astype(int), where
+
+
+def _count(evaluate, windows: list[SearchWindow]) -> list[int]:
+    """Zero counts of a batch of windows.  A window whose walk fails is
+    recounted on a slightly expanded copy, up to five times; after that the
+    BoundaryDegeneracyError names the point where the first such window
+    failed."""
+    counts = [0] * len(windows)
+    current = list(windows)
+    todo = list(range(len(windows)))
+    for attempt in range(6):
+        got, where = _windings(evaluate, [current[i] for i in todo])
+        retry = [(i, complex(w)) for i, w in zip(todo, where) if not cmath.isnan(w)]
+        for i, c, w in zip(todo, got, where):
+            if cmath.isnan(w):
+                counts[i] = int(c)
+        if not retry:
+            return counts
+        if attempt == 5:
+            raise BoundaryDegeneracyError(
+                f"zero persists on the counting boundary near {retry[0][1]} after 5 jitters"
+            )
+        for i, _ in retry:
+            pad = windows[i].diameter() * 3e-7 * (attempt + 1)
+            win = current[i]
+            current[i] = SearchWindow(
+                win.re_min - 1.31 * pad,
+                win.re_max + 0.77 * pad,
+                win.im_min - 1.09 * pad,
+                win.im_max + 0.89 * pad,
+            )
+        todo = [i for i, _ in retry]
+    raise AssertionError("unreachable")
 
 
 def count_zeros(fn, window: SearchWindow) -> int:
     """Number of zeros of fn inside the window, multiplicity counted.
 
     Computed as the boundary winding number with adaptive phase-continuity
-    refinement.  A zero hugging the boundary triggers up to five jittered
-    (slightly expanded) retries before a BoundaryDegeneracyError.
+    refinement, every level of bisection in one vectorised evaluation
+    (CharFn.eval_many; a plain callable is applied point by point).  A zero
+    hugging the boundary triggers up to five jittered (slightly expanded)
+    retries before a BoundaryDegeneracyError.
     """
-    win = window
-    for attempt in range(6):
-        try:
-            return _winding(fn, win)
-        except _BoundaryZero as bz:
-            if attempt == 5:
-                raise BoundaryDegeneracyError(
-                    f"zero persists on the counting boundary near {bz.where} after 5 jitters"
-                ) from None
-            pad = window.diameter() * 3e-7 * (attempt + 1)
-            win = SearchWindow(
-                win.re_min - 1.31 * pad,
-                win.re_max + 0.77 * pad,
-                win.im_min - 1.09 * pad,
-                win.im_max + 0.89 * pad,
-            )
-    raise AssertionError("unreachable")
+    return _count(_vectorized(fn), [window])[0]
 
 
 def _split(window: SearchWindow, fr: float, fi: float):
@@ -197,18 +257,19 @@ def localize_zeros(fn, window: SearchWindow, max_cell: float) -> list[complex]:
     """Quadrisect the window until every zero sits alone in a cell smaller
     than max_cell; returns cell centers as refinement seeds.
 
-    Seeds are repeated per multiplicity, so their total count equals
+    The four children of a cut are counted as one batch, in one boundary
+    walk (see count_zeros).  Seeds are repeated per multiplicity, so their total count equals
     count_zeros(window).  Clusters that stay unresolved below cells of
     1e-12 are emitted as repeated centers and are the caller's cue for
     coalescent-pair handling.
     """
     total = count_zeros(fn, window)
     seeds: list[complex] = []
-    _quadrisect(fn, window, total, max_cell, seeds)
+    _quadrisect(_vectorized(fn), window, total, max_cell, seeds)
     return seeds
 
 
-def _quadrisect(fn, window, count, max_cell, out):
+def _quadrisect(evaluate, window, count, max_cell, out):
     if count == 0:
         return
     if max(window.width, window.height) < 1e-12:
@@ -221,12 +282,12 @@ def _quadrisect(fn, window, count, max_cell, out):
     for fr, fi in ((0.5, 0.5), (0.43, 0.57), (0.57, 0.43), (0.37, 0.63), (0.63, 0.37)):
         children = _split(window, fr, fi)
         try:
-            counts = [count_zeros(fn, child) for child in children]
+            counts = _count(evaluate, children)
         except BoundaryDegeneracyError:
             continue
         if sum(counts) == count:
             for child, c in zip(children, counts):
-                _quadrisect(fn, child, c, max_cell, out)
+                _quadrisect(evaluate, child, c, max_cell, out)
             return
     raise BoundaryDegeneracyError(
         f"could not partition {count} zeros in {window}; zeros pinned to every tried cut"

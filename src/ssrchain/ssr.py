@@ -290,11 +290,28 @@ class _PoleTracker:
         i = max(i, 1)
         return float(g[i] - g[i - 1])
 
+    def overflow_note(self, separation: float) -> str:
+        """The axis grid points where f is not finite, as a clause for an
+        error message; empty when f is finite on the whole grid."""
+        g = self._ygrid
+        bad = ~np.isfinite(self.fn(separation).charfn.eval_many(-1j * g))
+        if not bad.any():
+            return ""
+        finite = np.flatnonzero(~bad)
+        top = finite[-1] + 1 if finite.size else 0
+        where = (
+            f"every y >= {g[top]:.4g}"
+            if top < g.size
+            else f"the lowest at y = {g[np.argmax(bad)]:.4g}"
+        )
+        return f"; f is not finite at {int(bad.sum())} of {g.size} axis grid points ({where})"
+
     def rate(self, separation: float) -> float:
         pair = self.pair(separation)
         if not pair:
             raise WindowExhaustedError(
                 f"no nonzero pole inside {self.window} at separation {separation:.6g}"
+                + self.overflow_note(separation)
             )
         return -2.0 * pair[0].imag
 
@@ -313,6 +330,7 @@ def superradiant_pole(params: ChainParams) -> Pole:
     if not pair:
         raise WindowExhaustedError(
             f"no nonzero pole in the default window for N={params.n_qubits}, L={params.separation}"
+            + tracker.overflow_note(params.separation)
         )
     z = pair[0]
     fn = tracker.fn(params.separation)

@@ -12,6 +12,7 @@ from ssrchain import (
     closed_form_residual,
     markovian_polynomial,
 )
+from ssrchain.charfn import _INF
 from ssrchain.rootfind import refine
 
 
@@ -98,6 +99,44 @@ class TestEval:
         fn = CharFn(sr(120, 0.01), deflation_order=0)
         val = fn.log10_magnitude(np.array([-200.0j]))[0]
         assert math.isfinite(val) and val > 100.0
+
+
+class TestEvalMany:
+    # the grid reaches |Im Delta L| = 900, where cmath overflows (eval gives
+    # _INF) and, at N = 30, where the plain recurrence itself overflows
+    GRID = [complex(x, y) for y in np.linspace(-300.0, 0.0, 61) for x in np.linspace(-40.0, 40.0, 41)]
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            CharFn(sr(5, 3.0), deflation_order=4),
+            CharFn(sr(5, 3.0)),
+            CharFn(sr(30, 1.0), deflation_order=29),
+            CharFn(sr(30, 1.0)),
+            CharFn(ChainParams(10, 0.37, mode="general")),
+            CharFn(ChainParams(30, 1.0, mode="general")),
+            CharFn(ChainParams(7, 0.3, mode="markovian", omega=51.0)),
+            CharFn(ChainParams(7, math.pi / 50, mode="markovian", omega=50.0)),
+        ],
+        ids=["sr-deflated", "sr", "sr30-deflated", "sr30", "general", "general30", "markovian", "markovian-w"],
+    )
+    def test_matches_scalar_eval(self, fn):
+        got = fn.eval_many(np.array(self.GRID))
+        want = np.array([fn.eval(z) for z in self.GRID])
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), finite)
+        # relative to the size of the terms that cancel in f, which is what
+        # rounding is relative to near a zero
+        scale = np.array([fn.noise_scale(z) for z in np.array(self.GRID)[finite].tolist()])
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale)
+
+    def test_non_finite_where_cmath_overflows(self):
+        fn = CharFn(sr(5, 3.0), deflation_order=4)
+        want = [fn.eval(z) for z in self.GRID]
+        overflowed = [z == _INF for z in want]
+        assert 0 < sum(overflowed) < len(want)
+        got = fn.eval_many(np.array(self.GRID))
+        assert not np.isfinite(got[np.array(overflowed)]).any()
 
 
 class TestDeflationConsistency:

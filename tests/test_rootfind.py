@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from ssrchain import (
+    BoundaryDegeneracyError,
     ChainParams,
     CharFn,
     ContractViolationError,
@@ -19,7 +21,15 @@ from ssrchain import (
     refine,
     superradiant_pole,
 )
-from ssrchain.rootfind import MARKOVIAN_LIKE, NON_MARKOVIAN, ZERO_MODE
+from ssrchain.rootfind import (
+    MARKOVIAN_LIKE,
+    NON_MARKOVIAN,
+    ZERO_MODE,
+    _count,
+    _split,
+    _vectorized,
+    characteristic_function,
+)
 
 
 def sr(n, sep, sr_index=1):
@@ -218,3 +228,188 @@ def test_grid_scan_oracle_small_n():
         assert len(got) == len(poles)
         for p in poles:
             assert min(abs(p.delta - z) for z in got) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the batched boundary walk against the recursive scalar walk it replaced
+
+
+class _RefBoundaryZero(Exception):
+    def __init__(self, where):
+        self.where = where
+
+
+def _ref_walk_phase(fn, z0, f0, z1, f1, floor, depth=0):
+    if abs(f0) < floor or abs(f1) < floor:
+        raise _RefBoundaryZero(z0 if abs(f0) < abs(f1) else z1)
+    dphi = cmath.phase(f1 / f0)
+    if abs(dphi) <= 0.9 and depth >= 1:
+        return dphi
+    if depth >= 36:
+        raise _RefBoundaryZero(z0)
+    zm = 0.5 * (z0 + z1)
+    fm = fn(zm)
+    return _ref_walk_phase(fn, z0, f0, zm, fm, floor, depth + 1) + _ref_walk_phase(
+        fn, zm, fm, z1, f1, floor, depth + 1
+    )
+
+
+def _ref_winding(fn, window):
+    corners = [
+        complex(window.re_min, window.im_min),
+        complex(window.re_max, window.im_min),
+        complex(window.re_max, window.im_max),
+        complex(window.re_min, window.im_max),
+    ]
+    probes = []
+    for k in range(4):
+        a, b = corners[k], corners[(k + 1) % 4]
+        for t in (0.0, 0.21, 0.5, 0.77):
+            probes.append(abs(fn(a + t * (b - a))))
+    finite = sorted(v for v in probes if math.isfinite(v) and v > 0.0)
+    if not finite:
+        raise _RefBoundaryZero(corners[0])
+    floor = 1e-13 * finite[len(finite) // 2]
+    total = 0.0
+    for k in range(4):
+        a, b = corners[k], corners[(k + 1) % 4]
+        samples = [a + (i / 16.0) * (b - a) for i in range(17)]
+        values = [fn(z) for z in samples]
+        for i in range(16):
+            total += _ref_walk_phase(fn, samples[i], values[i], samples[i + 1], values[i + 1], floor)
+    count = total / (2.0 * math.pi)
+    nearest = round(count)
+    if abs(count - nearest) > 0.15 or nearest < 0:
+        raise _RefBoundaryZero(corners[0])
+    return nearest
+
+
+def _ref_count_zeros(fn, window):
+    """(count, points evaluated, jitters) of the recursive walk, or
+    (None, where, 5) when it raises after five jitters."""
+    points = []
+
+    def recorded(z):
+        points.append(z)
+        return fn(z)
+
+    win = window
+    for attempt in range(6):
+        try:
+            return _ref_winding(recorded, win), points, attempt
+        except _RefBoundaryZero as bz:
+            if attempt == 5:
+                return None, bz.where, attempt
+            pad = window.diameter() * 3e-7 * (attempt + 1)
+            win = SearchWindow(
+                win.re_min - 1.31 * pad,
+                win.re_max + 0.77 * pad,
+                win.im_min - 1.09 * pad,
+                win.im_max + 0.89 * pad,
+            )
+
+
+def _sorted_points(points):
+    return sorted(points, key=lambda z: (z.real, z.imag))
+
+
+class TestBatchedWalkAgainstRecursiveWalk:
+    @pytest.mark.parametrize("mode", ["sr", "general"])
+    @pytest.mark.parametrize("n", [2, 5, 10, 30])
+    @pytest.mark.parametrize("sep", [0.1, 1.0])
+    def test_same_counts_failures_and_points(self, mode, n, sep, monkeypatch):
+        fn = characteristic_function(ChainParams(n, sep, mode=mode))
+        seen = []
+        original = CharFn.eval_many
+
+        def recorded(self, deltas):
+            seen.extend(np.asarray(deltas).tolist())
+            return original(self, deltas)
+
+        monkeypatch.setattr(CharFn, "eval_many", recorded)
+        window = default_window(n)
+        children = _split(window, 0.5, 0.5)
+        refs = [_ref_count_zeros(fn, win) for win in [window] + children]
+        for win, (want, ref, jitters) in zip([window] + children, refs):
+            seen.clear()
+            if want is None:
+                with pytest.raises(BoundaryDegeneracyError, match="counting boundary near"):
+                    count_zeros(fn, win)
+                continue
+            assert count_zeros(fn, win) == want
+            if jitters == 0:
+                # the same sample points, hence the same number of f
+                # evaluations (a failed attempt stops the recursive walk at
+                # its first bad sample, the batched one at its level)
+                assert _sorted_points(seen) == _sorted_points(ref)
+        # the four children of the cut, counted as one batch
+        seen.clear()
+        evaluate = fn.eval_many
+        if any(want is None for want, _, _ in refs[1:]):
+            with pytest.raises(BoundaryDegeneracyError):
+                _count(evaluate, children)
+        else:
+            assert _count(evaluate, children) == [want for want, _, _ in refs[1:]]
+            if all(jitters == 0 for _, _, jitters in refs[1:]):
+                assert len(seen) == sum(len(ref) for _, ref, _ in refs[1:])
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda z: z - complex(0.3, -1.0 + 1e-11),  # 1e-11 inside an edge: ~34 bisections
+            lambda z: (z + 0.2j) ** 2 * (z - 0.7 + 0.1j),
+            lambda z: cmath.exp(20j * z) * (z - 0.5),
+            lambda z: 1.0 / (z - 0.1j),  # winding -1: no zero count
+        ],
+        ids=["near-edge", "double", "fast-phase", "pole"],
+    )
+    def test_plain_callables(self, fn):
+        window = SearchWindow(-1, 1, -1, 1)
+        want, ref, jitters = _ref_count_zeros(fn, window)
+        seen = []
+
+        def recorded(z):
+            seen.append(z)
+            return fn(z)
+
+        if want is None:
+            with pytest.raises(BoundaryDegeneracyError):
+                count_zeros(recorded, window)
+            return
+        assert jitters == 0
+        assert count_zeros(recorded, window) == want
+        assert _sorted_points(seen) == _sorted_points(ref)
+
+    def test_non_finite_function_fails_at_once(self):
+        calls = [0]
+
+        def nan(z):
+            calls[0] += 1
+            return complex("nan")
+
+        with pytest.raises(BoundaryDegeneracyError):
+            count_zeros(nan, SearchWindow(-1, 1, -1, 1))
+        # 16 probes and 68 edge samples per attempt, no bisection
+        assert calls[0] == 6 * 84
+
+    def test_error_names_the_failing_sample(self):
+        # f is not finite right of Re = 0.55; on the bottom edge the first
+        # such sample is 0.625 - 1j (up to the jitter pads)
+        fn = lambda z: complex("nan") if z.real > 0.55 else 1.0 + 0.0j
+        with pytest.raises(BoundaryDegeneracyError) as err:
+            count_zeros(fn, SearchWindow(-1, 1, -1, 1))
+        where = complex(str(err.value).split("near ")[1].split(" after")[0])
+        assert abs(where - (0.625 - 1j)) < 1e-4
+
+    def test_batch_error_names_the_first_failing_window(self):
+        fn = _vectorized(lambda z: complex("nan") if z.real > 0.55 else 1.0 + 0.0j)
+        left, right = SearchWindow(-1, 1, -1, 1), SearchWindow(2, 4, -1, 1)
+        for batch, near in (([left, right], 0.625 - 1j), ([right, left], 2 - 1j)):
+            with pytest.raises(BoundaryDegeneracyError) as err:
+                _count(fn, batch)
+            where = complex(str(err.value).split("near ")[1].split(" after")[0])
+            assert abs(where - near) < 1e-4
+
+    def test_overflowed_general_chain_still_fails(self):
+        with pytest.raises(BoundaryDegeneracyError):
+            find_collective_rates(ChainParams(30, 1.0, mode="general"))

@@ -163,6 +163,13 @@ class TestOverflowRegression:
         assert math.isfinite(pole.residual)
         assert pole.residual <= 20.0 * _accept_tol(fn, pole.delta)
 
+    def test_window_exhausted_names_the_overflow(self):
+        note = r"f is not finite at 467 of 600 axis grid points \(every y >= 2\.337\)"
+        with pytest.raises(WindowExhaustedError, match=note):
+            superradiant_pole(ChainParams(100, 3.0))
+        with pytest.raises(WindowExhaustedError, match=note):
+            _PoleTracker(100).rate(3.0)
+
     def test_valid_rejects_non_finite_f(self):
         tracker = _PoleTracker(100)
         fn = tracker.fn(3.0)
