@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import ContractViolationError
 
@@ -107,28 +110,57 @@ def _bisect_root(beta: float, lo: float, hi: float, flo: float, fhi: float) -> f
     return 0.5 * (lo + hi)
 
 
+@lru_cache(maxsize=8)
+def _log_grid(alpha_max: float) -> np.ndarray:
+    """The 2000-point log grid on [1e-3, alpha_max] (read-only, shared)."""
+    grid = np.array([1e-3 * (alpha_max / 1e-3) ** (i / 1999.0) for i in range(2000)])
+    grid.setflags(write=False)
+    return grid
+
+
+def _g_many(alpha: np.ndarray, beta: float) -> np.ndarray:
+    """g_eval on an array of alphas, term for term and with its tau > 300 rule.
+
+    np.cosh and np.sinh may differ from math.cosh and math.sinh in the last
+    ulp, so values can differ from g_eval by rounding; callers use the signs.
+    """
+    a2b = alpha * alpha * beta
+    tau = 0.5 * np.sqrt(beta * (4.0 + a2b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = 2.0 * alpha * tau * np.cosh(tau) - (2.0 + a2b) * np.sinh(tau)
+        lead = 2.0 * alpha * tau - (2.0 + a2b)
+    return np.where(tau > 300.0, np.copysign(np.inf, np.where(lead != 0, lead, -1.0)), vals)
+
+
 def solve_branches(beta: float, alpha_max: float = _ALPHA_MAX) -> BranchPair:
     """All real roots of g(., beta) on (0, alpha_max].
 
     Sign-change bracketing on a 2000-point log grid plus bisection; a
     tangency (the two branches within 1e-6) is reported as a single root.
+    The grid is scanned in one numpy pass; the roots are bisected on the
+    scalar g_eval.
     """
-    if beta <= 0:
-        raise ContractViolationError("solve_branches needs beta > 0")
-    grid = [1e-3 * (alpha_max / 1e-3) ** (i / 1999.0) for i in range(2000)]
-    vals = [g_eval(a, beta) for a in grid]
-    roots: list[float] = []
-    for i in range(1999):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(grid[i])
-        elif (fa < 0.0) != (fb < 0.0):
-            roots.append(_bisect_root(beta, grid[i], grid[i + 1], fa, fb))
+    if not 0 < beta < math.inf:
+        raise ContractViolationError(f"solve_branches needs a finite beta > 0, got {beta!r}")
+    if not 1e-3 < alpha_max < math.inf:
+        raise ContractViolationError(
+            f"solve_branches needs a finite alpha_max > 1e-3, got {alpha_max!r}"
+        )
+    grid = _log_grid(alpha_max)
+    vals = _g_many(grid, beta)
+    neg = vals < 0.0
+    exact = vals[:-1] == 0.0
+    change = (neg[:-1] != neg[1:]) & ~exact
+    roots = [float(grid[i]) for i in np.flatnonzero(exact)]
+    roots += [
+        _bisect_root(beta, float(grid[i]), float(grid[i + 1]), vals[i], vals[i + 1])
+        for i in np.flatnonzero(change)
+    ]
     if not roots:
         # g <= 0 with a tangency leaves no sign change; inspect the maximum
-        imax = max(range(2000), key=lambda i: vals[i])
+        imax = int(np.argmax(vals))
         if 0 < imax < 1999:
-            a_lo, a_hi = grid[imax - 1], grid[imax + 1]
+            a_lo, a_hi = float(grid[imax - 1]), float(grid[imax + 1])
             for _ in range(200):
                 m1 = a_lo + (a_hi - a_lo) / 3.0
                 m2 = a_hi - (a_hi - a_lo) / 3.0
@@ -158,7 +190,7 @@ def trace_contour(beta_range: tuple[float, float], steps: int) -> list[tuple[flo
     if steps < 2:
         raise ContractViolationError("contour tracing needs at least 2 steps")
     b0, b1 = beta_range
-    if b0 > b1 or b0 <= 0:
+    if not 0 < b0 <= b1 < math.inf:
         raise ContractViolationError(f"bad beta range {beta_range}")
     if b0 == b1:
         betas = [b0]

@@ -13,6 +13,7 @@ variable SSRCHAIN_JOBS overrides --jobs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -262,8 +263,6 @@ def cmd_asym(args) -> int:
         return 0
     if args.steps < 2:
         raise ContractViolationError("--steps must be >= 2")
-    if not (0 < args.beta_min <= args.beta_max):
-        raise ContractViolationError(f"bad beta range ({args.beta_min}, {args.beta_max})")
     points = trace_contour((args.beta_min, args.beta_max), args.steps)
     meta = build_meta(
         "asym",
@@ -278,6 +277,10 @@ def cmd_fieldmap(args) -> int:
     params = _params_from_args(args)
     re_lo, re_hi = args.re_range
     im_lo, im_hi = args.im_range
+    if not all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))):
+        raise ContractViolationError(
+            f"field map window edges must be finite, got {args.re_range} x {args.im_range}"
+        )
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ContractViolationError("field map window has zero area")
     if not (2 <= args.resolution <= 4096):
@@ -289,10 +292,8 @@ def cmd_fieldmap(args) -> int:
     vals = fn.log10_magnitude(grid)
     flags = _param_flags(args)
     flags.update(re_lo=re_lo, re_hi=re_hi, im_lo=im_lo, im_hi=im_hi, resolution=args.resolution)
-    rows = []
-    for i in range(args.resolution):
-        for j in range(args.resolution):
-            rows.append([res[j], ims[i], float(vals[i, j])])
+    r = args.resolution
+    rows = np.column_stack((np.tile(res, r), np.repeat(ims, r), vals.ravel()))
     write_table(
         args.output, build_meta("fieldmap", flags),
         ["re_delta", "im_delta", "log10_abs_f"], rows, args.format,

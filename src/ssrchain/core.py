@@ -76,10 +76,10 @@ class ChainParams:
     def __post_init__(self):
         if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
             raise ContractViolationError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        if self.separation < 0:
-            raise ContractViolationError(f"separation must be >= 0, got {self.separation!r}")
-        if self.omega <= 0:
-            raise ContractViolationError(f"omega must be > 0, got {self.omega!r}")
+        if not 0 <= self.separation < math.inf:
+            raise ContractViolationError(f"separation must be finite and >= 0, got {self.separation!r}")
+        if not 0 < self.omega < math.inf:
+            raise ContractViolationError(f"omega must be finite and > 0, got {self.omega!r}")
         mode = _MODE_ALIASES.get(self.mode)
         if mode is None:
             raise ContractViolationError(f"unknown mode {self.mode!r}; expected one of {sorted(set(_MODE_ALIASES))}")

@@ -9,12 +9,15 @@ between reruns of identical flags.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
+from contextlib import nullcontext
 from datetime import datetime, timezone
 
+import numpy as np
+
 _SIG = "%.12g"
+_BLOCK_ROWS = 16384
 
 
 def fmt_value(v) -> str:
@@ -48,37 +51,48 @@ def build_meta(command: str, flags: dict) -> dict:
     return meta
 
 
-def write_table(dest: str, meta: dict, columns: list[str], rows: list[list], fmt: str) -> None:
-    """Emit rows to a path (or '-' for stdout) as CSV or JSON."""
+def _open_dest(dest: str):
+    return nullcontext(sys.stdout) if dest == "-" else open(dest, "w", encoding="utf-8")
+
+
+def _write_float_rows(fh, rows: np.ndarray) -> None:
+    """CSV body of a 2-D float array, a block of rows at a time.
+
+    The cells are those csv.writer writes for fmt_value: no %.12g output
+    (digits, sign, '.', 'e', nan, inf) needs quoting.
+    """
+    line = ",".join([_SIG] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS].tolist()
+        fh.write("".join(map(line.__mod__, map(tuple, block))))
+
+
+def write_table(dest: str, meta: dict, columns: list[str], rows, fmt: str) -> None:
+    """Emit rows to a path (or '-' for stdout) as CSV or JSON.
+
+    rows is a list of row lists, or a 2-D float ndarray, which the CSV path
+    streams a block of rows at a time.
+    """
     if fmt == "json":
-        payload = {
-            "meta": meta,
-            "data": [dict(zip(columns, (_round12(v) for v in row))) for row in rows],
-        }
-        text = json.dumps(_json_clean(payload), indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        for k, v in meta.items():
-            buf.write(f"# {k}={v}\n")
-        writer = csv.writer(buf, lineterminator="\n")
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        write_json(dest, meta, [dict(zip(columns, row)) for row in rows])
+        return
+    with _open_dest(dest) as fh:
+        fh.write("".join(f"# {k}={v}\n" for k, v in meta.items()))
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([fmt_value(v) for v in row])
-        text = buf.getvalue()
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if isinstance(rows, np.ndarray):
+            _write_float_rows(fh, rows)
+        else:
+            for row in rows:
+                writer.writerow([fmt_value(v) for v in row])
 
 
-def write_json(dest: str, meta: dict, data: dict) -> None:
+def write_json(dest: str, meta: dict, data: dict | list) -> None:
     payload = json.dumps(_json_clean({"meta": meta, "data": data}), indent=2) + "\n"
-    if dest == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    with _open_dest(dest) as fh:
+        fh.write(payload)
 
 
 def read_csv_table(path: str) -> tuple[dict, list[str], list[dict]]:

@@ -1,9 +1,16 @@
+import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from ssrchain import cli
+from ssrchain.charfn import CharFn
 from ssrchain.cli import main
+from ssrchain.core import ChainParams
+from ssrchain.errors import BracketError
 from ssrchain.output import read_csv_table
 
 
@@ -47,6 +54,14 @@ class TestPoles:
         gen_g = sorted(float(r["re_gamma"]) for r in gen_rows if abs(float(r["re_delta"])) > 1e-9 or abs(float(r["im_delta"])) > 1e-9)
         assert gen_g == pytest.approx(sr_g, rel=1e-9)
 
+    @pytest.mark.parametrize("flags", [["--sep", "nan"], ["--sep", "inf"],
+                                       ["--sep", "0.3", "--mode", "general", "--omega", "nan"]])
+    def test_non_finite_params_rejected(self, tmp_path, capsys, flags):
+        # --sep nan once ran the solver and exited 3 with a false BoundaryDegeneracyError
+        rc, _ = run(tmp_path, "p.csv", ["poles", "--n", "2"] + flags)
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_incomplete_window_rejected(self, tmp_path):
         rc, _ = run(tmp_path, "p.csv", ["poles", "--n", "1", "--sep", "0.3", "--re-min", "-1"])
         assert rc == 2
@@ -87,6 +102,18 @@ class TestSweepAndFit:
         rates = [float(r["re_gamma_ssr"]) for r in rows]
         assert all(b > a for a, b in zip(rates, rates[1:]))
         assert all(r["status"] == "ok" for r in rows)
+
+    def test_failed_row_status_is_quoted(self, tmp_path, monkeypatch):
+        def fail(n):
+            raise BracketError("no interior maximum in (0.1, 0.2)")
+
+        monkeypatch.delenv("SSRCHAIN_JOBS", raising=False)
+        monkeypatch.setattr(cli, "maximize_over_separation", fail)
+        rc, out = run(tmp_path, "sweep.csv", ["sweep", "--n-min", "2", "--n-max", "2"])
+        assert rc == 3
+        assert data_section(out)[-1] == (
+            '2,nan,nan,nan,false,nan,0,"BracketError: no interior maximum in (0.1, 0.2)"\n'
+        )
 
     def test_empty_range_rejected(self, tmp_path):
         rc, _ = run(tmp_path, "sweep.csv", ["sweep", "--n-min", "5", "--n-max", "2"])
@@ -157,6 +184,13 @@ class TestAsym:
         rc, _ = run(tmp_path, "c.csv", ["asym", "--contour", "--steps", "1"])
         assert rc == 2
 
+    def test_non_finite_beta_range_rejected(self, tmp_path):
+        # inf * 0 made the first beta nan, and only the critical row was written
+        rc, _ = run(
+            tmp_path, "c.csv", ["asym", "--contour", "--beta-min", "0.1", "--beta-max", "inf"]
+        )
+        assert rc == 2
+
     def test_needs_exactly_one_mode(self, tmp_path):
         rc, _ = run(tmp_path, "c.csv", ["asym"])
         assert rc == 2
@@ -210,6 +244,83 @@ class TestFieldmap:
             ],
         )
         assert rc == 2
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--sep", "nan", "--re-range", "-1", "1", "--im-range", "-1", "0"],
+        ["--sep", "0.7", "--mode", "general", "--omega", "nan",
+         "--re-range", "-1", "1", "--im-range", "-1", "0"],
+        ["--sep", "0.7", "--re-range", "-1", "inf", "--im-range", "-1", "0"],
+        ["--sep", "0.7", "--re-range", "-1", "1", "--im-range", "-1", "inf"],
+        ["--sep", "0.7", "--re-range", "-1", "1", "--im-range", "nan", "0"],
+    ])
+    def test_non_finite_input_rejected(self, tmp_path, capsys, flags):
+        rc, _ = run(tmp_path, "map.csv", ["fieldmap", "--n", "1", "--resolution", "4"] + flags)
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
+_FIELDMAP_COLUMNS = ["re_delta", "im_delta", "log10_abs_f"]
+_FIELDMAP_CASES = {
+    "sr2": (2, 0.56, "sr", (-1.0, 1.0), (-3.2, -1.4), 256),
+    # f overflows over most of this window: 2880 of the 4096 cells are nan
+    "general30": (30, 3.0, "general", (-60.0, 60.0), (-400.0, -0.5), 64),
+}
+
+
+def reference_fieldmap_rows(n, sep, mode, re_range, im_range, resolution):
+    """The fieldmap rows as the CLI built them before it passed numpy columns."""
+    fn = CharFn(ChainParams(n, sep, mode=mode), deflation_order=0)
+    res = np.linspace(*re_range, resolution)
+    ims = np.linspace(*im_range, resolution)
+    vals = fn.log10_magnitude(res[None, :] + 1j * ims[:, None])
+    rows = []
+    for i in range(resolution):
+        for j in range(resolution):
+            rows.append([res[j], ims[i], float(vals[i, j])])
+    return rows
+
+
+def fieldmap_argv(n, sep, mode, re_range, im_range, resolution):
+    return [
+        "fieldmap", "--n", str(n), "--sep", repr(sep), "--mode", mode,
+        "--re-range", *map(repr, re_range), "--im-range", *map(repr, im_range),
+        "--resolution", str(resolution),
+    ]
+
+
+class TestFieldmapBytes:
+    """fieldmap output against a reference writer: the row loop, csv.writer
+    and %.12g on each cell (JSON: each cell rounded to 12 digits)."""
+
+    @pytest.mark.parametrize("case", sorted(_FIELDMAP_CASES))
+    def test_csv(self, tmp_path, case):
+        spec = _FIELDMAP_CASES[case]
+        rows = reference_fieldmap_rows(*spec)
+        if case == "general30":
+            assert sum(math.isnan(r[2]) for r in rows) == 2880
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_FIELDMAP_COLUMNS)
+        for row in rows:
+            writer.writerow(["%.12g" % v for v in row])
+        rc, out = run(tmp_path, "map.csv", fieldmap_argv(*spec))
+        assert rc == 0
+        text = out.read_text(encoding="utf-8")
+        meta_end = text.index("\nre_delta,") + 1
+        assert all(ln.startswith("# ") for ln in text[:meta_end].splitlines())
+        assert text[meta_end:] == buf.getvalue()
+
+    @pytest.mark.parametrize("case", sorted(_FIELDMAP_CASES))
+    def test_json(self, tmp_path, case):
+        spec = _FIELDMAP_CASES[case][:5] + (16,)
+        rows = reference_fieldmap_rows(*spec)
+        rc, out = run(tmp_path, "map.json", fieldmap_argv(*spec) + ["--format", "json"])
+        assert rc == 0
+        text = out.read_text(encoding="utf-8")
+        data = [{c: float("%.12g" % v) for c, v in zip(_FIELDMAP_COLUMNS, row)} for row in rows]
+        want = json.dumps({"meta": json.loads(text)["meta"], "data": data}, indent=2) + "\n"
+        assert text == want
 
 
 class TestDeterminism:

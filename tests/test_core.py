@@ -48,6 +48,14 @@ class TestChainParams:
         with pytest.raises(ContractViolationError):
             ChainParams(2, 0.5, mode="weird")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # nan < 0 is false, so a sign test alone lets nan through
+        with pytest.raises(ContractViolationError, match="separation must be finite"):
+            ChainParams(2, bad)
+        with pytest.raises(ContractViolationError, match="omega must be finite"):
+            ChainParams(2, 0.5, mode="general", omega=bad)
+
     def test_small_omega_warns(self):
         with pytest.warns(UserWarning):
             ChainParams(2, 0.5, mode="general", omega=5.0)
