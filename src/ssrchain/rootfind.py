@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import CharFn, markovian_polynomial
+from .charfn import CharFn
 from .core import _EPS, MODE_MARKOVIAN, MODE_SR, ChainParams
 from .errors import (
     BoundaryDegeneracyError,
@@ -468,10 +468,14 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
 
 
 def _markovian_rates(params: ChainParams, window: SearchWindow) -> list[Pole]:
-    # the characteristic function is an exact polynomial here; its companion
-    # roots are the straightest (and fully deterministic) route
-    coeffs = markovian_polynomial(params)
-    roots = np.roots(np.array(coeffs[::-1], dtype=complex))
+    # the poles are the eigenvalues of the effective non-Hermitian Hamiltonian
+    # H_jk = -(i/2) exp(i Omega L |j - k|) (Lalumiere et al., PRA 88, 043806,
+    # 2013); unlike the roots of markovian_polynomial, they are well
+    # conditioned in its entries
+    n = params.n_qubits
+    powers = np.cumprod(np.r_[1.0, np.full(n - 1, params.phase_unit())])
+    k = np.arange(n)
+    roots = np.linalg.eigvals(-0.5j * powers[np.abs(k[:, None] - k)])
     fn = CharFn(params, deflation_order=0)
     poles = []
     for r in roots:

@@ -3,9 +3,12 @@
 The objective Re Gamma_u(L) rises from the Dicke value N gamma_0, peaks at
 the critical separation L_c where the Markovian-like pole collides with the
 first exclusively non-Markovian one, and decays beyond.  The maximum is
-therefore a fold point: golden-section search (derivative-free, safe at the
-branch-point kink) localizes it, and a two-dimensional Newton solve on
-(f = 0, df/dDelta = 0) supplies the final digits.
+therefore a fold point.  A coarse scan of the rate over the bracket
+certifies an interior maximum, and Newton on the regular fold system
+(f = 0, df/dDelta = 0), with the exact Jacobian from
+CharFn.eval_derivatives, solves for it from the scan's best point.
+Golden-section search (derivative-free, safe at the branch-point kink) is
+only the fallback when that Newton is rejected.
 
 Everything here runs in sr-condition mode, whose mirror symmetry
 f(-conj(Delta)) = (-1)^N conj(f(Delta)) pins the colliding pair to the
@@ -48,9 +51,15 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class SSRResult:
     """Optimized super-superradiant point at fixed qubit number.
 
+    coalescence is True when the fold Newton converged and was accepted:
+    the point is then the fold itself, where the two poles coalesce.  It
+    is False when the maximizer fell back to golden-section search; the
+    point is then the best separation found and its leading pole.
+
     evaluations is the number of scalar f evaluations the solve made: the
-    axis refinements, Newton and coalescent-pair steps, validation and the
-    fold solve.  The vectorized axis scans are not counted.
+    axis refinements, Newton and coalescent-pair steps, validation, and one
+    per CharFn.eval_derivatives call of the fold Newton.  The vectorized
+    axis scans are not counted.
     """
 
     n_qubits: int
@@ -93,6 +102,10 @@ class _CountedFn:
     def __call__(self, delta: complex) -> complex:
         self.tracker.evals += 1
         return self.charfn.eval(delta)
+
+    def eval_derivatives(self, delta: complex):
+        self.tracker.evals += 1
+        return self.charfn.eval_derivatives(delta)
 
     def noise_scale(self, delta: complex) -> float:
         return self.charfn.noise_scale(delta)
@@ -337,13 +350,19 @@ def superradiant_pole(params: ChainParams) -> Pole:
     return Pole(delta=z, residual=abs(fn(z)), classification=_classify(params, z))
 
 
+def _bracket(n_qubits: int, beta: float) -> tuple[float, float]:
+    """The separation bracket around the law L_c ~ beta / N^2."""
+    return 0.2 * beta / n_qubits**2, 3.0 * beta / n_qubits**2
+
+
 def _default_bracket(n_qubits: int) -> tuple[float, float]:
     if n_qubits >= 4:
-        return 0.2 * BETA_HAT / n_qubits**2, 3.0 * BETA_HAT / n_qubits**2
+        return _bracket(n_qubits, BETA_HAT)
     return 0.05, 2.0
 
 
-def _golden_max(fn, a: float, b: float, abstol: float):
+def _golden_max(fn, a: float, b: float, abstol: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of fn over (a, b): (x, fn(x))."""
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = fn(x1), fn(x2)
@@ -358,73 +377,58 @@ def _golden_max(fn, a: float, b: float, abstol: float):
             x1 = b - _INVPHI * (b - a)
             f1 = fn(x1)
         evals += 1
-    if f1 >= f2:
-        return x1, f1, a, b, evals
-    return x2, f2, a, b, evals
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _fold_solve(fn_at, y0: float, l0: float, maxiter: int = 60):
-    """Simultaneous Newton on (f(-iy, L), df/dy(-iy, L)) = (0, 0).
+def _fold_newton(fn_at, y: float, l: float, maxiter: int = 30) -> tuple[float, float, bool]:
+    """Newton on the regular fold system (phi, phi_y) = (0, 0) in (y, L),
+    with phi(y, L) = Im f(-iy, L) and the exact Jacobian
+    [[phi_y, phi_L], [phi_yy, phi_yL]] (Moore & Spence, SIAM J. Numer.
+    Anal. 17, 1980).
 
-    On the imaginary axis f is i times a real function, so the pole-collision
-    condition is a real 2x2 system in (y, L); its root is the fold where the
-    colliding pair coalesces.
+    On the imaginary axis f is i times a real function, so the fold where
+    the colliding pair coalesces is a real 2x2 system, regular at the fold.
+    Returns (y, L, converged): converged when the relative step falls to
+    1e-12, or, once below 1e-9, stops halving (the rounding floor of f
+    rises with N).
     """
-
-    def phi(y, l):
-        return fn_at(l)(-1j * y).imag
-
-    y, l = y0, l0
-    best = (float("inf"), y, l, 0)
-    it = 0
-    for it in range(1, maxiter + 1):
-        s1 = 6e-6 * (abs(y) + 1.0)
-        s2 = 1.2e-4 * (abs(y) + 1.0)
-        t1 = 1e-12 + 6e-6 * abs(l)
-        t2 = 1e-12 + 1.2e-4 * abs(l)
-        f0 = phi(y, l)
-        fy = (phi(y + s1, l) - phi(y - s1, l)) / (2.0 * s1)
-        fl = (phi(y, l + t1) - phi(y, l - t1)) / (2.0 * t1)
-        g0 = (phi(y + s2, l) - phi(y - s2, l)) / (2.0 * s2)
-        gy = (phi(y + s2, l) - 2.0 * f0 + phi(y - s2, l)) / (s2 * s2)
-        gl = (
-            (phi(y + s2, l + t2) - phi(y - s2, l + t2))
-            - (phi(y + s2, l - t2) - phi(y - s2, l - t2))
-        ) / (4.0 * s2 * t2)
-        det = fy * gl - fl * gy
-        if det == 0 or not math.isfinite(det):
-            break
-        dy = (f0 * gl - fl * g0) / det
-        dl = (fy * g0 - f0 * gy) / det
-        cap_y = 0.25 * (abs(y) + 1.0)
-        cap_l = 0.25 * (abs(l) + 1e-9)
-        dy = max(-cap_y, min(cap_y, dy))
-        dl = max(-cap_l, min(cap_l, dl))
+    prev = math.inf
+    for _ in range(maxiter):
+        f, f_d, f_l, f_dd, f_dl = fn_at(l).eval_derivatives(-1j * y)
+        # d/dy = -i d/dDelta along Delta = -iy
+        phi, phi_y, phi_l = f.imag, -f_d.real, f_l.imag
+        phi_yy, phi_yl = -f_dd.imag, -f_dl.real
+        det = phi_y * phi_yl - phi_l * phi_yy
+        if not (det != 0.0 and math.isfinite(det)):
+            return y, l, False
+        dy = (phi * phi_yl - phi_l * phi_y) / det
+        dl = (phi_y * phi_y - phi * phi_yy) / det
         y, l = y - dy, l - dl
-        score = abs(f0) / (abs(y) + 1.0) + abs(g0)
-        if score < best[0]:
-            best = (score, y, l, it)
-        if abs(dy) < 1e-13 * (abs(y) + 1.0) and abs(dl) < 1e-13 * (abs(l) + 1e-9):
-            break
-    _, y, l, _ = best
-    return y, l, it
+        if not (0.0 < y < math.inf and 0.0 < l < math.inf):  # also catches NaN
+            return y, l, False
+        step = max(abs(dy) / y, abs(dl) / l)
+        if step <= 1e-12 or 0.5 * prev < step <= 1e-9:
+            return y, l, True
+        prev = step
+    return y, l, False
 
 
 def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None = None) -> SSRResult:
     """Maximize Re Gamma_u over the separation: the SSR point (Gamma_SSR, L_c).
 
     A coarse log-spaced scan certifies an interior maximum (raising
-    BracketError otherwise), golden-section search shrinks onto the fold
-    kink, and the two-dimensional coalescence solve is accepted when it
-    lands next to the maximizer without losing objective value; the
-    coalescence flag records whether that polish succeeded.
+    BracketError otherwise).  Newton on the fold system, seeded from the
+    scan's best point, is accepted when it converges inside the scan cells
+    around that point, does not lose objective value against the scan,
+    and the coalescing pair resolves at the fold; the result then carries
+    coalescence=True.  Otherwise golden-section search over those cells
+    gives the answer, with coalescence=False.
     """
     if not isinstance(n_qubits, int) or n_qubits < 2:
         raise ContractViolationError("the SSR point needs at least 2 qubits")
     a, b = bracket if bracket is not None else _default_bracket(n_qubits)
     if not (0.0 < a < b):
         raise ContractViolationError(f"bad bracket ({a}, {b})")
-    width = b - a
     tracker = _PoleTracker(n_qubits)
 
     nscan = 16
@@ -436,34 +440,24 @@ def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None 
             f"Re Gamma_u has no interior maximum over ({a:.6g}, {b:.6g}); "
             "scan the rate over a wider range and re-bracket"
         )
-    l_gs, rate_gs, lo_fin, hi_fin, gs_evals = _golden_max(
-        tracker.rate, xs[ibest - 1], xs[ibest + 1], abstol=1e-10 * width
-    )
-
-    y_fold, l_fold, _ = _fold_solve(tracker.fn, 0.5 * rate_gs, l_gs)
-    fin_w = max(hi_fin - lo_fin, 1e-12)
-    near_gs = abs(l_fold - l_gs) <= max(10.0 * fin_w, 1e-6 * width)
-    improves = 2.0 * y_fold >= rate_gs - 1e-6 * (1.0 + rate_gs)
-    in_bracket = a < l_fold < b
-    if near_gs and improves and in_bracket and math.isfinite(y_fold):
+    top = vs[ibest]
+    y, l_fold, converged = _fold_newton(tracker.fn, 0.5 * top, xs[ibest])
+    if converged and xs[ibest - 1] < l_fold < xs[ibest + 1] and 2.0 * y >= top - 1e-6 * (1.0 + top):
         fn = tracker.fn(l_fold)
-        # the midpoint of the coalescing pair is far better conditioned in y
-        # than the finite-difference fold Jacobian
-        r1, r2 = coalescent_pair(fn, -1j * y_fold, scale=y_fold + 1.0)
-        y_mid = -0.5 * (r1 + r2).imag
-        if abs(y_mid - y_fold) < 1e-3 * (y_fold + 1.0):
-            y_fold = y_mid
-        residual = abs(fn(-1j * y_fold))
-        return SSRResult(
-            n_qubits=n_qubits,
-            l_critical=l_fold,
-            gamma_ssr=complex(2.0 * y_fold, 0.0),
-            coalescence=True,
-            evaluations=tracker.evals,
-            residual=residual,
-        )
-    pair = tracker.pair(l_gs)
-    z = pair[0]
+        fold = -1j * y
+        pair = coalescent_pair(fn, fold, scale=y + 1.0)
+        if all(abs(z - fold) <= 1e-3 * (1.0 + y) for z in pair):
+            residual = abs(fn(fold))
+            return SSRResult(
+                n_qubits=n_qubits,
+                l_critical=l_fold,
+                gamma_ssr=complex(2.0 * y, 0.0),
+                coalescence=True,
+                evaluations=tracker.evals,
+                residual=residual,
+            )
+    l_gs, _ = _golden_max(tracker.rate, xs[ibest - 1], xs[ibest + 1], abstol=1e-10 * (b - a))
+    z = tracker.pair(l_gs)[0]
     residual = abs(tracker.fn(l_gs)(z))
     return SSRResult(
         n_qubits=n_qubits,
@@ -513,9 +507,7 @@ def scaling_sweep(n_list: list[int]) -> list[SSRResult]:
     results: list[SSRResult] = []
     beta_hat = None
     for n in n_list:
-        bracket = None
-        if beta_hat is not None and n >= 4:
-            bracket = (0.2 * beta_hat / n**2, 3.0 * beta_hat / n**2)
+        bracket = _bracket(n, beta_hat) if beta_hat is not None and n >= 4 else None
         try:
             res = maximize_over_separation(n, bracket)
         except Exception as err:  # noqa: BLE001 - sweep must survive per-N failures

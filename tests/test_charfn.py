@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -137,6 +138,69 @@ class TestEvalMany:
         assert 0 < sum(overflowed) < len(want)
         got = fn.eval_many(np.array(self.GRID))
         assert not np.isfinite(got[np.array(overflowed)]).any()
+
+
+def mp_deflated_f(delta, sep, n, w):
+    """Test-local deflated sr-branch f at mpmath precision: the row vector
+    (1, 0) carried through N explicit cells Delta T, p = w exp(i Delta L),
+    divided by Delta^(N-1)."""
+    p = w * mp.exp(1j * delta * sep)
+    a, b = mp.mpc(1), mp.mpc(0)
+    for _ in range(n):
+        a, b = a * (delta + 0.5j) / p - b * 0.5j / p, a * 0.5j * p + b * (delta - 0.5j) * p
+    return a / delta ** (n - 1)
+
+
+class TestEvalDerivatives:
+    @pytest.mark.parametrize(
+        "n, sep, delta, sr_index",
+        [
+            (2, 0.5, 1 - 2j, 1),
+            (5, 0.07, 2 - 12j, 1),
+            (7, 0.05, -4 - 9j, 2),
+            (20, 4e-3, 3 - 20j, 1),
+            (100, 1.76e-4, 20 - 60j, 1),
+            (100, 1.7e-4, 5 - 113j, 1),
+            (300, 2e-5, -30 - 340j, 3),
+        ],
+    )
+    def test_against_mpmath(self, n, sep, delta, sr_index):
+        fn = CharFn(sr(n, sep, sr_index), deflation_order=n - 1)
+        got = fn.eval_derivatives(delta)
+        with mp.workdps(30):
+            w = -1 if sr_index % 2 else 1
+            f = lambda d, l: mp_deflated_f(d, l, n, w)  # noqa: E731
+            d, l = mp.mpc(delta), mp.mpf(sep)
+            want = [
+                f(d, l),
+                mp.diff(lambda t: f(d + t, l), 0),
+                mp.diff(lambda t: f(d, l + t), 0),
+                mp.diff(lambda t: f(d + t, l), 0, 2),
+                mp.diff(f, (d, l), (1, 1)),
+            ]
+            for g, ref in zip(got, want):
+                assert abs(g - complex(ref)) <= 1e-10 * float(abs(ref))
+
+    @pytest.mark.parametrize(
+        "n, sep, delta", [(2, 0.557, -2.3j), (5, 0.073, -5.7j), (20, 4.4e-3, -22.77j), (100, 1.757e-4, 3 - 113.8j)]
+    )
+    def test_value_is_eval_to_rounding(self, n, sep, delta):
+        fn = CharFn(sr(n, sep), deflation_order=n - 1)
+        value = fn.eval_derivatives(delta)[0]
+        assert abs(value - fn.eval(delta)) <= 64 * 2.2e-16 * fn.noise_scale(delta)
+
+    def test_overflow_is_not_finite(self):
+        fn = CharFn(sr(100, 3.0), deflation_order=99)
+        assert not cmath.isfinite(fn(-200j))
+        assert not all(cmath.isfinite(v) for v in fn.eval_derivatives(-200j))
+
+    def test_contract(self):
+        with pytest.raises(ContractViolationError):
+            CharFn(sr(3, 0.4)).eval_derivatives(1 - 1j)
+        with pytest.raises(ContractViolationError):
+            CharFn(ChainParams(3, 0.4, mode="general")).eval_derivatives(1 - 1j)
+        with pytest.raises(SingularDetuningError):
+            CharFn(sr(3, 0.4), deflation_order=2).eval_derivatives(0.0)
 
 
 class TestDeflationConsistency:

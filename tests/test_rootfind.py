@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -181,6 +182,65 @@ class TestFindCollectiveRates:
         win = default_window(3)
         seeds = localize_zeros(fn, win, max_cell=win.diameter() / 128.0)
         assert len(seeds) == count_zeros(fn, win)
+
+
+def markovian_poles(n, sep):
+    """Every Markovian pole find_collective_rates reports, in an unbounded
+    window."""
+    params = ChainParams(n, sep, mode="markovian")
+    return [p.delta for p in find_collective_rates(params, SearchWindow(-1e6, 1e6, -1e6, 1.0))]
+
+
+def mp_markovian_root(z, n, sep, omega=50.0):
+    """Newton at 30 digits on the test-local Markovian f: (1, 0) carried
+    through N explicit cells Delta T with the constant phase p = exp(i Omega
+    L), the slope carried alongside."""
+    with mp.workdps(30):
+        p = mp.exp(1j * mp.mpf(omega) * mp.mpf(sep))
+        q, m12, m21 = 1 / p, 0.5j * p, -0.5j / p
+        z = mp.mpc(z)
+        for _ in range(50):
+            m11, m22 = (z + 0.5j) * q, (z - 0.5j) * p
+            a, b, da, db = mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(0)
+            for _ in range(n):
+                a, b, da, db = (
+                    a * m11 + b * m21,
+                    a * m12 + b * m22,
+                    da * m11 + a * q + db * m21,
+                    da * m12 + db * m22 + b * p,
+                )
+            step = a / da
+            z -= step
+            if abs(step) < mp.mpf("1e-20") * (1 + abs(z)):
+                return complex(z)
+    raise ArithmeticError(f"Newton from {z} did not converge")
+
+
+class TestMarkovianEigenvalues:
+    def test_against_mpmath_eig(self):
+        n, sep = 30, 1.0
+        with mp.workdps(30):
+            theta = 50 * mp.mpf(sep)
+            h = mp.matrix(n, n)
+            for j in range(n):
+                for k in range(n):
+                    h[j, k] = -0.5j * mp.exp(1j * theta * abs(j - k))
+            want = [complex(e) for e in mp.eig(h, left=False, right=False)]
+        got = markovian_poles(n, sep)
+        assert len(got) == n
+        for z in want:
+            assert min(abs(z - g) for g in got) <= 1e-12
+
+    @pytest.mark.parametrize("n, sep", [(30, 1.0), (50, 0.1), (100, 0.1)])
+    def test_every_pole_is_a_distinct_root(self, n, sep):
+        # N distinct roots of the degree-N polynomial are all of its roots
+        got = markovian_poles(n, sep)
+        assert len(got) == n
+        roots = [mp_markovian_root(z, n, sep) for z in got]
+        for z, r in zip(got, roots):
+            assert abs(z - r) <= 1e-12 * (1.0 + abs(r))
+        gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
+        assert min(gaps) > 1e-9
 
 
 class TestContinuePole:

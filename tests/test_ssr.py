@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from ssrchain import (
@@ -16,9 +17,10 @@ from ssrchain import (
     scaling_sweep,
     superradiant_pole,
 )
+from ssrchain import ssr
 from ssrchain.charfn import CharFn
 from ssrchain.rootfind import _accept_tol
-from ssrchain.ssr import _PoleTracker, _golden_max
+from ssrchain.ssr import _PoleTracker, _default_bracket, _fold_newton, _golden_max
 
 
 def two_qubit_fold():
@@ -187,13 +189,20 @@ class TestEvaluationCount:
             calls[0] += 1
             return original(self, delta)
 
+        original_derivatives = CharFn.eval_derivatives
+
+        def counted_derivatives(self, delta):
+            calls[0] += 1
+            return original_derivatives(self, delta)
+
         monkeypatch.setattr(CharFn, "eval", counted)
         monkeypatch.setattr(CharFn, "__call__", counted)
+        monkeypatch.setattr(CharFn, "eval_derivatives", counted_derivatives)
         res = maximize_over_separation(2)
         assert res.evaluations == calls[0]
 
     def test_large_n_budget(self):
-        assert maximize_over_separation(100).evaluations <= 8000
+        assert maximize_over_separation(100).evaluations <= 1500
 
 
 class TestMaximize:
@@ -245,7 +254,7 @@ class TestMaximize:
             a, b = 0.2 * 1.76 / n**2, 3.0 * 1.76 / n**2
         else:
             a, b = 0.05, 2.0
-        l_gs, _, _, _, _ = _golden_max(tracker.rate, a, b, abstol=1e-10 * (b - a))
+        l_gs, _ = _golden_max(tracker.rate, a, b, abstol=1e-10 * (b - a))
         assert abs(l_gs - res.l_critical) / res.l_critical < 1e-5
 
     def test_ssr_beats_dicke(self):
@@ -256,6 +265,113 @@ class TestMaximize:
     def test_system_size_shrinks(self):
         res = maximize_over_separation(50)
         assert 50 * res.l_critical < 2.0 * 1.1 / 50
+
+
+def mp_fold(n):
+    """Test-local 30-digit SSR point (Gamma_SSR, L_c), sharing no code with
+    the solver.
+
+    N = 2 solves the closed form L/2 + 1 = ln(2/L), Gamma = 1 + 2/L.  Else
+    f is carried through N explicit unit cells, Delta T = [[(Delta + i/2)/p,
+    i p/2], [-i/(2p), (Delta - i/2) p]] with p = -exp(i Delta L); on the
+    axis Delta = -iy the deflated f / i is real, and Newton on
+    (phi, dphi/dy) = 0 with mpmath derivatives finds the fold from the
+    large-N law (y, L) = (alpha_c N/2, beta_c/N^2).
+    """
+    with mp.workdps(30):
+        if n == 2:
+            l = mp.findroot(lambda x: x / 2 + 1 - mp.log(2 / x), mp.mpf("0.5"))
+            return float(1 + 2 / l), float(l)
+
+        def phi(y, l):
+            d = mp.mpc(0, -y)
+            p = -mp.exp(1j * d * l)
+            a, b = mp.mpc(1), mp.mpc(0)
+            for _ in range(n):
+                a, b = a * (d + 0.5j) / p - b * 0.5j / p, a * 0.5j * p + b * (d - 0.5j) * p
+            return (a / d ** (n - 1)).imag
+
+        tau = mp.findroot(lambda t: 4 * t * mp.cosh(t) - (t * t + 4) * mp.sinh(t), 2.4)
+        beta = tau * tau - 4
+        y, l = 2 * n / beta, beta / n**2
+        for _ in range(40):
+            f0, fy = phi(y, l), mp.diff(phi, (y, l), (1, 0))
+            fl, fyy = mp.diff(phi, (y, l), (0, 1)), mp.diff(phi, (y, l), (2, 0))
+            fyl = mp.diff(phi, (y, l), (1, 1))
+            det = fy * fyl - fl * fyy
+            dy, dl = (f0 * fyl - fl * fy) / det, (fy * fy - f0 * fyy) / det
+            y, l = y - dy, l - dl
+            if abs(dy) < mp.mpf("1e-24") * y and abs(dl) < mp.mpf("1e-24") * l:
+                return float(2 * y), float(l)
+    raise ArithmeticError(f"mpmath fold did not converge at N = {n}")
+
+
+def scan_seed(n):
+    """The maximizer's Newton seed: its 16-point scan's best point."""
+    a, b = _default_bracket(n)
+    xs = [a * (b / a) ** (i / 15) for i in range(16)]
+    tracker = _PoleTracker(n)
+    vs = [tracker.rate(x) for x in xs]
+    i = max(range(16), key=lambda k: vs[k])
+    return 0.5 * vs[i], xs[i]
+
+
+class TestFoldNewton:
+    @pytest.mark.parametrize("n", [2, 20, 100])
+    def test_matches_mpmath_fold(self, n):
+        gamma, l_c = mp_fold(n)
+        res = maximize_over_separation(n)
+        assert res.coalescence
+        assert res.gamma_ssr.imag == 0.0
+        assert abs(res.gamma_ssr.real - gamma) <= 1e-10 * gamma
+        assert abs(res.l_critical - l_c) <= 1e-10 * l_c
+
+    @pytest.mark.parametrize("n", [20, 50, 100])
+    def test_converges_in_a_handful_of_steps(self, n):
+        tracker = _PoleTracker(n)
+        y, l, converged = _fold_newton(tracker.fn, *scan_seed(n))
+        assert converged
+        assert 0 < tracker.evals <= 8
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_stable_under_ulp_moves_of_the_seed(self, n):
+        y0, l0 = scan_seed(n)
+        ys = []
+        for k in (-3, -1, 1, 3):
+            y, _, converged = _fold_newton(
+                _PoleTracker(n).fn, y0 + k * math.ulp(y0), l0 - k * math.ulp(l0)
+            )
+            assert converged
+            ys.append(y)
+        assert max(ys) - min(ys) <= 1e-12 * max(ys)
+
+    def test_thousand_qubits_follow_the_large_n_laws(self):
+        crit = critical_pair()
+        res = maximize_over_separation(1000)
+        assert res.coalescence
+        assert abs(res.gamma_ssr.real / (crit.alpha_c * 1000) - 1.0) < 1e-4
+        assert abs(res.l_critical * 1000**2 / crit.beta_c - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("outcome", ["step_test_failed", "outside_scan_cells", "no_coalescence"])
+    def test_rejected_newton_falls_back_to_golden_section(self, outcome, monkeypatch):
+        real = _fold_newton
+
+        def fake(fn_at, y, l):
+            if outcome == "no_coalescence":
+                return y, l, True  # the seed: 2y is the scan's best rate
+            y, l, _ = real(fn_at, y, l)
+            return (y, l, False) if outcome == "step_test_failed" else (y, 10.0 * l, True)
+
+        monkeypatch.setattr(ssr, "_fold_newton", fake)
+        res = maximize_over_separation(2)
+        assert not res.coalescence
+        a, b = _default_bracket(2)
+        xs = [a * (b / a) ** (i / 15) for i in range(16)]
+        i = min(range(16), key=lambda k: abs(xs[k] - ORACLE_LC2))
+        l_gs, rate_gs = _golden_max(_PoleTracker(2).rate, xs[i - 1], xs[i + 1], 1e-10 * (b - a))
+        assert res.l_critical == pytest.approx(l_gs, rel=1e-9)
+        assert res.gamma_ssr.real == pytest.approx(rate_gs, rel=1e-9)
+        assert res.gamma_ssr.real == pytest.approx(ORACLE_GAMMA2, rel=1e-6)
 
 
 class TestDegeneratePairProbe:
