@@ -14,7 +14,9 @@ cluster) and is the function actually searched for rates.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +61,19 @@ class CharFn:
         if self.deflation_order != 0 and self.params.mode != MODE_SR:
             raise ContractViolationError("deflation by N-1 is only permitted in sr-condition mode")
 
+    @cached_property
+    def _consts(self) -> tuple[int, complex, float, int, bool]:
+        """(N, w, L_e, expo, real_w), fixed per configuration and computed
+        once: the phase unit w, the phase separation L_e, the power expo of
+        Delta left after deflation, and whether w = +-1 (the entire
+        Chebyshev branch).  The frozen dataclass keeps its __dict__, so the
+        cache never enters equality, hash or repr."""
+        p = self.params
+        n = p.n_qubits
+        w = p.phase_unit()
+        real_w = w.imag == 0.0 and abs(w.real) == 1.0
+        return n, w, p.phase_separation(), n - 1 - self.deflation_order, real_w
+
     # -- scalar evaluation ------------------------------------------------
 
     def eval(self, delta: complex) -> complex:
@@ -71,12 +86,8 @@ class CharFn:
     __call__ = eval
 
     def _eval(self, delta: complex) -> complex:
-        p = self.params
-        n = p.n_qubits
-        w = p.phase_unit()
-        le = p.phase_separation()
-        expo = n - 1 - self.deflation_order
-        if w.imag == 0.0 and abs(w.real) == 1.0:
+        n, w, le, expo, real_w = self._consts
+        if real_w:
             # exp(ikL) = w exp(i Delta L) with w = +-1: x = tr(T)/2 is entire
             u = delta * le
             x = w * (cmath.cos(u) + 0.5 * le * _sinc(u))
@@ -134,18 +145,14 @@ class CharFn:
     def noise_scale(self, delta: complex) -> float:
         """Magnitude of the terms cancelling in eval; eps times this is the
         attainable residual floor at this point."""
-        p = self.params
-        n = p.n_qubits
-        w = p.phase_unit()
-        le = p.phase_separation()
+        n, w, le, expo, real_w = self._consts
         try:
-            if w.imag == 0.0 and abs(w.real) == 1.0:
+            if real_w:
                 u = delta * le
                 x = w * (cmath.cos(u) + 0.5 * le * _sinc(u))
                 m11 = (delta + 0.5j) / (w * cmath.exp(1j * u))
                 uk, ukm1 = chebyshev_u_pair(x, n)
                 scale = abs(uk * m11) + abs(delta * ukm1)
-                expo = n - 1 - self.deflation_order
                 return max(1.0, abs(delta) ** expo * scale if expo else scale)
             pm = w * cmath.exp(1j * delta * le)
             m = ((delta + 0.5j) / pm, 0.5j * pm, -0.5j / pm, (delta - 0.5j) * pm)
@@ -163,16 +170,15 @@ class CharFn:
         cos and exp to approach overflow, the plain arithmetic of eval could
         overflow, so those points take eval's own value: the result equals
         eval to rounding where eval is finite and is non-finite where it
-        is not.
+        is not.  _scaled_sr checks for a rescale only every few steps, so a
+        point whose recurrence rises past 1e100 and falls back before the
+        next check keeps a zero scale; it never came near overflow, and its
+        plain-recurrence value is kept like that of any other such point.
         """
-        p = self.params
-        n = p.n_qubits
-        w = p.phase_unit()
-        le = p.phase_separation()
+        n, w, le, expo, real_w = self._consts
         z = np.asarray(deltas, dtype=complex)
-        expo = n - 1 - self.deflation_order
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if w.imag == 0.0 and abs(w.real) == 1.0:
+            if real_w:
                 h, ls = self._scaled_sr(z)
                 if expo:
                     h = z**expo * h
@@ -193,14 +199,10 @@ class CharFn:
     def log10_magnitude(self, deltas: np.ndarray) -> np.ndarray:
         """log10 |f| on an array of detunings, stable far beyond the float
         range of |f| itself (exponents are tracked separately)."""
-        p = self.params
-        n = p.n_qubits
-        w = p.phase_unit()
-        le = p.phase_separation()
+        n, w, le, expo, real_w = self._consts
         z = np.asarray(deltas, dtype=complex)
-        expo = n - 1 - self.deflation_order
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if w.imag == 0.0 and abs(w.real) == 1.0:
+            if real_w:
                 h, ls = self._scaled_sr(z)
                 out = np.log10(np.abs(h)) + ls
                 if expo:
@@ -216,11 +218,17 @@ class CharFn:
         scale): the value is mantissa * 10**scale.  The Chebyshev recurrence
         is rescaled by positive reals, so the phase of the mantissa is that
         of the value; points where the recurrence overflows anyway come
-        back non-finite."""
-        p = self.params
-        n = p.n_qubits
-        w = p.phase_unit()
-        le = p.phase_separation()
+        back non-finite.
+
+        The rescale check (divide U_k and U_{k-1} by the larger of their
+        moduli wherever it exceeds 1e100) runs every `every` steps and at
+        the last one, not at every step.  Since |U_{k+1}| <= (2|x| + 1)
+        max(|U_k|, |U_{k-1}|), floor(200 / log10(2 max|x| + 1)) steps cannot
+        carry a checked pair from 1e100 past 1e300, so no finite product
+        overflows in between; a non-finite x brings back the check at every
+        step.  A point whose recurrence never passes 1e100 gets the
+        unrescaled values bit for bit, and its scale is exactly 0."""
+        n, w, le, _, _ = self._consts
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = z * le
             small = np.abs(u) < 1e-4
@@ -229,17 +237,28 @@ class CharFn:
             direct = np.divide(np.sin(u), u, out=np.ones_like(u), where=~small)
             x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
             m11 = (z + 0.5j) / (w * np.exp(1j * u))
+            x2 = 2.0 * x
+            growth = math.log10(2.0 * float(np.abs(x).max(initial=0.0)) + 1.0)
+            if not math.isfinite(growth):
+                every = 1
+            else:
+                every = max(1, int(200.0 / growth)) if growth > 0.0 else n
             uk = np.ones_like(z)
             ukm1 = np.zeros_like(z)
+            spare = np.empty_like(z)
             ls = np.zeros(z.shape, dtype=float)
-            for _ in range(n - 1):
-                ukm1, uk = uk, 2.0 * x * uk - ukm1
-                mag = np.abs(uk)
+            for k in range(1, n):
+                np.multiply(x2, uk, out=spare)
+                np.subtract(spare, ukm1, out=spare)
+                ukm1, uk, spare = uk, spare, ukm1
+                if k % every and k != n - 1:
+                    continue
+                mag = np.maximum(np.abs(uk), np.abs(ukm1))
                 mask = mag > 1e100
                 if mask.any():
-                    uk = np.where(mask, uk / np.where(mask, mag, 1.0), uk)
-                    ukm1 = np.where(mask, ukm1 / np.where(mask, mag, 1.0), ukm1)
-                    ls = ls + np.where(mask, np.log10(np.where(mask, mag, 1.0)), 0.0)
+                    np.divide(uk, mag, out=uk, where=mask)
+                    np.divide(ukm1, mag, out=ukm1, where=mask)
+                    ls[mask] += np.log10(mag[mask])
             return uk * m11 - z * ukm1, ls
 
 

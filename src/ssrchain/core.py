@@ -180,8 +180,9 @@ def unit_cell(delta: complex, params: ChainParams) -> Mat2c:
 def chebyshev_u_pair(x: complex, n: int) -> tuple[complex, complex]:
     """(U_{n-1}(x), U_{n-2}(x)) by the three-term recurrence."""
     ukm1, uk = 0.0 + 0.0j, 1.0 + 0.0j  # U_{-1}, U_0
+    x2 = 2.0 * x  # 2.0 * x * uk evaluates as (2.0 * x) * uk anyway
     for _ in range(n - 1):
-        ukm1, uk = uk, 2.0 * x * uk - ukm1
+        ukm1, uk = uk, x2 * uk - ukm1
     return uk, ukm1
 
 

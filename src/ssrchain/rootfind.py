@@ -10,6 +10,7 @@ between them.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -415,7 +416,10 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
     Zeros of the deflated characteristic function are located, polished,
     deduplicated (1e-8), and classified: ``zero-mode`` for |Delta| < 1e-6,
     ``markovian-like`` when continuation to L -> 0 lands on a finite
-    Markovian root, ``exclusively-non-markovian`` otherwise.  Refinement
+    Markovian root, ``exclusively-non-markovian`` otherwise.  In sr-condition
+    mode a pole within 1e-8 (1 + |Delta|) of the mirror image -conj(Delta)
+    of a classified pole shares its classification instead of being
+    continued again.  Refinement
     failures are warned about per pole, never abort the batch.  Sorted by
     |Delta| ascending.
     """
@@ -462,7 +466,17 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
             warnings.warn(f"discarding unphysical root {r} (Re Gamma < 0)", stacklevel=2)
             continue
         res = abs(fn(r))
-        poles.append(Pole(delta=r, residual=res, classification=_classify(params, r)))
+        cls = None
+        if params.mode == MODE_SR:
+            # f(-conj(Delta)) = (-1)^N conj(f(Delta)) under the superradiant
+            # condition: a mirror partner continues to L -> 0 as the mirror
+            # image of the pole already classified
+            mirror = -r.conjugate()
+            cls = next(
+                (p.classification for p in poles if abs(mirror - p.delta) <= 1e-8 * (1.0 + abs(p.delta))),
+                None,
+            )
+        poles.append(Pole(delta=r, residual=res, classification=cls or _classify(params, r)))
     poles.sort(key=lambda p: (abs(p.delta), p.delta.real, p.delta.imag))
     return poles
 
@@ -510,15 +524,8 @@ def _classify(params: ChainParams, delta: complex) -> str:
 
 
 def _fn_at_separation(params: ChainParams, sep: float) -> CharFn:
-    return characteristic_function(
-        ChainParams(
-            n_qubits=params.n_qubits,
-            separation=sep,
-            mode=params.mode,
-            omega=params.omega,
-            sr_index=params.sr_index,
-        )
-    )
+    """The searched characteristic function of params at separation sep."""
+    return characteristic_function(dataclasses.replace(params, separation=sep))
 
 
 def _track_root(params, z, l_from, l_to, divergence=None, min_step=1e-6):

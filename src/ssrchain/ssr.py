@@ -36,6 +36,7 @@ from .rootfind import (
     SearchWindow,
     _accept_tol,
     _classify,
+    _fn_at_separation,
     _newton,
     coalescent_pair,
     default_window,
@@ -88,10 +89,6 @@ class ScalingFit:
     lc_deviations: list[float]
 
 
-def _sr_params(n_qubits: int, separation: float, sr_index: int = 1) -> ChainParams:
-    return ChainParams(n_qubits=n_qubits, separation=separation, mode=MODE_SR, sr_index=sr_index)
-
-
 class _CountedFn:
     """A deflated CharFn whose scalar evaluations are tallied on its tracker."""
 
@@ -121,8 +118,8 @@ class _PoleTracker:
     """
 
     def __init__(self, n_qubits: int, sr_index: int = 1, depth: float = 2.5):
-        self.n = n_qubits
-        self.sr_index = sr_index
+        # the configuration at every separation; fn() replaces the separation
+        self.params = ChainParams(n_qubits, 0.0, mode=MODE_SR, sr_index=sr_index)
         base = default_window(n_qubits)
         self.window = (
             base
@@ -140,8 +137,7 @@ class _PoleTracker:
         self._ygrid = np.array(grid)
 
     def fn(self, separation: float) -> _CountedFn:
-        charfn = CharFn(_sr_params(self.n, separation, self.sr_index), deflation_order=self.n - 1)
-        return _CountedFn(charfn, self)
+        return _CountedFn(_fn_at_separation(self.params, separation), self)
 
     def axis_roots(self, fn: _CountedFn) -> list[float]:
         """Roots of Im f(-iy) above y = 1e-6, one per sign-change cell of
@@ -487,9 +483,8 @@ def degenerate_pair_probe(
                 f"fewer than two nonzero poles inside {tracker.window} at L={sep:.6g}"
             )
         fn = tracker.fn(sep)
-        params = _sr_params(n_qubits, sep, sr_index)
         p = tuple(
-            Pole(delta=z, residual=abs(fn(z)), classification=_classify(params, z))
+            Pole(delta=z, residual=abs(fn(z)), classification=_classify(fn.charfn.params, z))
             for z in pair
         )
         out.append(p)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -14,7 +15,7 @@ from ssrchain import (
     markovian_polynomial,
 )
 from ssrchain.charfn import _INF
-from ssrchain.rootfind import refine
+from ssrchain.rootfind import default_window, refine
 
 
 def sr(n, sep, sr_index=1):
@@ -62,6 +63,24 @@ class TestEval:
             lhs = fn(-d.conjugate())
             rhs = sign * fn(d).conjugate()
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 100])
+    @pytest.mark.parametrize("sep", [0.01, 0.5, 3.0])
+    def test_conjugate_pair_symmetry_is_exact(self, n, sep):
+        # bit for bit wherever f is finite: find_collective_rates gives a
+        # mirror partner the classification of the pole it mirrors
+        win = default_window(n)
+        rng = np.random.default_rng(n)
+        deltas = rng.uniform(win.re_min, win.re_max, 60) + 1j * rng.uniform(win.im_min, win.im_max, 60)
+        for order in (0, n - 1):
+            fn = CharFn(sr(n, sep), deflation_order=order)
+            sign = (-1.0) ** (n - order)  # Delta^order carries (-1)^order
+            for d in deltas.tolist():
+                lhs, rhs = fn(-d.conjugate()), sign * fn(d).conjugate()
+                if cmath.isfinite(rhs):
+                    assert lhs == rhs
+                else:
+                    assert not cmath.isfinite(lhs)
 
     def test_mode_agreement_on_condition(self):
         # Omega L = n pi exactly: general mode equals the sr-condition form
@@ -138,6 +157,119 @@ class TestEvalMany:
         assert 0 < sum(overflowed) < len(want)
         got = fn.eval_many(np.array(self.GRID))
         assert not np.isfinite(got[np.array(overflowed)]).any()
+
+
+def every_step_scaled_sr(fn, z):
+    """Test-local copy of CharFn._scaled_sr as it was before the rescale
+    cadence: the rescale check runs after every step of the recurrence."""
+    p = fn.params
+    n, w, le = p.n_qubits, p.phase_unit(), p.phase_separation()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = z * le
+        small = np.abs(u) < 1e-4
+        us = np.where(small, u, 1.0)
+        series = 1.0 - us * us / 6.0 + us**4 / 120.0
+        direct = np.divide(np.sin(u), u, out=np.ones_like(u), where=~small)
+        x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
+        m11 = (z + 0.5j) / (w * np.exp(1j * u))
+        uk = np.ones_like(z)
+        ukm1 = np.zeros_like(z)
+        ls = np.zeros(z.shape, dtype=float)
+        for _ in range(n - 1):
+            ukm1, uk = uk, 2.0 * x * uk - ukm1
+            mag = np.abs(uk)
+            mask = mag > 1e100
+            if mask.any():
+                uk = np.where(mask, uk / np.where(mask, mag, 1.0), uk)
+                ukm1 = np.where(mask, ukm1 / np.where(mask, mag, 1.0), ukm1)
+                ls = ls + np.where(mask, np.log10(np.where(mask, mag, 1.0)), 0.0)
+        return uk * m11 - z * ukm1, ls
+
+
+def bits(a):
+    """The bit patterns of a float or complex array (tells -0.0 from 0.0)."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def window_grid(re_min, re_max, im_min, im_max, count=41):
+    res = np.linspace(re_min, re_max, count)
+    ims = np.linspace(im_min, im_max, count)
+    return (res[None, :] + 1j * ims[:, None]).ravel()
+
+
+class TestRescaleCadence:
+    """_scaled_sr checks for a rescale every few steps instead of every
+    step; compared with the every-step loop it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30, 100])
+    @pytest.mark.parametrize("sep", [0.01, 0.1, 0.5, 1.0, 3.0])
+    def test_bit_identical_without_rescale(self, n, sep, monkeypatch):
+        win = default_window(n)
+        z = window_grid(win.re_min, win.re_max, win.im_min, win.im_max)
+        fns = [CharFn(sr(n, sep), deflation_order=order) for order in (0, n - 1)]
+        h, ls = fns[0]._scaled_sr(z)
+        got = [(fn.eval_many(z), fn.log10_magnitude(z)) for fn in fns]
+        monkeypatch.setattr(CharFn, "_scaled_sr", every_step_scaled_sr)
+        ref_h, ref_ls = every_step_scaled_sr(fns[0], z)
+        want = [(fn.eval_many(z), fn.log10_magnitude(z)) for fn in fns]
+        plain = ref_ls == 0.0
+        assert np.array_equal(bits(h[plain]), bits(ref_h[plain]))
+        assert np.array_equal(bits(ls[plain]), bits(ref_ls[plain]))
+        # a point that rescales keeps a nonzero scale, so eval_many still
+        # hands it to scalar eval: eval_many is unchanged everywhere
+        assert np.all(ls[~plain] != 0.0)
+        for (many, logs), (ref_many, ref_logs) in zip(got, want):
+            assert np.array_equal(bits(many), bits(ref_many))
+            assert np.array_equal(bits(logs[plain]), bits(ref_logs[plain]))
+
+    @pytest.mark.parametrize("n, sep", [(30, 3.0), (100, 0.5)])
+    def test_rescaled_magnitudes_agree(self, n, sep, monkeypatch):
+        z = window_grid(-1.5 * n, 1.5 * n, -250.0, 0.0, count=61)
+        for order in (0, n - 1):
+            fn = CharFn(sr(n, sep), deflation_order=order)
+            assert np.count_nonzero(fn._scaled_sr(z)[1]) > z.size // 2
+            got = fn.log10_magnitude(z)
+            with monkeypatch.context() as m:
+                m.setattr(CharFn, "_scaled_sr", every_step_scaled_sr)
+                want = fn.log10_magnitude(z)
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite)
+            assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * np.maximum(1.0, np.abs(want[finite])))
+
+    def test_empty_batch(self):
+        fn = CharFn(sr(30, 1.0), deflation_order=29)
+        empty = np.array([], dtype=complex)
+        h, ls = fn._scaled_sr(empty)
+        assert h.shape == ls.shape == (0,)
+        assert fn.eval_many(empty).shape == fn.log10_magnitude(empty).shape == (0,)
+
+    def test_non_finite_points_in_a_batch(self):
+        # a non-finite x brings back the check at every step; the finite
+        # points keep their values and only the bad ones come back non-finite
+        fn = CharFn(sr(30, 1.0), deflation_order=29)
+        good = np.array([3.0 - 2.0j, -1.0 - 20.0j, 0.5 - 0.1j])
+        bad = np.array([complex(math.nan, -1.0), complex(0.0, -math.inf), complex(math.inf, -1.0)])
+        z = np.concatenate([good, bad])
+        h, ls = fn._scaled_sr(z)
+        ref_h, ref_ls = every_step_scaled_sr(fn, z)
+        assert np.array_equal(bits(h), bits(ref_h)) and np.array_equal(bits(ls), bits(ref_ls))
+        assert ls[1] != 0.0  # one of the good points rescales
+        assert not np.isfinite(fn.eval_many(z)[3:]).any()
+        assert not np.isfinite(fn.log10_magnitude(z)[3:]).any()
+        alone = fn.eval_many(good)
+        assert np.array_equal(bits(fn.eval_many(z)[:3]), bits(alone))
+        assert np.allclose(fn.log10_magnitude(z)[:3], fn.log10_magnitude(good), rtol=1e-12, atol=0.0)
+
+    def test_cached_constants_stay_out_of_identity(self):
+        a = CharFn(sr(5, 0.3), deflation_order=4)
+        b = CharFn(sr(5, 0.3), deflation_order=4)
+        fresh = (repr(b), hash(b))
+        a.eval(1.0 - 1.0j)
+        a.eval_many(np.array([2.0 - 1.0j]))
+        assert "_consts" in vars(a) and "_consts" not in vars(b)
+        assert a == b and (repr(a), hash(a)) == fresh
+        assert a != CharFn(sr(5, 0.3))
+        assert [f.name for f in dataclasses.fields(CharFn)] == ["params", "deflation_order"]
 
 
 def mp_deflated_f(delta, sep, n, w):

@@ -14,7 +14,7 @@ from ssrchain import (
     scattering,
     unit_cell,
 )
-from ssrchain.core import _qubit_matrix
+from ssrchain.core import _qubit_matrix, chebyshev_u_pair
 
 
 def as_array(m: Mat2c) -> np.ndarray:
@@ -178,6 +178,23 @@ class TestMatrixPower:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ContractViolationError):
             matrix_power(Mat2c(2.0, 0.0, 0.0, 1.0), 3)
+
+
+def test_chebyshev_u_pair_is_the_plain_recurrence_bit_for_bit():
+    # hoisting 2.0 * x out of the loop changes no bit of U_{n-1}, U_{n-2}
+    def plain(x, n):
+        ukm1, uk = 0.0 + 0.0j, 1.0 + 0.0j
+        for _ in range(n - 1):
+            ukm1, uk = uk, 2.0 * x * uk - ukm1
+        return uk, ukm1
+
+    rng = np.random.default_rng(17)
+    xs = [complex(*rng.normal(scale=s, size=2)) for s in (0.1, 1.0, 30.0) for _ in range(40)]
+    xs += [1.0, -1.0, 0.0, 1e200 + 1e200j, complex(math.inf, 0.0), complex(math.nan, 1.0)]
+    for x in xs:
+        for n in (1, 2, 3, 17, 100):
+            got, want = chebyshev_u_pair(x, n), plain(x, n)
+            assert repr(got) == repr(want)
 
 
 class TestScattering:

@@ -22,10 +22,12 @@ from ssrchain import (
     refine,
     superradiant_pole,
 )
+from ssrchain import rootfind
 from ssrchain.rootfind import (
     MARKOVIAN_LIKE,
     NON_MARKOVIAN,
     ZERO_MODE,
+    _classify,
     _count,
     _split,
     _vectorized,
@@ -182,6 +184,75 @@ class TestFindCollectiveRates:
         win = default_window(3)
         seeds = localize_zeros(fn, win, max_cell=win.diameter() / 128.0)
         assert len(seeds) == count_zeros(fn, win)
+
+
+def _is_mirror(a, b):
+    return abs(a + b.conjugate()) <= 1e-8 * (1.0 + abs(b))
+
+
+def _counting_classify(monkeypatch):
+    """Record the deltas find_collective_rates hands to _classify."""
+    calls = []
+
+    def counted(params, delta):
+        calls.append(delta)
+        return _classify(params, delta)
+
+    monkeypatch.setattr(rootfind, "_classify", counted)
+    return calls
+
+
+class TestMirrorClassification:
+    # the six counted benchmark pole tables, plus two small sr chains
+    @pytest.mark.parametrize(
+        "mode, n, sep",
+        [
+            ("sr", 5, 1.0),
+            ("sr", 10, 0.1),
+            ("sr", 30, 0.01),
+            ("sr", 50, 0.01),
+            ("general", 2, 1.0),
+            ("general", 5, 0.1),
+            ("sr", 5, 0.5),
+            ("sr", 2, 3.0),
+        ],
+    )
+    def test_same_classification_as_per_pole(self, mode, n, sep):
+        params = ChainParams(n, sep, mode=mode)
+        poles = find_collective_rates(params)
+        assert poles
+        for p in poles:
+            assert p.classification == _classify(params, p.delta)
+
+    def test_each_mirror_pair_classified_once(self, monkeypatch):
+        calls = _counting_classify(monkeypatch)
+        poles = find_collective_rates(sr(5, 1.0))
+        deltas = [p.delta for p in poles]
+        partners = sum(
+            any(_is_mirror(d, e) for j, e in enumerate(deltas) if j != i) for i, d in enumerate(deltas)
+        )
+        assert partners >= 8
+        assert len(calls) == len(poles) - partners // 2
+        for p in poles:
+            assert any(p.delta == c or _is_mirror(p.delta, c) for c in calls)
+
+    def test_pole_without_partner_is_classified_alone(self, monkeypatch):
+        # a window right of the axis holds no mirror partners
+        params = sr(10, 0.1)
+        win = default_window(10)
+        calls = _counting_classify(monkeypatch)
+        poles = find_collective_rates(params, SearchWindow(0.5, win.re_max, win.im_min, win.im_max))
+        assert len(poles) == 4
+        assert len(calls) == 4 and set(calls) == {p.delta for p in poles}
+
+    def test_general_mode_classifies_every_pole(self, monkeypatch):
+        # Omega L = 10 pi: the general-mode poles come in mirror pairs too,
+        # but only the sr-condition mode shares classifications
+        params = ChainParams(3, 10 * math.pi / 50.0, mode="general", omega=50.0)
+        calls = _counting_classify(monkeypatch)
+        poles = find_collective_rates(params, SearchWindow(-4.5, 4.5, -7.5, -0.05))
+        assert len(poles) == 4 and _is_mirror(poles[0].delta, poles[1].delta)
+        assert len(calls) == 4 and set(calls) == {p.delta for p in poles}
 
 
 def markovian_poles(n, sep):
