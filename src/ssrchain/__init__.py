@@ -9,7 +9,6 @@ L_c = beta / N^2 against the asymptotic theory.
 
 from .asymptotic import (
     BranchPair,
-    CriticalPair,
     critical_pair,
     g_eval,
     solve_branches,
@@ -17,10 +16,6 @@ from .asymptotic import (
 )
 from .charfn import CharFn, ClosedFormResidual, closed_form_residual, markovian_polynomial
 from .core import (
-    GAMMA0,
-    MODE_GENERAL,
-    MODE_MARKOVIAN,
-    MODE_SR,
     ChainParams,
     Mat2c,
     matrix_power,
@@ -52,7 +47,6 @@ from .rootfind import (
     refine,
 )
 from .ssr import (
-    ScalingFit,
     SSRResult,
     degenerate_pair_probe,
     fit_scaling,
@@ -64,10 +58,6 @@ from .ssr import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GAMMA0",
-    "MODE_GENERAL",
-    "MODE_MARKOVIAN",
-    "MODE_SR",
     "BranchPair",
     "BoundaryDegeneracyError",
     "BracketError",
@@ -76,14 +66,12 @@ __all__ = [
     "ClosedFormResidual",
     "ContinuationBreakdownError",
     "ContractViolationError",
-    "CriticalPair",
     "Mat2c",
     "OnResonancePoleError",
     "Pole",
     "RefinementFailureError",
     "SSRChainError",
     "SSRResult",
-    "ScalingFit",
     "SearchWindow",
     "SingularDetuningError",
     "WindowExhaustedError",

@@ -198,7 +198,15 @@ class CharFn:
 
     def log10_magnitude(self, deltas: np.ndarray) -> np.ndarray:
         """log10 |f| on an array of detunings, stable far beyond the float
-        range of |f| itself (exponents are tracked separately)."""
+        range of |f| itself (exponents are tracked separately).
+
+        Each value depends on its own point, with one exception: in the
+        sr-condition branch _scaled_sr takes its rescale cadence from the
+        whole batch, so a point whose recurrence passes 1e100 may round
+        differently when it is evaluated in another batch (fieldmap
+        evaluates a band of rows at a time).  Such values agree to about
+        1e-13 relative and are non-finite at the same points; every other
+        value is the same bit for bit in any batch."""
         n, w, le, expo, real_w = self._consts
         z = np.asarray(deltas, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -227,7 +235,9 @@ class CharFn:
         carry a checked pair from 1e100 past 1e300, so no finite product
         overflows in between; a non-finite x brings back the check at every
         step.  A point whose recurrence never passes 1e100 gets the
-        unrescaled values bit for bit, and its scale is exactly 0."""
+        unrescaled values bit for bit, and its scale is exactly 0.  Since
+        the cadence depends on max|x| over the batch, the points that do
+        rescale can round differently in a batch with another max|x|."""
         n, w, le, _, _ = self._consts
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = z * le

@@ -25,7 +25,7 @@ from .asymptotic import critical_pair, g_eval, trace_contour
 from .core import ChainParams
 from .charfn import CharFn
 from .errors import ContractViolationError, SSRChainError
-from .output import build_meta, read_csv_table, write_json, write_table
+from .output import Grid, build_meta, read_csv_table, write_json, write_table
 from .rootfind import SearchWindow, find_collective_rates
 from .ssr import SSRResult, fit_scaling, maximize_over_separation
 
@@ -288,15 +288,12 @@ def cmd_fieldmap(args) -> int:
     fn = CharFn(params, deflation_order=0)
     res = np.linspace(re_lo, re_hi, args.resolution)
     ims = np.linspace(im_lo, im_hi, args.resolution)
-    grid = res[None, :] + 1j * ims[:, None]
-    vals = fn.log10_magnitude(grid)
+    grid = Grid(res, ims, lambda band: fn.log10_magnitude(res[None, :] + 1j * band[:, None]))
     flags = _param_flags(args)
     flags.update(re_lo=re_lo, re_hi=re_hi, im_lo=im_lo, im_hi=im_hi, resolution=args.resolution)
-    r = args.resolution
-    rows = np.column_stack((np.tile(res, r), np.repeat(ims, r), vals.ravel()))
     write_table(
         args.output, build_meta("fieldmap", flags),
-        ["re_delta", "im_delta", "log10_abs_f"], rows, args.format,
+        ["re_delta", "im_delta", "log10_abs_f"], grid, args.format,
     )
     return 0
 

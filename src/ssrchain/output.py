@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from collections.abc import Callable
 from contextlib import nullcontext
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -55,35 +57,65 @@ def _open_dest(dest: str):
     return nullcontext(sys.stdout) if dest == "-" else open(dest, "w", encoding="utf-8")
 
 
-def _write_float_rows(fh, rows: np.ndarray) -> None:
-    """CSV body of a 2-D float array, a block of rows at a time.
+@dataclass(frozen=True)
+class Grid:
+    """The rows (x, y, v) of a field on the grid xs by ys, x varying
+    fastest.  values(ys_band) returns v on the rows of ys_band as an array
+    of shape (len(ys_band), len(xs)); it is called on one band of
+    max(1, 16384 // len(xs)) rows at a time, so a grid of any size is
+    evaluated in bounded memory.  len() is the number of rows."""
 
-    The cells are those csv.writer writes for fmt_value: no %.12g output
-    (digits, sign, '.', 'e', nan, inf) needs quoting.
+    xs: np.ndarray
+    ys: np.ndarray
+    values: Callable[[np.ndarray], np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.xs) * len(self.ys)
+
+    def bands(self):
+        """(ys_band, values(ys_band)) for each band of rows, in order."""
+        step = max(1, _BLOCK_ROWS // len(self.xs))
+        for start in range(0, len(self.ys), step):
+            ys = self.ys[start:start + step]
+            yield ys, self.values(ys)
+
+    def __iter__(self):
+        xs = self.xs.tolist()
+        for ys, vals in self.bands():
+            for y, row in zip(ys.tolist(), vals.tolist()):
+                yield from ([x, y, v] for x, v in zip(xs, row))
+
+
+def _write_grid(fh, grid: Grid) -> None:
+    """CSV body of a Grid, each x and each y formatted once.
+
+    One line template per grid row holds the formatted xs; '@' stands for
+    the row's y and %.12g for its values.  The cells are those csv.writer
+    writes for fmt_value: no %.12g output (digits, sign, '.', 'e', nan,
+    inf) needs quoting, or contains '@' or '%'.
     """
-    line = ",".join([_SIG] * rows.shape[1]) + "\n"
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS].tolist()
-        fh.write("".join(map(line.__mod__, map(tuple, block))))
+    tmpl = "".join(f"{_SIG % x},@,{_SIG}\n" for x in grid.xs.tolist())
+    for ys, vals in grid.bands():
+        for y, row in zip(ys.tolist(), vals.tolist()):
+            fh.write(tmpl.replace("@", _SIG % y) % tuple(row))
 
 
 def write_table(dest: str, meta: dict, columns: list[str], rows, fmt: str) -> None:
     """Emit rows to a path (or '-' for stdout) as CSV or JSON.
 
-    rows is a list of row lists, or a 2-D float ndarray, which the CSV path
-    streams a block of rows at a time.
+    rows is a list of row lists, or a Grid of (x, y, value) rows, which the
+    CSV path evaluates and writes a band of rows at a time; the JSON path
+    holds every row in memory.  len(rows) is the number of rows written.
     """
     if fmt == "json":
-        if isinstance(rows, np.ndarray):
-            rows = rows.tolist()
         write_json(dest, meta, [dict(zip(columns, row)) for row in rows])
         return
     with _open_dest(dest) as fh:
         fh.write("".join(f"# {k}={v}\n" for k, v in meta.items()))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        if isinstance(rows, np.ndarray):
-            _write_float_rows(fh, rows)
+        if isinstance(rows, Grid):
+            _write_grid(fh, rows)
         else:
             for row in rows:
                 writer.writerow([fmt_value(v) for v in row])

@@ -15,6 +15,7 @@ from ssrchain import (
     markovian_polynomial,
 )
 from ssrchain.charfn import _INF
+from ssrchain.output import Grid
 from ssrchain.rootfind import default_window, refine
 
 
@@ -270,6 +271,47 @@ class TestRescaleCadence:
         assert a == b and (repr(a), hash(a)) == fresh
         assert a != CharFn(sr(5, 0.3))
         assert [f.name for f in dataclasses.fields(CharFn)] == ["params", "deflation_order"]
+
+
+def banded_and_whole(n, sep, mode, re_range, im_range, resolution):
+    """log10_magnitude of one fieldmap grid, a band of rows at a time as
+    output.Grid hands it out, and in one call."""
+    fn = CharFn(ChainParams(n, sep, mode=mode), deflation_order=0)
+    xs = np.linspace(*re_range, resolution)
+    ys = np.linspace(*im_range, resolution)
+    grid = Grid(xs, ys, lambda band: fn.log10_magnitude(xs[None, :] + 1j * band[:, None]))
+    bands = [vals for _, vals in grid.bands()]
+    assert len(bands) > 1
+    return np.concatenate(bands), fn.log10_magnitude(xs[None, :] + 1j * ys[:, None])
+
+
+class TestBandedMap:
+    """A band of rows is its own batch, so the sr rescale cadence can
+    differ from that of the whole grid."""
+
+    @pytest.mark.parametrize("spec", [
+        (2, 0.56, "sr", (-1.0, 1.0), (-3.2, -1.4), 256),
+        (100, 1.757e-4, "sr", (-4.0, 4.0), (-118.0, -110.0), 256),
+        (100, 0.02, "general", (-6.0, 6.0), (-12.0, -0.5), 256),
+    ])
+    def test_bit_identical_without_rescale(self, spec):
+        banded, whole = banded_and_whole(*spec)
+        assert np.array_equal(bits(banded), bits(whole))
+
+    @pytest.mark.parametrize("spec", [
+        (300, 0.5, "sr", (-400.0, 400.0), (-700.0, -0.5), 300),
+        (300, 0.5, "sr", (-400.0, 400.0), (-3000.0, -0.5), 160),
+        (1000, 0.1, "sr", (-1500.0, 1500.0), (-2000.0, -0.5), 160),
+    ])
+    def test_rescaled_points_agree(self, spec):
+        n, sep, mode, re_range, im_range, resolution = spec
+        z = np.linspace(*re_range, resolution)[None, :] + 1j * np.linspace(*im_range, resolution)[:, None]
+        fn = CharFn(ChainParams(n, sep, mode=mode), deflation_order=0)
+        assert np.count_nonzero(fn._scaled_sr(z)[1]) > z.size // 10
+        banded, whole = banded_and_whole(*spec)
+        finite = np.isfinite(whole)
+        assert np.array_equal(np.isfinite(banded), finite)
+        assert np.all(np.abs(banded[finite] - whole[finite]) <= 1e-12 * np.abs(whole[finite]))
 
 
 def mp_deflated_f(delta, sep, n, w):

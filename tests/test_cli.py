@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,13 +264,18 @@ class TestFieldmap:
 _FIELDMAP_COLUMNS = ["re_delta", "im_delta", "log10_abs_f"]
 _FIELDMAP_CASES = {
     "sr2": (2, 0.56, "sr", (-1.0, 1.0), (-3.2, -1.4), 256),
+    # 300 does not divide 16384: bands of 54 rows, the last one of 30
+    "sr2_partial_band": (2, 0.56, "sr", (-1.0, 1.0), (-3.2, -1.4), 300),
     # f overflows over most of this window: 2880 of the 4096 cells are nan
     "general30": (30, 3.0, "general", (-60.0, 60.0), (-400.0, -0.5), 64),
 }
+# smaller JSON tables; 130 rows make bands of 126 and 4 rows
+_JSON_RESOLUTION = {"sr2": 16, "sr2_partial_band": 130, "general30": 16}
 
 
 def reference_fieldmap_rows(n, sep, mode, re_range, im_range, resolution):
-    """The fieldmap rows as the CLI built them before it passed numpy columns."""
+    """The fieldmap rows, cell by cell, from one log10_magnitude call on the
+    whole grid."""
     fn = CharFn(ChainParams(n, sep, mode=mode), deflation_order=0)
     res = np.linspace(*re_range, resolution)
     ims = np.linspace(*im_range, resolution)
@@ -281,12 +287,29 @@ def reference_fieldmap_rows(n, sep, mode, re_range, im_range, resolution):
     return rows
 
 
+def reference_fieldmap_csv(rows):
+    """The header and data lines as csv.writer writes them, %.12g per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_FIELDMAP_COLUMNS)
+    for row in rows:
+        writer.writerow(["%.12g" % v for v in row])
+    return buf.getvalue()
+
+
 def fieldmap_argv(n, sep, mode, re_range, im_range, resolution):
     return [
         "fieldmap", "--n", str(n), "--sep", repr(sep), "--mode", mode,
         "--re-range", *map(repr, re_range), "--im-range", *map(repr, im_range),
         "--resolution", str(resolution),
     ]
+
+
+def csv_data(text):
+    """The header and data lines of a CSV table, after its '# ' metadata."""
+    meta_end = text.index("\nre_delta,") + 1
+    assert all(ln.startswith("# ") for ln in text[:meta_end].splitlines())
+    return text[meta_end:]
 
 
 class TestFieldmapBytes:
@@ -299,21 +322,19 @@ class TestFieldmapBytes:
         rows = reference_fieldmap_rows(*spec)
         if case == "general30":
             assert sum(math.isnan(r[2]) for r in rows) == 2880
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_FIELDMAP_COLUMNS)
-        for row in rows:
-            writer.writerow(["%.12g" % v for v in row])
         rc, out = run(tmp_path, "map.csv", fieldmap_argv(*spec))
         assert rc == 0
-        text = out.read_text(encoding="utf-8")
-        meta_end = text.index("\nre_delta,") + 1
-        assert all(ln.startswith("# ") for ln in text[:meta_end].splitlines())
-        assert text[meta_end:] == buf.getvalue()
+        assert csv_data(out.read_text(encoding="utf-8")) == reference_fieldmap_csv(rows)
+
+    def test_csv_to_stdout(self, capsys):
+        spec = _FIELDMAP_CASES["sr2_partial_band"]
+        assert main(fieldmap_argv(*spec) + ["-o", "-"]) == 0
+        out = capsys.readouterr().out
+        assert csv_data(out) == reference_fieldmap_csv(reference_fieldmap_rows(*spec))
 
     @pytest.mark.parametrize("case", sorted(_FIELDMAP_CASES))
     def test_json(self, tmp_path, case):
-        spec = _FIELDMAP_CASES[case][:5] + (16,)
+        spec = _FIELDMAP_CASES[case][:5] + (_JSON_RESOLUTION[case],)
         rows = reference_fieldmap_rows(*spec)
         rc, out = run(tmp_path, "map.json", fieldmap_argv(*spec) + ["--format", "json"])
         assert rc == 0
@@ -321,6 +342,44 @@ class TestFieldmapBytes:
         data = [{c: float("%.12g" % v) for c, v in zip(_FIELDMAP_COLUMNS, row)} for row in rows]
         want = json.dumps({"meta": json.loads(text)["meta"], "data": data}, indent=2) + "\n"
         assert text == want
+
+
+class TestFieldmapRows:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_len_is_rows_written(self, tmp_path, monkeypatch, fmt):
+        # the benchmark's tracer and any other caller read len(rows) as the
+        # number of rows write_table wrote
+        seen = []
+        write_table = cli.write_table
+
+        def spy(dest, meta, columns, rows, fmt):
+            seen.append(len(rows))
+            write_table(dest, meta, columns, rows, fmt)
+
+        monkeypatch.setattr(cli, "write_table", spy)
+        spec = _FIELDMAP_CASES["sr2"][:5] + (130,)
+        rc, out = run(tmp_path, "map." + fmt, fieldmap_argv(*spec) + ["--format", fmt])
+        assert rc == 0
+        if fmt == "json":
+            written = len(json.loads(out.read_text(encoding="utf-8"))["data"])
+        else:
+            written = len(csv_data(out.read_text(encoding="utf-8")).splitlines()) - 1
+        assert seen == [written] == [130 * 130]
+
+    def test_memory_does_not_grow_with_resolution(self, tmp_path):
+        # the map is evaluated and written a band of rows at a time, so the
+        # peak is set by the band (16384 points), not by the grid
+        spec = (100, 1.757e-4, "sr", (-4.0, 4.0), (-118.0, -110.0))
+        peaks = {}
+        for resolution in (128, 512):
+            tracemalloc.start()
+            try:
+                rc, _ = run(tmp_path, f"map{resolution}.csv", fieldmap_argv(*spec, resolution))
+                peaks[resolution] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        assert peaks[512] <= 1.5 * peaks[128], peaks
 
 
 class TestDeterminism:
