@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from collections.abc import Callable
 from contextlib import nullcontext
@@ -79,12 +80,6 @@ class Grid:
             ys = self.ys[start:start + step]
             yield ys, self.values(ys)
 
-    def __iter__(self):
-        xs = self.xs.tolist()
-        for ys, vals in self.bands():
-            for y, row in zip(ys.tolist(), vals.tolist()):
-                yield from ([x, y, v] for x, v in zip(xs, row))
-
 
 def _write_grid(fh, grid: Grid) -> None:
     """CSV body of a Grid, each x and each y formatted once.
@@ -100,17 +95,52 @@ def _write_grid(fh, grid: Grid) -> None:
             fh.write(tmpl.replace("@", _SIG % y) % tuple(row))
 
 
+def _json_float(v: float) -> str:
+    """v rounded to 12 significant digits, as json.dumps writes it."""
+    r = float(_SIG % v)
+    if math.isfinite(r):
+        return repr(r)
+    return "NaN" if r != r else ("Infinity" if r > 0 else "-Infinity")
+
+
+def _json_rows(columns: list[str], rows):
+    """The "data" items of a JSON table as json.dumps(..., indent=2) writes
+    them, each cell rounded to 12 significant digits; one string per row,
+    or per grid row of a Grid, whose xs and ys are formatted once."""
+    keys = [f"\n      {json.dumps(c)}: " for c in columns]
+
+    def item(cells):
+        return "{" + ",".join(k + c for k, c in zip(keys, cells)) + "\n    }"
+
+    if isinstance(rows, Grid):
+        xs = [_json_float(x) for x in rows.xs.tolist()]
+        for ys, vals in rows.bands():
+            for y, row in zip(ys.tolist(), vals.tolist()):
+                y = _json_float(y)
+                yield ",\n    ".join(item((x, y, _json_float(v))) for x, v in zip(xs, row))
+    else:
+        for row in rows:
+            yield item([json.dumps(_round12(v)) for v in row])
+
+
 def write_table(dest: str, meta: dict, columns: list[str], rows, fmt: str) -> None:
     """Emit rows to a path (or '-' for stdout) as CSV or JSON.
 
-    rows is a list of row lists, or a Grid of (x, y, value) rows, which the
-    CSV path evaluates and writes a band of rows at a time; the JSON path
-    holds every row in memory.  len(rows) is the number of rows written.
+    rows is a list of row lists, or a Grid of (x, y, value) rows, which is
+    evaluated and written a band of rows at a time.  JSON is written a row
+    at a time too, in the bytes of write_json(dest, meta, [one dict per
+    row]).  len(rows) is the number of rows written.
     """
-    if fmt == "json":
-        write_json(dest, meta, [dict(zip(columns, row)) for row in rows])
-        return
     with _open_dest(dest) as fh:
+        if fmt == "json":
+            head = json.dumps(_json_clean({"meta": meta, "data": []}), indent=2)
+            fh.write(head[:-3])  # up to the '[' of "data": []
+            sep = "\n    "
+            for text in _json_rows(columns, rows):
+                fh.write(sep + text)
+                sep = ",\n    "
+            fh.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+            return
         fh.write("".join(f"# {k}={v}\n" for k, v in meta.items()))
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)

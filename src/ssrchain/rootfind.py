@@ -198,28 +198,25 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
     return nearest.astype(int), where
 
 
-def _count(evaluate, windows: list[SearchWindow]) -> list[int]:
-    """Zero counts of a batch of windows.  A window whose walk fails is
-    recounted on a slightly expanded copy, up to five times; after that the
-    BoundaryDegeneracyError names the point where the first such window
-    failed."""
-    counts = [0] * len(windows)
+def _count(evaluate, windows: list[SearchWindow]) -> list[int | complex]:
+    """Zero counts of a batch of windows, one result per window.  A window
+    whose walk fails is recounted on a slightly expanded copy, up to five
+    times; its result is then the complex boundary point where the last
+    attempt failed instead of a count."""
+    out: list[int | complex] = [0] * len(windows)
     current = list(windows)
     todo = list(range(len(windows)))
-    for attempt in range(6):
+    attempt = 0
+    while todo:
         got, where = _windings(evaluate, [current[i] for i in todo])
-        retry = [(i, complex(w)) for i, w in zip(todo, where) if not cmath.isnan(w)]
         for i, c, w in zip(todo, got, where):
-            if cmath.isnan(w):
-                counts[i] = int(c)
-        if not retry:
-            return counts
-        if attempt == 5:
-            raise BoundaryDegeneracyError(
-                f"zero persists on the counting boundary near {retry[0][1]} after 5 jitters"
-            )
-        for i, _ in retry:
-            pad = windows[i].diameter() * 3e-7 * (attempt + 1)
+            out[i] = int(c) if cmath.isnan(w) else complex(w)
+        todo = [i for i, w in zip(todo, where) if not cmath.isnan(w)]
+        attempt += 1
+        if attempt == 6:
+            break
+        for i in todo:
+            pad = windows[i].diameter() * 3e-7 * attempt
             win = current[i]
             current[i] = SearchWindow(
                 win.re_min - 1.31 * pad,
@@ -227,8 +224,7 @@ def _count(evaluate, windows: list[SearchWindow]) -> list[int]:
                 win.im_min - 1.09 * pad,
                 win.im_max + 0.89 * pad,
             )
-        todo = [i for i, _ in retry]
-    raise AssertionError("unreachable")
+    return out
 
 
 def count_zeros(fn, window: SearchWindow) -> int:
@@ -238,9 +234,15 @@ def count_zeros(fn, window: SearchWindow) -> int:
     refinement, every level of bisection in one vectorised evaluation
     (CharFn.eval_many; a plain callable is applied point by point).  A zero
     hugging the boundary triggers up to five jittered (slightly expanded)
-    retries before a BoundaryDegeneracyError.
+    retries before a BoundaryDegeneracyError.  localize_zeros counts the
+    children of every cut of one tree level in one such walk.
     """
-    return _count(_vectorized(fn), [window])[0]
+    got = _count(_vectorized(fn), [window])[0]
+    if isinstance(got, complex):
+        raise BoundaryDegeneracyError(
+            f"zero persists on the counting boundary near {got} after 5 jitters"
+        )
+    return got
 
 
 def _split(window: SearchWindow, fr: float, fi: float):
@@ -254,45 +256,64 @@ def _split(window: SearchWindow, fr: float, fi: float):
     ]
 
 
+# a zero on a split line makes child counts disagree; the cut is nudged
+_CUTS = ((0.5, 0.5), (0.43, 0.57), (0.57, 0.43), (0.37, 0.63), (0.63, 0.37))
+
+
 def localize_zeros(fn, window: SearchWindow, max_cell: float) -> list[complex]:
     """Quadrisect the window until every zero sits alone in a cell smaller
     than max_cell; returns cell centers as refinement seeds.
 
-    The four children of a cut are counted as one batch, in one boundary
-    walk (see count_zeros).  Seeds are repeated per multiplicity, so their total count equals
+    The tree is walked breadth first: the children of every cut of one tree
+    level are counted as one batch, in one boundary walk (see count_zeros).
+    A cell whose children fail to count or do not add up to its own count
+    is cut again at the next nudged split; after five it raises
+    BoundaryDegeneracyError ("could not partition"), for the first such
+    cell in depth-first order.  Seeds come in depth-first order of their
+    cells and are repeated per multiplicity, so their total count equals
     count_zeros(window).  Clusters that stay unresolved below cells of
     1e-12 are emitted as repeated centers and are the caller's cue for
     coalescent-pair handling.
     """
-    total = count_zeros(fn, window)
-    seeds: list[complex] = []
-    _quadrisect(_vectorized(fn), window, total, max_cell, seeds)
-    return seeds
-
-
-def _quadrisect(evaluate, window, count, max_cell, out):
-    if count == 0:
-        return
-    if max(window.width, window.height) < 1e-12:
-        out.extend([window.center] * count)
-        return
-    if count == 1 and window.width <= max_cell and window.height <= max_cell:
-        out.append(window.center)
-        return
-    # a zero on the split line makes child counts disagree; nudge the cut
-    for fr, fi in ((0.5, 0.5), (0.43, 0.57), (0.57, 0.43), (0.37, 0.63), (0.63, 0.37)):
-        children = _split(window, fr, fi)
-        try:
-            counts = _count(evaluate, children)
-        except BoundaryDegeneracyError:
-            continue
-        if sum(counts) == count:
-            for child, c in zip(children, counts):
-                _quadrisect(evaluate, child, c, max_cell, out)
-            return
-    raise BoundaryDegeneracyError(
-        f"could not partition {count} zeros in {window}; zeros pinned to every tried cut"
-    )
+    evaluate = _vectorized(fn)
+    found: list[tuple[tuple[int, ...], list[complex]]] = []
+    failed: list[tuple[tuple[int, ...], str]] = []
+    # (path from the root, window, zero count, index of the cut to try)
+    frontier = [((), window, count_zeros(fn, window), 0)]
+    while frontier:
+        cut_now = []
+        for path, win, count, cut in frontier:
+            if count == 0:
+                continue
+            if max(win.width, win.height) < 1e-12 or (
+                count == 1 and win.width <= max_cell and win.height <= max_cell
+            ):
+                found.append((path, [win.center] * count))
+            elif cut == len(_CUTS):
+                failed.append((path, f"could not partition {count} zeros in {win}; "
+                                     "zeros pinned to every tried cut"))
+            else:
+                cut_now.append((path, win, count, cut))
+        if failed:
+            # only a cell before the first failure in depth-first order can
+            # still change which error is raised
+            first = min(failed)[0]
+            cut_now = [node for node in cut_now if node[0] < first]
+        children = [_split(win, *_CUTS[cut]) for _, win, _, cut in cut_now]
+        results = _count(evaluate, [child for four in children for child in four])
+        frontier = []
+        for k, (path, win, count, cut) in enumerate(cut_now):
+            got = results[4 * k:4 * k + 4]
+            if all(isinstance(c, int) for c in got) and sum(got) == count:
+                frontier.extend(
+                    (path + (j,), child, c, 0) for j, (child, c) in enumerate(zip(children[k], got))
+                )
+            else:
+                frontier.append((path, win, count, cut + 1))
+    if failed:
+        raise BoundaryDegeneracyError(min(failed)[1])
+    found.sort(key=lambda leaf: leaf[0])
+    return [seed for _, seeds in found for seed in seeds]
 
 
 # ---------------------------------------------------------------------------

@@ -369,17 +369,29 @@ class TestFieldmapRows:
     def test_memory_does_not_grow_with_resolution(self, tmp_path):
         # the map is evaluated and written a band of rows at a time, so the
         # peak is set by the band (16384 points), not by the grid
-        spec = (100, 1.757e-4, "sr", (-4.0, 4.0), (-118.0, -110.0))
-        peaks = {}
-        for resolution in (128, 512):
-            tracemalloc.start()
-            try:
-                rc, _ = run(tmp_path, f"map{resolution}.csv", fieldmap_argv(*spec, resolution))
-                peaks[resolution] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert rc == 0
+        peaks = fieldmap_peaks(tmp_path, "csv")
         assert peaks[512] <= 1.5 * peaks[128], peaks
+
+    def test_json_memory_does_not_grow_with_resolution(self, tmp_path):
+        # JSON too is written a row at a time, never held whole
+        peaks = fieldmap_peaks(tmp_path, "json")
+        assert peaks[512] <= 1.5 * peaks[128], peaks
+
+
+def fieldmap_peaks(tmp_path, fmt):
+    """tracemalloc peaks of the sr N = 100 benchmark map at 128² and 512²."""
+    spec = (100, 1.757e-4, "sr", (-4.0, 4.0), (-118.0, -110.0))
+    peaks = {}
+    for resolution in (128, 512):
+        tracemalloc.start()
+        try:
+            argv = fieldmap_argv(*spec, resolution) + ["--format", fmt]
+            rc, _ = run(tmp_path, f"map{resolution}.{fmt}", argv)
+            peaks[resolution] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+    return peaks
 
 
 class TestDeterminism:

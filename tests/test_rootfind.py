@@ -440,6 +440,11 @@ def _ref_count_zeros(fn, window):
             )
 
 
+def _named_point(err):
+    """The boundary point a BoundaryDegeneracyError of count_zeros names."""
+    return complex(str(err.value).split("near ")[1].split(" after")[0])
+
+
 def _sorted_points(points):
     return sorted(points, key=lambda z: (z.real, z.imag))
 
@@ -461,11 +466,13 @@ class TestBatchedWalkAgainstRecursiveWalk:
         window = default_window(n)
         children = _split(window, 0.5, 0.5)
         refs = [_ref_count_zeros(fn, win) for win in [window] + children]
+        named = {}
         for win, (want, ref, jitters) in zip([window] + children, refs):
             seen.clear()
             if want is None:
-                with pytest.raises(BoundaryDegeneracyError, match="counting boundary near"):
+                with pytest.raises(BoundaryDegeneracyError, match="counting boundary near") as err:
                     count_zeros(fn, win)
+                named[win] = _named_point(err)
                 continue
             assert count_zeros(fn, win) == want
             if jitters == 0:
@@ -473,16 +480,16 @@ class TestBatchedWalkAgainstRecursiveWalk:
                 # evaluations (a failed attempt stops the recursive walk at
                 # its first bad sample, the batched one at its level)
                 assert _sorted_points(seen) == _sorted_points(ref)
-        # the four children of the cut, counted as one batch
+        # the four children of the cut, counted as one batch: each child
+        # gets its own count, or the point count_zeros names for it alone
         seen.clear()
-        evaluate = fn.eval_many
-        if any(want is None for want, _, _ in refs[1:]):
-            with pytest.raises(BoundaryDegeneracyError):
-                _count(evaluate, children)
-        else:
-            assert _count(evaluate, children) == [want for want, _, _ in refs[1:]]
-            if all(jitters == 0 for _, _, jitters in refs[1:]):
-                assert len(seen) == sum(len(ref) for _, ref, _ in refs[1:])
+        got = _count(fn.eval_many, children)
+        assert got == [want if want is not None else named[win] for win, (want, _, _)
+                       in zip(children, refs[1:])]
+        assert [type(g) for g in got] == [int if want is not None else complex
+                                          for want, _, _ in refs[1:]]
+        if all(want is not None and jitters == 0 for want, _, jitters in refs[1:]):
+            assert len(seen) == sum(len(ref) for _, ref, _ in refs[1:])
 
     @pytest.mark.parametrize(
         "fn",
@@ -529,18 +536,229 @@ class TestBatchedWalkAgainstRecursiveWalk:
         fn = lambda z: complex("nan") if z.real > 0.55 else 1.0 + 0.0j
         with pytest.raises(BoundaryDegeneracyError) as err:
             count_zeros(fn, SearchWindow(-1, 1, -1, 1))
-        where = complex(str(err.value).split("near ")[1].split(" after")[0])
-        assert abs(where - (0.625 - 1j)) < 1e-4
+        assert abs(_named_point(err) - (0.625 - 1j)) < 1e-4
 
-    def test_batch_error_names_the_first_failing_window(self):
-        fn = _vectorized(lambda z: complex("nan") if z.real > 0.55 else 1.0 + 0.0j)
+    def test_batch_names_each_failing_window(self):
+        # in either order each failing window of a batch gets the point
+        # count_zeros names for it alone, and a counted one its count
+        plain = lambda z: complex("nan") if z.real > 0.55 else 1.0 + 0.0j
+        fn = _vectorized(plain)
         left, right = SearchWindow(-1, 1, -1, 1), SearchWindow(2, 4, -1, 1)
-        for batch, near in (([left, right], 0.625 - 1j), ([right, left], 2 - 1j)):
+        clear = SearchWindow(-1, 0.5, -1, 1)
+        named = {}
+        for win, near in ((left, 0.625 - 1j), (right, 2 - 1j)):
             with pytest.raises(BoundaryDegeneracyError) as err:
-                _count(fn, batch)
-            where = complex(str(err.value).split("near ")[1].split(" after")[0])
-            assert abs(where - near) < 1e-4
+                count_zeros(plain, win)
+            named[win] = _named_point(err)
+            assert abs(named[win] - near) < 1e-4
+        for batch in ([left, right], [right, left], [right, clear, left]):
+            assert _count(fn, batch) == [named.get(win, 0) for win in batch]
 
     def test_overflowed_general_chain_still_fails(self):
         with pytest.raises(BoundaryDegeneracyError):
             find_collective_rates(ChainParams(30, 1.0, mode="general"))
+
+
+# ---------------------------------------------------------------------------
+# the breadth-first quadrisection against the depth-first recursion it replaced
+
+
+def _ref_count(evaluate, windows):
+    """Zero counts of a batch; raises for the first window still failing
+    after five jitters."""
+    counts = [0] * len(windows)
+    current = list(windows)
+    todo = list(range(len(windows)))
+    for attempt in range(6):
+        got, where = rootfind._windings(evaluate, [current[i] for i in todo])
+        retry = [(i, complex(w)) for i, w in zip(todo, where) if not cmath.isnan(w)]
+        for i, c, w in zip(todo, got, where):
+            if cmath.isnan(w):
+                counts[i] = int(c)
+        if not retry:
+            return counts
+        if attempt == 5:
+            raise BoundaryDegeneracyError(
+                f"zero persists on the counting boundary near {retry[0][1]} after 5 jitters"
+            )
+        for i, _ in retry:
+            pad = windows[i].diameter() * 3e-7 * (attempt + 1)
+            win = current[i]
+            current[i] = SearchWindow(
+                win.re_min - 1.31 * pad,
+                win.re_max + 0.77 * pad,
+                win.im_min - 1.09 * pad,
+                win.im_max + 0.89 * pad,
+            )
+
+
+def _ref_quadrisect(evaluate, window, count, max_cell, out):
+    if count == 0:
+        return
+    if max(window.width, window.height) < 1e-12:
+        out.extend([window.center] * count)
+        return
+    if count == 1 and window.width <= max_cell and window.height <= max_cell:
+        out.append(window.center)
+        return
+    for fr, fi in ((0.5, 0.5), (0.43, 0.57), (0.57, 0.43), (0.37, 0.63), (0.63, 0.37)):
+        children = _split(window, fr, fi)
+        try:
+            counts = _ref_count(evaluate, children)
+        except BoundaryDegeneracyError:
+            continue
+        if sum(counts) == count:
+            for child, c in zip(children, counts):
+                _ref_quadrisect(evaluate, child, c, max_cell, out)
+            return
+    raise BoundaryDegeneracyError(
+        f"could not partition {count} zeros in {window}; zeros pinned to every tried cut"
+    )
+
+
+def _outcome(localize, fn, window, max_cell):
+    """('seeds', seeds) or (error type, message)."""
+    try:
+        return "seeds", localize(fn, window, max_cell)
+    except BoundaryDegeneracyError as err:
+        return type(err), str(err)
+
+
+def _ref_localize(fn, window, max_cell):
+    seeds = []
+    _ref_quadrisect(_vectorized(fn), window, count_zeros(fn, window), max_cell, seeds)
+    return seeds
+
+
+def _table_max_cell(window):
+    # the cell size find_collective_rates asks for
+    return max(window.diameter() / 128.0, 4e-12)
+
+
+def _pinned(*squares):
+    """Two zeros, at 0.8 + 0.8j and -0.9 - 0.9j, and nan on each square
+    (center, half side): every cut of a cell whose middle a square covers
+    runs through it."""
+
+    def fn(z):
+        for c, h in squares:
+            if abs(z.real - c.real) < h and abs(z.imag - c.imag) < h:
+                return complex("nan")
+        return (z - (0.8 + 0.8j)) * (z + (0.9 + 0.9j))
+
+    return fn
+
+
+# the middles of the top-right cell (path (3,)) and of the bottom-left
+# cell of the bottom-left cell (path (0, 0)) of SearchWindow(-1, 1, -1, 1)
+_SQUARE_3 = (0.5 + 0.5j, 0.15)
+_SQUARE_00 = (-0.75 - 0.75j, 0.075)
+
+
+class TestBreadthFirstAgainstRecursiveQuadrisection:
+    @pytest.mark.parametrize("mode", ["sr", "general"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 30])
+    @pytest.mark.parametrize("sep", [0.01, 0.1, 0.5, 1.0, 3.0])
+    def test_same_seeds_or_error(self, mode, n, sep):
+        fn = characteristic_function(ChainParams(n, sep, mode=mode))
+        window = default_window(n)
+        max_cell = _table_max_cell(window)
+        want = _outcome(_ref_localize, fn, window, max_cell)
+        assert _outcome(localize_zeros, fn, window, max_cell) == want
+
+    @pytest.mark.parametrize(
+        "fn, window, seeds",
+        [
+            # a double zero off every cut: its cell shrinks below 1e-12
+            (lambda z: (z - (0.1 - 0.3j)) ** 2, SearchWindow(-1, 1, -1, 0), 2),
+            # a zero on the crossing of the 0.5/0.5 cut: the cut is nudged
+            (lambda z: (z + 0.5j) * (z - (0.7 - 0.2j)), SearchWindow(-1, 1, -1, 0), 2),
+            # a close pair in the first quarter, a lone zero in the second:
+            # the lone zero's cell is a leaf levels before the pair's cells
+            (
+                lambda z: (z - (-0.5 - 0.5j)) * (z - (-0.52 - 0.45j)) * (z - (0.5 - 0.5j)),
+                SearchWindow(-1, 1, -1, 1),
+                3,
+            ),
+        ],
+        ids=["double-zero", "zero-on-cut", "leaves-at-mixed-depths"],
+    )
+    def test_plain_callables(self, fn, window, seeds):
+        max_cell = window.width / 2
+        want = _outcome(_ref_localize, fn, window, max_cell)
+        assert want[0] == "seeds" and len(want[1]) == seeds
+        assert _outcome(localize_zeros, fn, window, max_cell) == want
+
+    def test_double_zero_reaches_the_smallest_cells(self):
+        seeds = localize_zeros(lambda z: (z - (0.1 - 0.3j)) ** 2, SearchWindow(-1, 1, -1, 0), 0.05)
+        assert len(seeds) == 2 and seeds[0] == seeds[1]
+        assert abs(seeds[0] - (0.1 - 0.3j)) < 1e-12
+
+    def test_zero_on_cut_is_found_through_a_nudge(self):
+        seen = []
+        fn = lambda z: seen.append(z) or (z + 0.5j) * (z - (0.7 - 0.2j))
+        localize_zeros(fn, SearchWindow(-1, 1, -1, 0), 0.05)
+        # the root cell is cut at the 0.43/0.57 split: its vertical line
+        # re = -0.14 is sampled, the 0.5/0.5 line re = 0 as well
+        assert any(abs(z.real + 0.14) < 1e-12 for z in seen)
+        assert any(z.real == 0.0 for z in seen)
+
+    def test_error_of_the_first_pinned_cell_in_depth_first_order(self):
+        window = SearchWindow(-1.0, 1.0, -1.0, 1.0)
+        cell_3, cell_00 = SearchWindow(0.0, 1.0, 0.0, 1.0), SearchWindow(-1.0, -0.5, -1.0, -0.5)
+        # either square alone makes its cell fail at every cut
+        for square, cell in ((_SQUARE_3, cell_3), (_SQUARE_00, cell_00)):
+            kind, msg = _outcome(localize_zeros, _pinned(square), window, 0.05)
+            assert (kind, msg) == (
+                BoundaryDegeneracyError,
+                f"could not partition 1 zeros in {cell}; zeros pinned to every tried cut",
+            )
+        # with both, the breadth-first walk finds cell (3,) a level before
+        # cell (0, 0), but the recursion reached (0, 0) first
+        fn = _pinned(_SQUARE_3, _SQUARE_00)
+        want = _outcome(_ref_localize, fn, window, 0.05)
+        assert want[0] is BoundaryDegeneracyError and repr(cell_00) in want[1]
+        assert _outcome(localize_zeros, fn, window, 0.05) == want
+
+    def test_no_cell_after_the_first_failure_is_cut_further(self):
+        # once cell (0, 0) has failed, the cells of the zero at 0.8 + 0.8j
+        # come after it in depth-first order and cannot change the error
+        seen = []
+        fn = _pinned(_SQUARE_00)
+        with pytest.raises(BoundaryDegeneracyError, match="could not partition"):
+            localize_zeros(lambda z: seen.append(z) or fn(z), SearchWindow(-1.0, 1.0, -1.0, 1.0), 1e-6)
+        # without the cut-off its cells shrink to 1e-6, and samples with them
+        assert min(abs(z - (0.8 + 0.8j)) for z in seen) > 1e-3
+
+
+# the six counted pole_tables configurations of the benchmark, with the
+# points their quadrisection evaluates
+_COUNTED_TABLES = {
+    ("sr", 5, 1.0): 38982,
+    ("sr", 10, 0.1): 22088,
+    ("sr", 30, 0.01): 22088,
+    ("sr", 50, 0.01): 43864,
+    ("general", 2, 1.0): 10239,
+    ("general", 5, 0.1): 19752,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COUNTED_TABLES))
+def test_quadrisection_evaluates_in_few_large_batches(case, monkeypatch):
+    # the points are those the depth-first walk evaluated, so the walk
+    # makes the same decisions; a level per batch keeps the calls few
+    mode, n, sep = case
+    calls, points = [0], [0]
+    original = CharFn.eval_many
+
+    def counted(self, deltas):
+        calls[0] += 1
+        points[0] += np.size(deltas)
+        return original(self, deltas)
+
+    monkeypatch.setattr(CharFn, "eval_many", counted)
+    window = default_window(n)
+    localize_zeros(characteristic_function(ChainParams(n, sep, mode=mode)), window,
+                   _table_max_cell(window))
+    assert points[0] == _COUNTED_TABLES[case]
+    assert calls[0] <= 60
