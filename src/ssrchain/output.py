@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 from collections.abc import Callable
 from contextlib import nullcontext
@@ -80,6 +79,12 @@ class Grid:
             ys = self.ys[start:start + step]
             yield ys, self.values(ys)
 
+    def __iter__(self):
+        xs = self.xs.tolist()
+        for ys, vals in self.bands():
+            for y, row in zip(ys.tolist(), vals.tolist()):
+                yield from ([x, y, v] for x, v in zip(xs, row))
+
 
 def _write_grid(fh, grid: Grid) -> None:
     """CSV body of a Grid, each x and each y formatted once.
@@ -95,32 +100,13 @@ def _write_grid(fh, grid: Grid) -> None:
             fh.write(tmpl.replace("@", _SIG % y) % tuple(row))
 
 
-def _json_float(v: float) -> str:
-    """v rounded to 12 significant digits, as json.dumps writes it."""
-    r = float(_SIG % v)
-    if math.isfinite(r):
-        return repr(r)
-    return "NaN" if r != r else ("Infinity" if r > 0 else "-Infinity")
-
-
 def _json_rows(columns: list[str], rows):
     """The "data" items of a JSON table as json.dumps(..., indent=2) writes
-    them, each cell rounded to 12 significant digits; one string per row,
-    or per grid row of a Grid, whose xs and ys are formatted once."""
+    them, each cell rounded to 12 significant digits; one string per row."""
     keys = [f"\n      {json.dumps(c)}: " for c in columns]
-
-    def item(cells):
-        return "{" + ",".join(k + c for k, c in zip(keys, cells)) + "\n    }"
-
-    if isinstance(rows, Grid):
-        xs = [_json_float(x) for x in rows.xs.tolist()]
-        for ys, vals in rows.bands():
-            for y, row in zip(ys.tolist(), vals.tolist()):
-                y = _json_float(y)
-                yield ",\n    ".join(item((x, y, _json_float(v))) for x, v in zip(xs, row))
-    else:
-        for row in rows:
-            yield item([json.dumps(_round12(v)) for v in row])
+    for row in rows:
+        cells = [json.dumps(_round12(v)) for v in row]
+        yield "{" + ",".join(k + c for k, c in zip(keys, cells)) + "\n    }"
 
 
 def write_table(dest: str, meta: dict, columns: list[str], rows, fmt: str) -> None:
@@ -129,7 +115,9 @@ def write_table(dest: str, meta: dict, columns: list[str], rows, fmt: str) -> No
     rows is a list of row lists, or a Grid of (x, y, value) rows, which is
     evaluated and written a band of rows at a time.  JSON is written a row
     at a time too, in the bytes of write_json(dest, meta, [one dict per
-    row]).  len(rows) is the number of rows written.
+    row]).  len(rows) is the number of rows written.  dest is opened before
+    the first row is evaluated, so an evaluation that fails leaves a partly
+    written table, CSV or JSON.
     """
     with _open_dest(dest) as fh:
         if fmt == "json":

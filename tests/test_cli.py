@@ -12,7 +12,7 @@ from ssrchain.charfn import CharFn
 from ssrchain.cli import main
 from ssrchain.core import ChainParams
 from ssrchain.errors import BracketError
-from ssrchain.output import read_csv_table
+from ssrchain.output import _json_clean, read_csv_table, write_table
 
 
 def run(tmp_path, name, args):
@@ -376,6 +376,28 @@ class TestFieldmapRows:
         # JSON too is written a row at a time, never held whole
         peaks = fieldmap_peaks(tmp_path, "json")
         assert peaks[512] <= 1.5 * peaks[128], peaks
+
+
+class TestJsonTable:
+    """write_table's row-at-a-time JSON against the whole document written
+    by json.dumps, on the cases no fieldmap test reaches."""
+
+    META = {"tool": "ssrchain test", "command": "t", "x": "0.1"}
+    COLUMNS = ["a", "b", "c"]
+
+    def whole(self, rows):
+        data = [dict(zip(self.COLUMNS, r)) for r in rows]
+        return json.dumps(_json_clean({"meta": self.META, "data": data}), indent=2) + "\n"
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [[math.inf, -math.inf, math.nan]],
+        [[1, 0.1 + 0.2, True], [-math.inf, "x", 1e-300], [math.nan, 2.5, math.inf]],
+    ], ids=["empty", "non_finite", "mixed"])
+    def test_bytes(self, tmp_path, rows):
+        dest = tmp_path / "t.json"
+        write_table(str(dest), self.META, self.COLUMNS, rows, "json")
+        assert dest.read_text(encoding="utf-8") == self.whole(rows)
 
 
 def fieldmap_peaks(tmp_path, fmt):
