@@ -221,12 +221,21 @@ class CharFn:
             f11, ls = _matpow_11_grid(m, n)
             return np.log10(np.abs(f11)) + ls
 
-    def _scaled_sr(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _scaled_sr(
+        self, z: np.ndarray, separation: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Delta (T^N)_11 on the phase w = +-1 branch as (mantissa, log10
         scale): the value is mantissa * 10**scale.  The Chebyshev recurrence
         is rescaled by positive reals, so the phase of the mantissa is that
         of the value; points where the recurrence overflows anyway come
         back non-finite.
+
+        separation, when given, replaces the configuration's separation row
+        by row: a 1-D array of m separations, with z broadcast to m rows
+        (an axis scan at m separations in one pass).  The phase unit w is
+        kept, so it needs sr-condition mode at positive separations.  Each
+        row equals the default call on the configuration at its own
+        separation bit for bit.
 
         The rescale check (divide U_k and U_{k-1} by the larger of their
         moduli wherever it exceeds 1e100) runs every `every` steps and at
@@ -236,9 +245,14 @@ class CharFn:
         overflows in between; a non-finite x brings back the check at every
         step.  A point whose recurrence never passes 1e100 gets the
         unrescaled values bit for bit, and its scale is exactly 0.  Since
-        the cadence depends on max|x| over the batch, the points that do
-        rescale can round differently in a batch with another max|x|."""
+        the cadence depends on max|x| over the batch (over each row when
+        separation is given), the points that do rescale can round
+        differently in a batch with another max|x|."""
         n, w, le, _, _ = self._consts
+        if separation is not None:
+            le = np.asarray(separation, dtype=float)[:, None]
+            if not (self.params.mode == MODE_SR and self.params.separation > 0.0 and (le > 0.0).all()):
+                raise ContractViolationError("per-row separations need sr-condition mode at L > 0")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = z * le
             small = np.abs(u) < 1e-4
@@ -248,28 +262,42 @@ class CharFn:
             x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
             m11 = (z + 0.5j) / (w * np.exp(1j * u))
             x2 = 2.0 * x
-            growth = math.log10(2.0 * float(np.abs(x).max(initial=0.0)) + 1.0)
-            if not math.isfinite(growth):
-                every = 1
+            if separation is None:
+                cadences = {_cadence(float(np.abs(x).max(initial=0.0)), n)}
             else:
-                every = max(1, int(200.0 / growth)) if growth > 0.0 else n
-            uk = np.ones_like(z)
-            ukm1 = np.zeros_like(z)
-            spare = np.empty_like(z)
-            ls = np.zeros(z.shape, dtype=float)
+                rows = np.abs(x).max(axis=1, initial=0.0)
+                every = np.array([[_cadence(float(r), n)] for r in rows])
+                cadences = set(every.ravel().tolist())
+            checked = {n - 1}.union(*(range(c, n, c) for c in cadences))
+            uk = np.ones_like(u)
+            ukm1 = np.zeros_like(u)
+            spare = np.empty_like(u)
+            ls = np.zeros(u.shape, dtype=float)
             for k in range(1, n):
                 np.multiply(x2, uk, out=spare)
                 np.subtract(spare, ukm1, out=spare)
                 ukm1, uk, spare = uk, spare, ukm1
-                if k % every and k != n - 1:
+                if k not in checked:
                     continue
                 mag = np.maximum(np.abs(uk), np.abs(ukm1))
                 mask = mag > 1e100
+                if separation is not None:
+                    mask &= (k % every == 0) | (k == n - 1)
                 if mask.any():
                     np.divide(uk, mag, out=uk, where=mask)
                     np.divide(ukm1, mag, out=ukm1, where=mask)
                     ls[mask] += np.log10(mag[mask])
             return uk * m11 - z * ukm1, ls
+
+
+def _cadence(xmax: float, n: int) -> int:
+    """Steps between rescale checks of _scaled_sr for a batch with max|x|
+    = xmax: every step when xmax is not finite, never before the last one
+    when x = 0."""
+    growth = math.log10(2.0 * xmax + 1.0)
+    if not math.isfinite(growth):
+        return 1
+    return max(1, int(200.0 / growth)) if growth > 0.0 else n
 
 
 def _jmul(a, b):

@@ -155,8 +155,6 @@ def _ssr_row(res: SSRResult) -> list:
 def cmd_ssr(args) -> int:
     if args.n < 2:
         raise ContractViolationError("the SSR point needs --n >= 2")
-    if args.bracket is not None and not (0 < args.bracket[0] < args.bracket[1]):
-        raise ContractViolationError(f"bad --bracket {args.bracket}")
     res = maximize_over_separation(args.n, tuple(args.bracket) if args.bracket else None)
     flags = {"n": args.n}
     if args.bracket:

@@ -13,10 +13,10 @@ only the fallback when that Newton is rejected.
 Everything here runs in sr-condition mode, whose mirror symmetry
 f(-conj(Delta)) = (-1)^N conj(f(Delta)) pins the colliding pair to the
 imaginary axis: below L_c the two poles are roots of the real scalar
-Im f(-iy), bracketed by sign changes on a fixed y-grid evaluated in one
-vectorized pass and refined by Illinois steps on the scalar f; above L_c the
-pair sits at (Delta, -conj(Delta)) and is chased by Newton from
-symmetry-broken seeds.
+Im f(-iy), bracketed by sign changes on a fixed y-grid (evaluated at every
+scan separation in one vectorized pass) and refined by Illinois steps on the
+scalar f; above L_c the pair sits at (Delta, -conj(Delta)) and is chased by
+Newton from symmetry-broken seeds.
 """
 
 from __future__ import annotations
@@ -58,9 +58,12 @@ class SSRResult:
     point is then the best separation found and its leading pole.
 
     evaluations is the number of scalar f evaluations the solve made: the
-    axis refinements, Newton and coalescent-pair steps, validation, and one
-    per CharFn.eval_derivatives call of the fold Newton.  The vectorized
-    axis scans are not counted.
+    axis-root refinements, Newton and coalescent-pair steps, validation,
+    and one per CharFn.eval_derivatives call of the fold Newton.  The
+    vectorized axis scans (one batched pass for the whole separation scan,
+    one per golden-section point) are not counted.  A lone axis root is
+    not probed for a coalescing partner, so a solve takes about 250 to 380
+    evaluations from N = 2 to N = 1000.
     """
 
     n_qubits: int
@@ -139,12 +142,13 @@ class _PoleTracker:
     def fn(self, separation: float) -> _CountedFn:
         return _CountedFn(_fn_at_separation(self.params, separation), self)
 
-    def axis_roots(self, fn: _CountedFn) -> list[float]:
+    def axis_roots(self, fn: _CountedFn, row: np.ndarray | None = None) -> list[float]:
         """Roots of Im f(-iy) above y = 1e-6, one per sign-change cell of
         the y-grid.  Cells touching a point where f is not finite hold no
-        data and report nothing."""
+        data and report nothing.  row is the _scaled_sr mantissa of f on
+        the grid when a batched scan has computed it already."""
         g = self._ygrid
-        h, _ = fn.charfn._scaled_sr(-1j * g)
+        h = fn.charfn._scaled_sr(-1j * g)[0] if row is None else row
         im = h.imag
         neg = im < 0.0
         data = np.isfinite(h)
@@ -209,22 +213,29 @@ class _PoleTracker:
     def _is_complex(self, z: complex) -> bool:
         return abs(z.real) > 1e-7 * (1.0 + abs(z))
 
-    def pair(self, separation: float) -> list[complex]:
+    def pair(self, separation: float, row: np.ndarray | None = None) -> list[complex]:
         """Up to two smallest-|Delta| nonzero poles, |Delta|-sorted; ties
-        put the Im Gamma >= 0 member first."""
+        put the Im Gamma >= 0 member first.
+
+        row is this separation's axis scan from rates(), or None to scan
+        here.  The coalescent-pair probe runs only where a fold can hide:
+        when two axis roots lie within four grid cells of each other, or
+        when neither the axis nor the warm Newton gave a candidate.  A lone
+        axis root is a sign change of Im f(-iy) and so a simple root; a
+        pair merged inside one cell shows no sign change.  Such a root is
+        reported without a probe.
+        """
         fn = self.fn(separation)
-        axis = self.axis_roots(fn)
+        axis = self.axis_roots(fn, row)
         cands: list[complex] = [-1j * y for y in axis[:3]]
         # chase the conjugate pair by Newton from the warm estimate
         if len(axis) < 2 and self.warm_complex is not None:
             z, _, ok = _newton(fn, self.warm_complex, _accept_tol(fn, self.warm_complex))
             if ok and self._valid(fn, z) and self._is_complex(z):
                 cands.append(z)
-        # near a fold the pair hides below the axis grid (or just off it);
-        # the local quadratic model resolves both members at once
-        near_fold = bool(axis) and (
-            len(axis) == 1 or axis[1] - axis[0] < 4.0 * self._cell(axis[0])
-        )
+        # near a fold the pair sits within a few grid cells (or merges off
+        # the axis); the local quadratic model resolves both members at once
+        near_fold = len(axis) >= 2 and axis[1] - axis[0] < 4.0 * self._cell(axis[0])
         if not cands or near_fold:
             center = None
             if axis:
@@ -265,7 +276,9 @@ class _PoleTracker:
                     break
             else:
                 uniq.append(z)
-        if len(uniq) == 1:
+        # a lone sign-change root is simple: there is no partner to resolve
+        lone = len(cands) == 1 and len(axis) == 1
+        if len(uniq) == 1 and not lone:
             # a coalescing pair merges below the dedupe threshold; report both
             # members of the local quadratic model when they validate
             members = [
@@ -315,8 +328,16 @@ class _PoleTracker:
         )
         return f"; f is not finite at {int(bad.sum())} of {g.size} axis grid points ({where})"
 
-    def rate(self, separation: float) -> float:
-        pair = self.pair(separation)
+    def rates(self, separations: list[float]) -> list[float]:
+        """rate at each separation in turn, the axis scans of all of them
+        done in one batched _scaled_sr pass."""
+        rows, _ = self.fn(separations[0]).charfn._scaled_sr(
+            -1j * self._ygrid, np.array(separations)
+        )
+        return [self.rate(x, row) for x, row in zip(separations, rows)]
+
+    def rate(self, separation: float, row: np.ndarray | None = None) -> float:
+        pair = self.pair(separation, row)
         if not pair:
             raise WindowExhaustedError(
                 f"no nonzero pole inside {self.window} at separation {separation:.6g}"
@@ -412,24 +433,30 @@ def _fold_newton(fn_at, y: float, l: float, maxiter: int = 30) -> tuple[float, f
 def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None = None) -> SSRResult:
     """Maximize Re Gamma_u over the separation: the SSR point (Gamma_SSR, L_c).
 
-    A coarse log-spaced scan certifies an interior maximum (raising
-    BracketError otherwise).  Newton on the fold system, seeded from the
-    scan's best point, is accepted when it converges inside the scan cells
-    around that point, does not lose objective value against the scan,
-    and the coalescing pair resolves at the fold; the result then carries
+    A coarse log-spaced scan of 16 separations certifies an interior
+    maximum (raising BracketError otherwise); its axis scans of Im f(-iy)
+    are one batched _scaled_sr pass (_PoleTracker.rates).  The bracket needs
+    0 < a < b with a, b and b / a finite (ContractViolationError
+    otherwise).  Newton on the fold system, seeded from the scan's best
+    point, is accepted when it converges inside the scan cells around that
+    point, does not lose objective value against the scan, and the
+    coalescing pair resolves at the fold; the result then carries
     coalescence=True.  Otherwise golden-section search over those cells
     gives the answer, with coalescence=False.
     """
     if not isinstance(n_qubits, int) or n_qubits < 2:
         raise ContractViolationError("the SSR point needs at least 2 qubits")
     a, b = bracket if bracket is not None else _default_bracket(n_qubits)
-    if not (0.0 < a < b):
-        raise ContractViolationError(f"bad bracket ({a}, {b})")
+    # the log-spaced scan needs a finite ratio b / a as well as finite ends
+    if not (0.0 < a < b < math.inf and b / a < math.inf):
+        raise ContractViolationError(
+            f"bad bracket ({a}, {b}): need 0 < lo < hi with lo, hi and hi / lo finite"
+        )
     tracker = _PoleTracker(n_qubits)
 
     nscan = 16
     xs = [a * (b / a) ** (i / (nscan - 1)) for i in range(nscan)]
-    vs = [tracker.rate(x) for x in xs]
+    vs = tracker.rates(xs)
     ibest = max(range(nscan), key=lambda i: vs[i])
     if ibest in (0, nscan - 1):
         raise BracketError(

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from ssrchain import (
@@ -19,7 +20,7 @@ from ssrchain import (
 )
 from ssrchain import ssr
 from ssrchain.charfn import CharFn
-from ssrchain.rootfind import _accept_tol
+from ssrchain.rootfind import _accept_tol, _newton, coalescent_pair, grid_scan_minima
 from ssrchain.ssr import _PoleTracker, _default_bracket, _fold_newton, _golden_max
 
 
@@ -98,6 +99,15 @@ def scalar_axis_scan(fn, grid):
     return [y for y in roots if y > 1e-6]
 
 
+def axis_band(fn, y):
+    """Width of the band around the axis root y where rounding makes
+    Im f(-iy) change sign: near the fold the pair is a near-double root, and
+    any two root finders may end anywhere in that band."""
+    z, h = -1j * y, 1e-6 * y
+    slope = abs((fn(z - 1j * h) - fn(z + 1j * h)).imag) / (2.0 * h)
+    return 16.0 * 2.2e-16 * fn.noise_scale(z) / slope
+
+
 def rough_critical_separation(n):
     return ORACLE_LC2 if n == 2 else critical_pair().beta_c / n**2
 
@@ -114,13 +124,7 @@ class TestAxisScan:
         want = scalar_axis_scan(fn, grid)
         assert len(got) == len(want)
         for a, b in zip(got, want):
-            # near the fold the pair is a near-double root and rounding makes
-            # Im f change sign many times across a band; both scans may end
-            # anywhere in it
-            z, h = -1j * b, 1e-6 * b
-            slope = abs((fn(z - 1j * h) - fn(z + 1j * h)).imag) / (2.0 * h)
-            band = 16.0 * 2.2e-16 * fn.noise_scale(z) / slope
-            assert abs(a - b) <= 1e-12 * b + 2.0 * band
+            assert abs(a - b) <= 1e-12 * b + 2.0 * axis_band(fn, b)
         if factor == 0.5:
             assert got  # the superradiant pole is on the axis below L_c
 
@@ -150,6 +154,173 @@ class TestAxisScan:
         fn = lambda delta: 1j * math.expm1(-delta.imag - 1.3)
         y = _PoleTracker._refine_axis_root(fn, 0.5, 2.0)
         assert abs(y - 1.3) <= 1e-15 * 2.3
+
+
+def scan_points(n):
+    """The 16 separations of the maximizer's scan over the default bracket."""
+    a, b = _default_bracket(n)
+    return [a * (b / a) ** (i / 15) for i in range(16)]
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("n", [2, 20, 100])
+    def test_rows_equal_per_separation_rows(self, n):
+        tracker = _PoleTracker(n)
+        xs = scan_points(n)
+        z = -1j * tracker._ygrid
+        rows, scales = tracker.fn(xs[0]).charfn._scaled_sr(z, np.array(xs))
+        assert rows.shape == scales.shape == (16, z.size)
+        for x, row, scale in zip(xs, rows, scales):
+            h, ls = tracker.fn(x).charfn._scaled_sr(z)
+            assert np.array_equal(row.view(np.int64), h.view(np.int64))
+            assert np.array_equal(scale.view(np.int64), ls.view(np.int64))
+
+    def test_rescaled_rows_keep_their_own_cadence(self):
+        # at these separations the recurrence rescales (and overflows at the
+        # top of the grid), with a different check cadence on every row
+        tracker = _PoleTracker(100)
+        xs = [0.02, 0.05, 0.3, 3.0]
+        z = -1j * tracker._ygrid
+        rows, scales = tracker.fn(xs[0]).charfn._scaled_sr(z, np.array(xs))
+        assert (scales != 0.0).any(axis=1).all()
+        for x, row, scale in zip(xs, rows, scales):
+            h, ls = tracker.fn(x).charfn._scaled_sr(z)
+            assert np.array_equal(row.view(np.int64), h.view(np.int64))
+            assert np.array_equal(scale.view(np.int64), ls.view(np.int64))
+
+    def test_rows_need_sr_mode(self):
+        fn = CharFn(ChainParams(5, 0.1, mode="general"))
+        with pytest.raises(ContractViolationError):
+            fn._scaled_sr(np.array([-1j]), np.array([0.1, 0.2]))
+
+    def test_rates_match_one_pass_per_separation(self):
+        xs = scan_points(20)
+        serial = _PoleTracker(20)
+        assert _PoleTracker(20).rates(xs) == [serial.rate(x) for x in xs]
+
+
+def parent_pair(tracker, separation):
+    """_PoleTracker.pair as it was before the probe was limited to close
+    axis pairs: it also probed around a lone axis root, and probed again
+    whenever one candidate was left."""
+    fn = tracker.fn(separation)
+    axis = tracker.axis_roots(fn)
+    cands = [-1j * y for y in axis[:3]]
+    if len(axis) < 2 and tracker.warm_complex is not None:
+        z, _, ok = _newton(fn, tracker.warm_complex, _accept_tol(fn, tracker.warm_complex))
+        if ok and tracker._valid(fn, z) and tracker._is_complex(z):
+            cands.append(z)
+    near_fold = bool(axis) and (
+        len(axis) == 1 or axis[1] - axis[0] < 4.0 * tracker._cell(axis[0])
+    )
+    if not cands or near_fold:
+        center = None
+        if axis:
+            center = -1j * axis[0]
+        elif tracker.warm_complex is not None:
+            center = tracker.warm_complex
+        elif tracker.warm_axis is not None:
+            center = -1j * tracker.warm_axis
+        if center is not None:
+            for z in coalescent_pair(fn, center, scale=abs(center) + 1.0):
+                if tracker._valid(fn, z):
+                    cands.append(z)
+    if not cands:
+        for seed in grid_scan_minima(fn.log10_magnitude, tracker.window, resolution=160):
+            z, _, ok = _newton(fn, seed, _accept_tol(fn, seed))
+            if ok and tracker._valid(fn, z):
+                cands.append(z)
+            elif not ok:
+                for z in coalescent_pair(fn, seed, scale=abs(seed) + 1.0):
+                    if tracker._valid(fn, z):
+                        cands.append(z)
+    for z in list(cands):
+        if tracker._is_complex(z):
+            m = -z.conjugate()
+            if tracker._valid(fn, m):
+                cands.append(m)
+    key = lambda c: (abs(c), -(2j * c).imag)
+    uniq = []
+    for z in sorted(cands, key=key):
+        for i, u in enumerate(uniq):
+            if abs(z - u) <= 1e-7 * (1.0 + abs(u)):
+                if abs(fn(z)) < abs(fn(u)):
+                    uniq[i] = z
+                break
+        else:
+            uniq.append(z)
+    pair = uniq[:2]
+    if len(uniq) == 1:
+        members = [
+            z
+            for z in coalescent_pair(fn, uniq[0], scale=abs(uniq[0]) + 1.0)
+            if tracker._valid(fn, z) and abs(z - uniq[0]) < 1e-2 * (1.0 + abs(uniq[0]))
+        ]
+        if len(members) == 2:
+            pair = sorted(members, key=key)
+    if pair:
+        if tracker._is_complex(pair[0]):
+            tracker.warm_complex = pair[0]
+        else:
+            tracker.warm_axis = -pair[0].imag
+    return pair
+
+
+def assert_same_pair(fn, got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if b.real != 0.0:
+            assert a == b
+        else:
+            # the old probe could swap the Illinois root for a polished
+            # coalescent member; both lie in the rounding band
+            assert a.real == 0.0
+            assert abs(a - b) <= 2.0 * axis_band(fn, -b.imag)
+
+
+class TestProbeRule:
+    @pytest.mark.parametrize("n", [2, 10, 50, 100])
+    def test_same_pairs_as_probing_every_root(self, n):
+        xs = scan_points(n)
+        new, old = _PoleTracker(n), _PoleTracker(n)
+        rows, _ = new.fn(xs[0]).charfn._scaled_sr(-1j * new._ygrid, np.array(xs))
+        for x, row in zip(xs, rows):
+            assert_same_pair(new.fn(x), new.pair(x, row), parent_pair(old, x))
+        assert new.evals < old.evals
+
+    @pytest.mark.parametrize("n", [2, 20, 100])
+    def test_same_pairs_near_the_fold(self, n, monkeypatch):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return coalescent_pair(*args, **kwargs)
+
+        monkeypatch.setattr(ssr, "coalescent_pair", counted)
+        l_c = maximize_over_separation(n).l_critical
+        # 1e-5 below L_c two axis roots share a few grid cells; 1e-7 below
+        # they merge inside one cell and the axis scan finds none
+        for eps in (1e-5, 1e-7, -1e-7, -1e-5):
+            sep = l_c * (1.0 - eps)
+            new, old = _PoleTracker(n), _PoleTracker(n)
+            fn, before = new.fn(sep), calls[0]
+            axis = new.axis_roots(fn)
+            assert_same_pair(fn, new.pair(sep), parent_pair(old, sep))
+            if eps == 1e-5:
+                assert len(axis) == 2 and calls[0] > before
+            if eps == 1e-7:
+                assert not axis and calls[0] > before
+
+    def test_few_coalescent_pair_probes(self, monkeypatch):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return coalescent_pair(*args, **kwargs)
+
+        monkeypatch.setattr(ssr, "coalescent_pair", counted)
+        assert maximize_over_separation(50).coalescence
+        assert 0 < calls[0] <= 4
 
 
 class TestOverflowRegression:
@@ -202,7 +373,10 @@ class TestEvaluationCount:
         assert res.evaluations == calls[0]
 
     def test_large_n_budget(self):
-        assert maximize_over_separation(100).evaluations <= 1500
+        assert maximize_over_separation(100).evaluations <= 450
+
+    def test_two_qubit_budget(self):
+        assert maximize_over_separation(2).evaluations <= 350
 
 
 class TestMaximize:
@@ -239,6 +413,12 @@ class TestMaximize:
     def test_rejects_single_qubit(self):
         with pytest.raises(ContractViolationError):
             maximize_over_separation(1)
+
+    @pytest.mark.parametrize("bracket", [(0.01, math.inf), (0.01, 1e308), (math.nan, 1.0)])
+    def test_bracket_must_have_finite_ends_and_ratio(self, bracket):
+        # 1e308 / 0.01 overflows the log-spaced scan
+        with pytest.raises(ContractViolationError, match="bad bracket"):
+            maximize_over_separation(10, bracket)
 
     def test_bad_bracket_detected(self):
         # Re Gamma_u decreases over (0.9, 2.0) for N = 2: maximum at the edge
