@@ -129,12 +129,19 @@ class CharFn:
             # g = cos u - 1 + sin u / (2 Delta), cos u - 1 without cancellation
             cos_m1 = _jchain(u, -2.0 * cmath.sin(0.5 * u[0]) ** 2, -s, -c)
             sin_over = _jmul(_jchain(u, s, c, -s), (inv, -2.0 * inv * inv, 0.0, 8.0 * inv**3, 0.0))
-            g2 = tuple(2.0 * (a + b) for a, b in zip(cos_m1, sin_over))
-            uk = dk = (1.0 + 0j, 0j, 0j, 0j, 0j)  # U_0 and U_0 - U_{-1}
+            gv, gd, gl, gdd, gdl = (2.0 * (a + b) for a, b in zip(cos_m1, sin_over))
+            # jets of U_k and D_k: D += _jmul(2g, U), then U += D, in locals
+            uv = dv = 1.0 + 0j  # U_0 and U_0 - U_{-1}
+            ud = ul = udd = udl = dd = dl = ddd = ddl = 0j
             for _ in range(n - 1):
-                dk = tuple(a + b for a, b in zip(_jmul(g2, uk), dk))
-                uk = tuple(a + b for a, b in zip(uk, dk))
-            ukm1 = tuple(a - b for a, b in zip(uk, dk))
+                dv = gv * uv + dv
+                dd = gd * uv + gv * ud + dd
+                dl = gl * uv + gv * ul + dl
+                ddd = gdd * uv + 2.0 * gd * ud + gv * udd + ddd
+                ddl = gdl * uv + gd * ul + gl * ud + gv * udl + ddl
+                uv, ud, ul, udd, udl = uv + dv, ud + dd, ul + dl, udd + ddd, udl + ddl
+            uk = (uv, ud, ul, udd, udl)
+            ukm1 = (uv - dv, ud - dd, ul - dl, udd - ddd, udl - ddl)
             # f = w^N (U_{N-1}(1 + g) (Delta + i/2) exp(-iu) - Delta U_{N-2}(1 + g))
             m = _jmul((delta + 0.5j, 1.0, 0.0, 0.0, 0.0), _jchain(u, e, -1j * e, -e))
             sign = p.phase_unit().real ** n
@@ -221,21 +228,12 @@ class CharFn:
             f11, ls = _matpow_11_grid(m, n)
             return np.log10(np.abs(f11)) + ls
 
-    def _scaled_sr(
-        self, z: np.ndarray, separation: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _scaled_sr(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Delta (T^N)_11 on the phase w = +-1 branch as (mantissa, log10
         scale): the value is mantissa * 10**scale.  The Chebyshev recurrence
         is rescaled by positive reals, so the phase of the mantissa is that
         of the value; points where the recurrence overflows anyway come
         back non-finite.
-
-        separation, when given, replaces the configuration's separation row
-        by row: a 1-D array of m separations, with z broadcast to m rows
-        (an axis scan at m separations in one pass).  The phase unit w is
-        kept, so it needs sr-condition mode at positive separations.  Each
-        row equals the default call on the configuration at its own
-        separation bit for bit.
 
         The rescale check (divide U_k and U_{k-1} by the larger of their
         moduli wherever it exceeds 1e100) runs every `every` steps and at
@@ -245,14 +243,9 @@ class CharFn:
         overflows in between; a non-finite x brings back the check at every
         step.  A point whose recurrence never passes 1e100 gets the
         unrescaled values bit for bit, and its scale is exactly 0.  Since
-        the cadence depends on max|x| over the batch (over each row when
-        separation is given), the points that do rescale can round
-        differently in a batch with another max|x|."""
+        the cadence depends on max|x| over the batch, the points that do
+        rescale can round differently in a batch with another max|x|."""
         n, w, le, _, _ = self._consts
-        if separation is not None:
-            le = np.asarray(separation, dtype=float)[:, None]
-            if not (self.params.mode == MODE_SR and self.params.separation > 0.0 and (le > 0.0).all()):
-                raise ContractViolationError("per-row separations need sr-condition mode at L > 0")
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = z * le
             small = np.abs(u) < 1e-4
@@ -262,42 +255,28 @@ class CharFn:
             x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
             m11 = (z + 0.5j) / (w * np.exp(1j * u))
             x2 = 2.0 * x
-            if separation is None:
-                cadences = {_cadence(float(np.abs(x).max(initial=0.0)), n)}
+            growth = math.log10(2.0 * float(np.abs(x).max(initial=0.0)) + 1.0)
+            if not math.isfinite(growth):
+                every = 1
             else:
-                rows = np.abs(x).max(axis=1, initial=0.0)
-                every = np.array([[_cadence(float(r), n)] for r in rows])
-                cadences = set(every.ravel().tolist())
-            checked = {n - 1}.union(*(range(c, n, c) for c in cadences))
-            uk = np.ones_like(u)
-            ukm1 = np.zeros_like(u)
-            spare = np.empty_like(u)
-            ls = np.zeros(u.shape, dtype=float)
+                every = max(1, int(200.0 / growth)) if growth > 0.0 else n
+            uk = np.ones_like(z)
+            ukm1 = np.zeros_like(z)
+            spare = np.empty_like(z)
+            ls = np.zeros(z.shape, dtype=float)
             for k in range(1, n):
                 np.multiply(x2, uk, out=spare)
                 np.subtract(spare, ukm1, out=spare)
                 ukm1, uk, spare = uk, spare, ukm1
-                if k not in checked:
+                if k % every and k != n - 1:
                     continue
                 mag = np.maximum(np.abs(uk), np.abs(ukm1))
                 mask = mag > 1e100
-                if separation is not None:
-                    mask &= (k % every == 0) | (k == n - 1)
                 if mask.any():
                     np.divide(uk, mag, out=uk, where=mask)
                     np.divide(ukm1, mag, out=ukm1, where=mask)
                     ls[mask] += np.log10(mag[mask])
             return uk * m11 - z * ukm1, ls
-
-
-def _cadence(xmax: float, n: int) -> int:
-    """Steps between rescale checks of _scaled_sr for a batch with max|x|
-    = xmax: every step when xmax is not finite, never before the last one
-    when x = 0."""
-    growth = math.log10(2.0 * xmax + 1.0)
-    if not math.isfinite(growth):
-        return 1
-    return max(1, int(200.0 / growth)) if growth > 0.0 else n
 
 
 def _jmul(a, b):

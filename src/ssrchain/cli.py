@@ -13,10 +13,10 @@ variable SSRCHAIN_JOBS overrides --jobs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -39,7 +39,10 @@ _SSR_COLUMNS = [
 ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args fills a new namespace
+    on every call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="ssrchain",
         description="Collective decay rates of a qubit chain coupled to a 1D waveguide. "
@@ -188,6 +191,9 @@ def cmd_sweep(args) -> int:
     if jobs == 1:
         outcomes = [_sweep_worker(n) for n in ns]
     else:
+        # loaded only here: it pulls in multiprocessing on import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_sweep_worker, ns))
     outcomes.sort(key=lambda t: t[0])

@@ -13,10 +13,10 @@ only the fallback when that Newton is rejected.
 Everything here runs in sr-condition mode, whose mirror symmetry
 f(-conj(Delta)) = (-1)^N conj(f(Delta)) pins the colliding pair to the
 imaginary axis: below L_c the two poles are roots of the real scalar
-Im f(-iy), bracketed by sign changes on a fixed y-grid (evaluated at every
-scan separation in one vectorized pass) and refined by Illinois steps on the
-scalar f; above L_c the pair sits at (Delta, -conj(Delta)) and is chased by
-Newton from symmetry-broken seeds.
+Im f(-iy), bracketed by sign changes on a fixed y-grid (its closed form,
+evaluated at every scan separation in one vectorized pass) and refined by
+Illinois steps on the scalar f; above L_c the pair sits at (Delta,
+-conj(Delta)) and is chased by Newton from symmetry-broken seeds.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class SSRResult:
     evaluations is the number of scalar f evaluations the solve made: the
     axis-root refinements, Newton and coalescent-pair steps, validation,
     and one per CharFn.eval_derivatives call of the fold Newton.  The
-    vectorized axis scans (one batched pass for the whole separation scan,
-    one per golden-section point) are not counted.  A lone axis root is
+    closed-form axis scans (_axis_im: one pass for the whole separation
+    scan, one per golden-section point) are not counted.  A lone axis root is
     not probed for a coalescing partner, so a solve takes about 250 to 380
     evaluations from N = 2 to N = 1000.
     """
@@ -90,6 +90,28 @@ class ScalingFit:
     n_values: list[int]
     gamma_deviations: list[float]
     lc_deviations: list[float]
+
+
+def _axis_im(n: int, sr_index: int, separations, y: np.ndarray) -> np.ndarray:
+    """Im f(-iy) of the deflated sr-branch f times a positive factor per
+    point (rows: separations, columns: y > 0); NaN where e^t = |exp(i Delta
+    L)| overflows (t = yL), as f does.  On Delta = -iy, x = w (1 + g) with
+    g = 2 sinh^2(t/2) + sinh(t) / (2y) >= 0, and U_k(w cosh phi) = w^k
+    sinh((k+1) phi) / sinh phi at phi = 2 asinh(sqrt(g/2)); so Im f is
+    w^N phi e^((N-1) phi) / (2 sinh phi) times (1/2 - y) e^(phi - t) s_N +
+    y s_(N-1), s_k = -expm1(-2k phi) / phi (2k at phi = 0, L = 0)."""
+    sep = np.asarray(separations, dtype=float)[:, None]
+    t = sep * y
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = 2.0 * np.arcsinh(np.sqrt(np.sinh(0.5 * t) ** 2 + np.sinh(t) / (4.0 * y)))
+        s_n, s_m = (
+            np.divide(-np.expm1(-2.0 * k * phi), phi, out=np.full_like(phi, 2.0 * k), where=phi > 0.0)
+            for k in (n, n - 1)
+        )
+        im = (0.5 - y) * np.exp(phi - t) * s_n + y * s_m
+        im[~np.isfinite(np.exp(t))] = np.nan
+    # w^N = -1 for odd N and sr_index, except at L = 0, where w = 1
+    return np.where((sep > 0.0) & (n * sr_index % 2 == 1), -im, im)
 
 
 class _CountedFn:
@@ -144,14 +166,14 @@ class _PoleTracker:
 
     def axis_roots(self, fn: _CountedFn, row: np.ndarray | None = None) -> list[float]:
         """Roots of Im f(-iy) above y = 1e-6, one per sign-change cell of
-        the y-grid.  Cells touching a point where f is not finite hold no
-        data and report nothing.  row is the _scaled_sr mantissa of f on
-        the grid when a batched scan has computed it already."""
+        the y-grid, each refined on the scalar f.  Cells touching a point
+        where f is not finite hold no data and report nothing.  row is the
+        _axis_im row of f on the grid when rates() has computed it already."""
         g = self._ygrid
-        h = fn.charfn._scaled_sr(-1j * g)[0] if row is None else row
-        im = h.imag
+        p = fn.charfn.params
+        im = _axis_im(p.n_qubits, p.sr_index, [p.separation], g)[0] if row is None else row
         neg = im < 0.0
-        data = np.isfinite(h)
+        data = np.isfinite(im)
         cells = np.flatnonzero(data[:-1] & data[1:] & ((im[:-1] == 0.0) | (neg[:-1] != neg[1:])))
         roots = []
         for i in cells:
@@ -330,10 +352,8 @@ class _PoleTracker:
 
     def rates(self, separations: list[float]) -> list[float]:
         """rate at each separation in turn, the axis scans of all of them
-        done in one batched _scaled_sr pass."""
-        rows, _ = self.fn(separations[0]).charfn._scaled_sr(
-            -1j * self._ygrid, np.array(separations)
-        )
+        done in one _axis_im call."""
+        rows = _axis_im(self.params.n_qubits, self.params.sr_index, separations, self._ygrid)
         return [self.rate(x, row) for x, row in zip(separations, rows)]
 
     def rate(self, separation: float, row: np.ndarray | None = None) -> float:
@@ -435,7 +455,7 @@ def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None 
 
     A coarse log-spaced scan of 16 separations certifies an interior
     maximum (raising BracketError otherwise); its axis scans of Im f(-iy)
-    are one batched _scaled_sr pass (_PoleTracker.rates).  The bracket needs
+    are one closed-form _axis_im call (_PoleTracker.rates).  The bracket needs
     0 < a < b with a, b and b / a finite (ContractViolationError
     otherwise).  Newton on the fold system, seeded from the scan's best
     point, is accepted when it converges inside the scan cells around that

@@ -14,7 +14,7 @@ from ssrchain import (
     closed_form_residual,
     markovian_polynomial,
 )
-from ssrchain.charfn import _INF
+from ssrchain.charfn import _INF, _jchain, _jmul
 from ssrchain.output import Grid
 from ssrchain.rootfind import default_window, refine
 
@@ -325,7 +325,44 @@ def mp_deflated_f(delta, sep, n, w):
     return a / delta ** (n - 1)
 
 
+def tuple_loop_derivatives(fn, delta):
+    """Test-local copy of CharFn.eval_derivatives as it was with its jet
+    loop over 5-tuples: _jmul and tuple sums at every step."""
+    p = fn.params
+    n = p.n_qubits
+    delta = complex(delta)
+    try:
+        d = (delta, 1.0, 0.0, 0.0, 0.0)
+        u = _jmul(d, (p.separation, 0.0, 1.0, 0.0, 0.0))
+        c, s, e = cmath.cos(u[0]), cmath.sin(u[0]), cmath.exp(-1j * u[0])
+        inv = 0.5 / delta
+        cos_m1 = _jchain(u, -2.0 * cmath.sin(0.5 * u[0]) ** 2, -s, -c)
+        sin_over = _jmul(_jchain(u, s, c, -s), (inv, -2.0 * inv * inv, 0.0, 8.0 * inv**3, 0.0))
+        g2 = tuple(2.0 * (a + b) for a, b in zip(cos_m1, sin_over))
+        uk = dk = (1.0 + 0j, 0j, 0j, 0j, 0j)
+        for _ in range(n - 1):
+            dk = tuple(a + b for a, b in zip(_jmul(g2, uk), dk))
+            uk = tuple(a + b for a, b in zip(uk, dk))
+        ukm1 = tuple(a - b for a, b in zip(uk, dk))
+        m = _jmul((delta + 0.5j, 1.0, 0.0, 0.0, 0.0), _jchain(u, e, -1j * e, -e))
+        sign = p.phase_unit().real ** n
+        return tuple(sign * (a - b) for a, b in zip(_jmul(uk, m), _jmul(d, ukm1)))
+    except (OverflowError, ZeroDivisionError):
+        return (_INF,) * 5
+
+
 class TestEvalDerivatives:
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 100, 1000])
+    @pytest.mark.parametrize("sr_index", [1, 2])
+    def test_unrolled_loop_is_bit_identical(self, n, sr_index):
+        deltas = [-1.1385j * n, 0.3 * n - 0.8j * n, -2.5j * n, 1e-3 - 1e-3j, -0.5j, 2.0 + 0.1j]
+        for sep in (1.757 / n**2, 0.05, 3.0):
+            fn = CharFn(sr(n, sep, sr_index), deflation_order=n - 1)
+            for delta in deltas:
+                got = np.array(fn.eval_derivatives(delta))
+                want = np.array(tuple_loop_derivatives(fn, delta))
+                assert np.array_equal(bits(got), bits(want))
+
     @pytest.mark.parametrize(
         "n, sep, delta, sr_index",
         [

@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import ssrchain
 from ssrchain import cli
 from ssrchain.charfn import CharFn
 from ssrchain.cli import main
@@ -442,3 +446,26 @@ class TestDeterminism:
         seq_lines = [ln for ln in data_section(seq) if not ln.startswith("# jobs")]
         par_lines = [ln for ln in data_section(par) if not ln.startswith("# jobs")]
         assert seq_lines == par_lines
+
+    def test_parser_built_once_and_flags_do_not_leak(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        _, first = run(tmp_path, "a.json", ["ssr", "--n", "2", "--bracket", "0.05", "2.0", "--format", "json"])
+        _, second = run(tmp_path, "b.csv", ["ssr", "--n", "2"])
+        _, third = run(tmp_path, "c.json", ["ssr", "--n", "2", "--bracket", "0.05", "2.0", "--format", "json"])
+        assert json.loads(first.read_text())["meta"]["bracket_lo"] == "0.05"
+        meta, _, rows = read_csv_table(str(second))
+        assert "bracket_lo" not in meta and len(rows) == 1
+        assert json.loads(first.read_text())["data"] == json.loads(third.read_text())["data"]
+
+
+class TestStartup:
+    def test_cli_import_loads_no_process_pool(self):
+        # the pool is imported by a sweep with --jobs > 1 only
+        src = os.path.dirname(os.path.dirname(ssrchain.__file__))
+        code = (
+            "import sys, ssrchain.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

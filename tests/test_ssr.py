@@ -21,7 +21,7 @@ from ssrchain import (
 from ssrchain import ssr
 from ssrchain.charfn import CharFn
 from ssrchain.rootfind import _accept_tol, _newton, coalescent_pair, grid_scan_minima
-from ssrchain.ssr import _PoleTracker, _default_bracket, _fold_newton, _golden_max
+from ssrchain.ssr import _PoleTracker, _axis_im, _default_bracket, _fold_newton, _golden_max
 
 
 def two_qubit_fold():
@@ -162,36 +162,118 @@ def scan_points(n):
     return [a * (b / a) ** (i / 15) for i in range(16)]
 
 
-class TestBatchedScan:
-    @pytest.mark.parametrize("n", [2, 20, 100])
-    def test_rows_equal_per_separation_rows(self, n):
-        tracker = _PoleTracker(n)
+def recurrence_scan(n, sr_index, separations, y):
+    """Test-local copy of the batched complex recurrence that scanned the
+    axis before its closed form: the deflated f(-iy) at each separation (one
+    row each) by the Chebyshev recurrence of CharFn._scaled_sr, rescaled by
+    positive reals on each row's own check cadence.  Returns the imaginary
+    part of the mantissa, NaN where the mantissa is not finite."""
+    w = -1.0 if sr_index % 2 else 1.0
+    le = np.asarray(separations, dtype=float)[:, None]
+    z = -1j * y
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = z * le
+        small = np.abs(u) < 1e-4
+        us = np.where(small, u, 1.0)
+        series = 1.0 - us * us / 6.0 + us**4 / 120.0
+        direct = np.divide(np.sin(u), u, out=np.ones_like(u), where=~small)
+        x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
+        m11 = (z + 0.5j) / (w * np.exp(1j * u))
+        every = []
+        for xmax in np.abs(x).max(axis=1):
+            growth = math.log10(2.0 * float(xmax) + 1.0)
+            every.append(1 if not math.isfinite(growth) else max(1, int(200.0 / growth)) if growth > 0.0 else n)
+        every = np.array(every)[:, None]
+        uk, ukm1 = np.ones_like(u), np.zeros_like(u)
+        for k in range(1, n):
+            ukm1, uk = uk, 2.0 * x * uk - ukm1
+            mag = np.maximum(np.abs(uk), np.abs(ukm1))
+            mask = (mag > 1e100) & ((k % every == 0) | (k == n - 1))
+            uk = np.where(mask, uk / mag, uk)
+            ukm1 = np.where(mask, ukm1 / mag, ukm1)
+        h = uk * m11 - z * ukm1
+    return np.where(np.isfinite(h), h.imag, np.nan)
+
+
+def sign_cells(im):
+    """The cells of scan rows that axis_roots refines: both ends finite,
+    and a sign change or an exact zero at the lower end."""
+    data = np.isfinite(im)
+    neg = im < 0.0
+    change = (im[..., :-1] == 0.0) | (neg[..., :-1] != neg[..., 1:])
+    return data[..., :-1] & data[..., 1:] & change
+
+
+def mp_axis_im(n, sr_index, sep, y):
+    """Test-local Im f(-iy) of the deflated sr-branch f: the row vector
+    (1, 0) carried through N explicit cells Delta T, p = w exp(i Delta L)."""
+    d = mp.mpc(0, -y)
+    p = (-1 if sr_index % 2 and sep > 0 else 1) * mp.exp(1j * d * sep)
+    a, b = mp.mpc(1), mp.mpc(0)
+    for _ in range(n):
+        a, b = a * (d + 0.5j) / p - b * 0.5j / p, a * 0.5j * p + b * (d - 0.5j) * p
+    return (a / d ** (n - 1)).imag
+
+
+class TestClosedFormScan:
+    """_axis_im against the batched complex recurrence it replaced: the
+    same finite points and the same cells to refine, so the same roots."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 20, 50, 100, 1000])
+    @pytest.mark.parametrize("sr_index", [1, 2])
+    @pytest.mark.parametrize("depth", [2.5, 7.0])
+    def test_same_cells_as_recurrence(self, n, sr_index, depth):
+        y = _PoleTracker(n, sr_index, depth)._ygrid
         xs = scan_points(n)
-        z = -1j * tracker._ygrid
-        rows, scales = tracker.fn(xs[0]).charfn._scaled_sr(z, np.array(xs))
-        assert rows.shape == scales.shape == (16, z.size)
-        for x, row, scale in zip(xs, rows, scales):
-            h, ls = tracker.fn(x).charfn._scaled_sr(z)
-            assert np.array_equal(row.view(np.int64), h.view(np.int64))
-            assert np.array_equal(scale.view(np.int64), ls.view(np.int64))
+        got, want = _axis_im(n, sr_index, xs, y), recurrence_scan(n, sr_index, xs, y)
+        assert got.shape == (16, y.size)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        cells = sign_cells(got)
+        assert np.array_equal(cells, sign_cells(want))
+        assert cells.any()
 
-    def test_rescaled_rows_keep_their_own_cadence(self):
-        # at these separations the recurrence rescales (and overflows at the
-        # top of the grid), with a different check cadence on every row
-        tracker = _PoleTracker(100)
-        xs = [0.02, 0.05, 0.3, 3.0]
-        z = -1j * tracker._ygrid
-        rows, scales = tracker.fn(xs[0]).charfn._scaled_sr(z, np.array(xs))
-        assert (scales != 0.0).any(axis=1).all()
-        for x, row, scale in zip(xs, rows, scales):
-            h, ls = tracker.fn(x).charfn._scaled_sr(z)
-            assert np.array_equal(row.view(np.int64), h.view(np.int64))
-            assert np.array_equal(scale.view(np.int64), ls.view(np.int64))
+    @pytest.mark.parametrize("n, sep", [(100, 3.0), (30, 3.0)])
+    @pytest.mark.parametrize("depth", [2.5, 7.0])
+    def test_same_cells_where_f_overflows(self, n, sep, depth):
+        tracker = _PoleTracker(n, depth=depth)
+        y = tracker._ygrid
+        fn = tracker.fn(sep)
+        assert not all(cmath.isfinite(fn(-1j * v)) for v in y)
+        got, want = _axis_im(n, 1, [sep], y), recurrence_scan(n, 1, [sep], y)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert np.array_equal(sign_cells(got), sign_cells(want))
+        if n == 100:
+            assert not np.isfinite(got).all()
 
-    def test_rows_need_sr_mode(self):
-        fn = CharFn(ChainParams(5, 0.1, mode="general"))
-        with pytest.raises(ContractViolationError):
-            fn._scaled_sr(np.array([-1j]), np.array([0.1, 0.2]))
+    @pytest.mark.parametrize("n, sep", [(2, 3.0), (100, 3.0), (1000, 0.5)])
+    def test_no_data_where_exp_overflows(self, n, sep):
+        # the closed form itself stays finite up to t = yL = 710.47, where
+        # sinh overflows; f, and so the scan, ends where e^t does (709.78)
+        y = np.linspace(700.0 / sep, 712.0 / sep, 2001)
+        got, want = _axis_im(n, 1, [sep], y), recurrence_scan(n, 1, [sep], y)
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert 0 < np.count_nonzero(np.isfinite(got)) < y.size
+
+    @pytest.mark.parametrize(
+        "n, sr_index, sep, ys",
+        [
+            (1, 1, 0.3, [0.2, 0.7]),
+            (2, 1, 0.3, [0.5, 2.0, 2.6, 3.0, 8.0]),
+            (2, 1, 0.0, [0.5, 1.5]),
+            (3, 1, 0.0, [1.0, 2.0]),
+            (3, 2, 0.2, [0.5, 2.0, 3.0, 5.0]),
+            (5, 1, 0.07, [1.0, 4.0, 5.7, 7.0, 20.0]),
+            (20, 1, 4.4e-3, [5.0, 22.0, 22.77, 30.0]),
+            (100, 1, 1.757e-4, [50.0, 113.0, 113.9, 120.0, 200.0]),
+            (101, 3, 1.7e-4, [50.0, 113.0, 120.0]),
+        ],
+    )
+    def test_sign_against_mpmath(self, n, sr_index, sep, ys):
+        got = _axis_im(n, sr_index, [sep], np.array(ys))[0]
+        with mp.workdps(30):
+            want = [mp.sign(mp_axis_im(n, sr_index, sep, mp.mpf(y))) for y in ys]
+        assert [float(v) for v in np.sign(got)] == [float(v) for v in want]
+        assert len(set(want)) == 2
 
     def test_rates_match_one_pass_per_separation(self):
         xs = scan_points(20)
@@ -283,7 +365,7 @@ class TestProbeRule:
     def test_same_pairs_as_probing_every_root(self, n):
         xs = scan_points(n)
         new, old = _PoleTracker(n), _PoleTracker(n)
-        rows, _ = new.fn(xs[0]).charfn._scaled_sr(-1j * new._ygrid, np.array(xs))
+        rows = _axis_im(n, 1, xs, new._ygrid)
         for x, row in zip(xs, rows):
             assert_same_pair(new.fn(x), new.pair(x, row), parent_pair(old, x))
         assert new.evals < old.evals
@@ -452,25 +534,18 @@ def mp_fold(n):
     the solver.
 
     N = 2 solves the closed form L/2 + 1 = ln(2/L), Gamma = 1 + 2/L.  Else
-    f is carried through N explicit unit cells, Delta T = [[(Delta + i/2)/p,
-    i p/2], [-i/(2p), (Delta - i/2) p]] with p = -exp(i Delta L); on the
-    axis Delta = -iy the deflated f / i is real, and Newton on
-    (phi, dphi/dy) = 0 with mpmath derivatives finds the fold from the
-    large-N law (y, L) = (alpha_c N/2, beta_c/N^2).
+    f is carried through N explicit unit cells (mp_axis_im), Delta T =
+    [[(Delta + i/2)/p, i p/2], [-i/(2p), (Delta - i/2) p]] with p =
+    -exp(i Delta L); on the axis Delta = -iy the deflated f / i is real, and
+    Newton on (phi, dphi/dy) = 0 with mpmath derivatives finds the fold from
+    the large-N law (y, L) = (alpha_c N/2, beta_c/N^2).
     """
     with mp.workdps(30):
         if n == 2:
             l = mp.findroot(lambda x: x / 2 + 1 - mp.log(2 / x), mp.mpf("0.5"))
             return float(1 + 2 / l), float(l)
 
-        def phi(y, l):
-            d = mp.mpc(0, -y)
-            p = -mp.exp(1j * d * l)
-            a, b = mp.mpc(1), mp.mpc(0)
-            for _ in range(n):
-                a, b = a * (d + 0.5j) / p - b * 0.5j / p, a * 0.5j * p + b * (d - 0.5j) * p
-            return (a / d ** (n - 1)).imag
-
+        phi = lambda y, l: mp_axis_im(n, 1, l, y)  # noqa: E731
         tau = mp.findroot(lambda t: 4 * t * mp.cosh(t) - (t * t + 4) * mp.sinh(t), 2.4)
         beta = tau * tau - 4
         y, l = 2 * n / beta, beta / n**2
@@ -531,6 +606,15 @@ class TestFoldNewton:
         assert res.coalescence
         assert abs(res.gamma_ssr.real / (crit.alpha_c * 1000) - 1.0) < 1e-4
         assert abs(res.l_critical * 1000**2 / crit.beta_c - 1.0) < 1e-4
+
+    def test_ten_thousand_qubits_follow_the_large_n_laws(self):
+        # Gamma / N - alpha_c falls like N^-4 and L_c N^2 - beta_c like N^-2:
+        # 1.3e-11 and 8.1e-9 relative here, the first at the rounding floor
+        crit = critical_pair()
+        res = maximize_over_separation(10_000)
+        assert res.coalescence
+        assert abs(res.gamma_ssr.real / (crit.alpha_c * 10_000) - 1.0) < 1e-9
+        assert abs(res.l_critical * 10_000**2 / crit.beta_c - 1.0) < 5e-8
 
     @pytest.mark.parametrize("outcome", ["step_test_failed", "outside_scan_cells", "no_coalescence"])
     def test_rejected_newton_falls_back_to_golden_section(self, outcome, monkeypatch):
