@@ -1,10 +1,10 @@
 """Zero location for analytic scalar functions in a rectangle.
 
 The pipeline is: count zeros by the winding number of f around the boundary
-(argument principle), quadrisect until each cell isolates one zero, polish
-with damped Newton, and, where two zeros nearly coalesce, resolve the pair
-through a local quadratic model instead of fighting the flat |f| valley
-between them.
+(argument principle), quadrisect until each cell isolates one zero, seed it
+from the first moment of the cell's boundary, polish with damped Newton,
+and, where two zeros nearly coalesce, resolve the pair through a local
+quadratic model instead of fighting the flat |f| valley between them.
 """
 
 from __future__ import annotations
@@ -113,8 +113,9 @@ def _vectorized(fn):
     return lambda zs: np.array([fn(z) for z in zs.tolist()], dtype=complex)
 
 
-def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """Winding numbers of f around a batch of windows, walked level by level.
+def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Winding numbers and first moments of f around a batch of windows,
+    walked level by level.
 
     Each boundary is 4 edges of 16 segments.  A segment is accepted once
     its phase turns by at most 0.9 rad and it has been bisected at least
@@ -123,8 +124,11 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
     median of 16 coarse boundary probes.  A window fails at its first
     sample that is below the floor or not finite, at a segment still open
     after 36 bisections, or at a non-integer winding; its open segments are
-    dropped at once.  Returns (counts, where): where[i] is nan for a counted
-    window and the boundary point that failed otherwise.
+    dropped at once.  Returns (counts, where, moments): where[i] is nan for
+    a counted window and the boundary point that failed otherwise;
+    moments[i] is the sum of the zeros inside, (1/2 pi i) of the contour
+    integral of z dlog f, taken by the midpoint rule on the accepted
+    segments (Delves & Lyness, Math. Comp. 21, 1967).
     """
     nw = len(windows)
     corners = np.array(
@@ -172,11 +176,17 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
     z1, f1 = samples[:, :, 1:][keep], f[:, :, 1:][keep]
     win = np.repeat(np.arange(nw), 4 * 16)[keep.ravel()]
     total = np.zeros(nw)
+    moment = np.zeros(nw, dtype=complex)
     depth = 0
     while z0.size:
-        dphi = np.angle(f1 / f0)
+        ratio = f1 / f0
+        dphi = np.angle(ratio)
         done = (np.abs(dphi) <= 0.9) & (depth >= 1)
         total += np.bincount(win[done], weights=dphi[done], minlength=nw)
+        # the segment's step of log f, weighted by its midpoint
+        term = 0.5 * (z0[done] + z1[done]) * (np.log(np.abs(ratio[done])) + 1j * dphi[done])
+        moment += np.bincount(win[done], weights=term.real, minlength=nw)
+        moment += 1j * np.bincount(win[done], weights=term.imag, minlength=nw)
         if depth >= 36:
             fail(win, z0, ~done)
             break
@@ -195,22 +205,26 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
     nearest = np.round(count)
     bad = np.isnan(where) & ((np.abs(count - nearest) > 0.15) | (nearest < 0))
     where[bad] = corners[bad, 0]
-    return nearest.astype(int), where
+    return nearest.astype(int), where, moment / (2j * math.pi)
 
 
-def _count(evaluate, windows: list[SearchWindow]) -> list[int | complex]:
-    """Zero counts of a batch of windows, one result per window.  A window
-    whose walk fails is recounted on a slightly expanded copy, up to five
-    times; its result is then the complex boundary point where the last
-    attempt failed instead of a count."""
+def _count(evaluate, windows: list[SearchWindow]) -> tuple[list[int | complex], list[complex]]:
+    """Zero counts and first moments of a batch of windows, one of each per
+    window.  A window whose walk fails is recounted on a slightly expanded
+    copy, up to five times; its count is then the complex boundary point
+    where the last attempt failed, and its moment nan."""
     out: list[int | complex] = [0] * len(windows)
+    moments = [complex("nan")] * len(windows)
     current = list(windows)
     todo = list(range(len(windows)))
     attempt = 0
     while todo:
-        got, where = _windings(evaluate, [current[i] for i in todo])
-        for i, c, w in zip(todo, got, where):
-            out[i] = int(c) if cmath.isnan(w) else complex(w)
+        got, where, s1 = _windings(evaluate, [current[i] for i in todo])
+        for i, c, w, m in zip(todo, got, where, s1):
+            if cmath.isnan(w):
+                out[i], moments[i] = int(c), complex(m)
+            else:
+                out[i] = complex(w)
         todo = [i for i, w in zip(todo, where) if not cmath.isnan(w)]
         attempt += 1
         if attempt == 6:
@@ -224,7 +238,18 @@ def _count(evaluate, windows: list[SearchWindow]) -> list[int | complex]:
                 win.im_min - 1.09 * pad,
                 win.im_max + 0.89 * pad,
             )
-    return out
+    return out, moments
+
+
+def _count_window(evaluate, window: SearchWindow) -> tuple[int, complex]:
+    """Zero count and first moment of one window; raises
+    BoundaryDegeneracyError where its walk fails after five jitters."""
+    (got,), (s1,) = _count(evaluate, [window])
+    if isinstance(got, complex):
+        raise BoundaryDegeneracyError(
+            f"zero persists on the counting boundary near {got} after 5 jitters"
+        )
+    return got, s1
 
 
 def count_zeros(fn, window: SearchWindow) -> int:
@@ -237,12 +262,7 @@ def count_zeros(fn, window: SearchWindow) -> int:
     retries before a BoundaryDegeneracyError.  localize_zeros counts the
     children of every cut of one tree level in one such walk.
     """
-    got = _count(_vectorized(fn), [window])[0]
-    if isinstance(got, complex):
-        raise BoundaryDegeneracyError(
-            f"zero persists on the counting boundary near {got} after 5 jitters"
-        )
-    return got
+    return _count_window(_vectorized(fn), window)[0]
 
 
 def _split(window: SearchWindow, fr: float, fi: float):
@@ -261,31 +281,36 @@ _CUTS = ((0.5, 0.5), (0.43, 0.57), (0.57, 0.43), (0.37, 0.63), (0.63, 0.37))
 
 
 def localize_zeros(fn, window: SearchWindow, max_cell: float) -> list[complex]:
-    """Quadrisect the window until every zero sits alone in a cell smaller
-    than max_cell; returns cell centers as refinement seeds.
+    """Quadrisect the window until every zero sits alone in a cell; returns
+    refinement seeds.
 
-    The tree is walked breadth first: the children of every cut of one tree
-    level are counted as one batch, in one boundary walk (see count_zeros).
-    A cell whose children fail to count or do not add up to its own count
-    is cut again at the next nudged split; after five it raises
-    BoundaryDegeneracyError ("could not partition"), for the first such
-    cell in depth-first order.  Seeds come in depth-first order of their
-    cells and are repeated per multiplicity, so their total count equals
-    count_zeros(window).  Clusters that stay unresolved below cells of
-    1e-12 are emitted as repeated centers and are the caller's cue for
-    coalescent-pair handling.
+    A cell holding one zero is a leaf at any size when the first moment of
+    its boundary (see _windings) is finite and lies inside it; that moment
+    is its seed.  Any other one-zero cell is cut until it is smaller than
+    max_cell and seeded at its center.  The tree is walked breadth first:
+    the children of every cut of one tree level are counted as one batch,
+    in one boundary walk (see count_zeros).  A cell whose children fail to
+    count or do not add up to its own count is cut again at the next
+    nudged split; after five it raises BoundaryDegeneracyError ("could not
+    partition"), for the first such cell in depth-first order.  Seeds come
+    in depth-first order of their cells and are repeated per multiplicity,
+    so their total count equals count_zeros(window).  Clusters that stay
+    unresolved below cells of 1e-12 are emitted as repeated centers and are
+    the caller's cue for coalescent-pair handling.
     """
     evaluate = _vectorized(fn)
     found: list[tuple[tuple[int, ...], list[complex]]] = []
     failed: list[tuple[tuple[int, ...], str]] = []
-    # (path from the root, window, zero count, index of the cut to try)
-    frontier = [((), window, count_zeros(fn, window), 0)]
+    # (path from the root, window, zero count, first moment, index of the cut to try)
+    frontier = [((), window, *_count_window(evaluate, window), 0)]
     while frontier:
         cut_now = []
-        for path, win, count, cut in frontier:
+        for path, win, count, s1, cut in frontier:
             if count == 0:
                 continue
-            if max(win.width, win.height) < 1e-12 or (
+            if count == 1 and win.contains(s1):  # False for a nan moment
+                found.append((path, [s1]))
+            elif max(win.width, win.height) < 1e-12 or (
                 count == 1 and win.width <= max_cell and win.height <= max_cell
             ):
                 found.append((path, [win.center] * count))
@@ -293,23 +318,24 @@ def localize_zeros(fn, window: SearchWindow, max_cell: float) -> list[complex]:
                 failed.append((path, f"could not partition {count} zeros in {win}; "
                                      "zeros pinned to every tried cut"))
             else:
-                cut_now.append((path, win, count, cut))
+                cut_now.append((path, win, count, s1, cut))
         if failed:
             # only a cell before the first failure in depth-first order can
             # still change which error is raised
             first = min(failed)[0]
             cut_now = [node for node in cut_now if node[0] < first]
-        children = [_split(win, *_CUTS[cut]) for _, win, _, cut in cut_now]
-        results = _count(evaluate, [child for four in children for child in four])
+        children = [_split(win, *_CUTS[cut]) for _, win, _, _, cut in cut_now]
+        counts, moments = _count(evaluate, [child for four in children for child in four])
         frontier = []
-        for k, (path, win, count, cut) in enumerate(cut_now):
-            got = results[4 * k:4 * k + 4]
+        for k, (path, win, count, s1, cut) in enumerate(cut_now):
+            got = counts[4 * k:4 * k + 4]
             if all(isinstance(c, int) for c in got) and sum(got) == count:
                 frontier.extend(
-                    (path + (j,), child, c, 0) for j, (child, c) in enumerate(zip(children[k], got))
+                    (path + (j,), child, c, m, 0)
+                    for j, (child, c, m) in enumerate(zip(children[k], got, moments[4 * k:4 * k + 4]))
                 )
             else:
-                frontier.append((path, win, count, cut + 1))
+                frontier.append((path, win, count, s1, cut + 1))
     if failed:
         raise BoundaryDegeneracyError(min(failed)[1])
     found.sort(key=lambda leaf: leaf[0])
@@ -434,15 +460,19 @@ def _accept_tol(fn: CharFn, z: complex) -> float:
 def find_collective_rates(params: ChainParams, window: SearchWindow | None = None) -> list[Pole]:
     """All decay poles inside the window, refined and classified.
 
-    Zeros of the deflated characteristic function are located, polished,
-    deduplicated (1e-8), and classified: ``zero-mode`` for |Delta| < 1e-6,
-    ``markovian-like`` when continuation to L -> 0 lands on a finite
-    Markovian root, ``exclusively-non-markovian`` otherwise.  In sr-condition
-    mode a pole within 1e-8 (1 + |Delta|) of the mirror image -conj(Delta)
-    of a classified pole shares its classification instead of being
-    continued again.  Refinement
-    failures are warned about per pole, never abort the batch.  Sorted by
-    |Delta| ascending.
+    Zeros of the deflated characteristic function are located by
+    localize_zeros (max_cell = diameter / 128), polished by Newton from
+    each seed (the boundary's first moment for a cell that isolates one
+    zero, a cell center otherwise), deduplicated (1e-8), and classified:
+    ``zero-mode`` for |Delta| < 1e-6, ``markovian-like`` when continuation
+    to L -> 0 lands on a finite Markovian root, ``exclusively-non-markovian``
+    otherwise.  In sr-condition mode a root left of the axis within
+    1e-8 (1 + |Delta|) of the mirror image -conj(Delta) of a root right of
+    it is replaced by that exact mirror image, and shares the
+    classification of its twin instead of being continued again.
+    Refinement failures are warned about per pole, never abort the batch.
+    Sorted by |Delta| ascending, then Re Delta, so a mirror pair comes
+    negative Re first.
     """
     if window is None:
         window = default_window(params.n_qubits)
@@ -479,6 +509,16 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
     for r in sorted(roots, key=abs):
         if not any(abs(r - u) < 1e-8 * (1.0 + abs(u)) for u in uniq):
             uniq.append(r)
+    if params.mode == MODE_SR:
+        # f(-conj(Delta)) = (-1)^N conj(f(Delta)) bit for bit under the
+        # superradiant condition: a left root is emitted as the exact mirror
+        # image of its refined right twin
+        right = [u for u in uniq if u.real > 0.0]
+        uniq = [
+            next((-t.conjugate() for t in right if abs(u + t.conjugate()) <= 1e-8 * (1.0 + abs(t))), u)
+            if u.real < 0.0 else u
+            for u in uniq
+        ]
     poles = []
     for r in uniq:
         if not window.contains(r, pad=1e-6 * window.diameter()):
@@ -489,14 +529,9 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
         res = abs(fn(r))
         cls = None
         if params.mode == MODE_SR:
-            # f(-conj(Delta)) = (-1)^N conj(f(Delta)) under the superradiant
-            # condition: a mirror partner continues to L -> 0 as the mirror
-            # image of the pole already classified
-            mirror = -r.conjugate()
-            cls = next(
-                (p.classification for p in poles if abs(mirror - p.delta) <= 1e-8 * (1.0 + abs(p.delta))),
-                None,
-            )
+            # a mirror partner continues to L -> 0 as the mirror image of
+            # the pole already classified
+            cls = next((p.classification for p in poles if p.delta == -r.conjugate()), None)
         poles.append(Pole(delta=r, residual=res, classification=cls or _classify(params, r)))
     poles.sort(key=lambda p: (abs(p.delta), p.delta.real, p.delta.imag))
     return poles

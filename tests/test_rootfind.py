@@ -1,9 +1,11 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ssrchain import (
     BoundaryDegeneracyError,
@@ -184,6 +186,31 @@ class TestFindCollectiveRates:
         win = default_window(3)
         seeds = localize_zeros(fn, win, max_cell=win.diameter() / 128.0)
         assert len(seeds) == count_zeros(fn, win)
+
+    def test_no_pole_dropped_next_to_a_benchmark_table(self):
+        # 1.25% below the (sr, 50, 0.01) table Newton reaches two of these
+        # poles from their moment seeds but not from max_cell centers
+        params = sr(50, 0.009875)
+        win = default_window(50)
+        band = SearchWindow(win.re_min, win.re_max, win.im_min, -0.5)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="dropping seed")
+            poles = find_collective_rates(params)
+        want = count_zeros(characteristic_function(params), band)
+        assert want == 22
+        assert sum(p.delta.imag < -0.5 for p in poles) == want
+
+    @pytest.mark.parametrize("n, sep", [(5, 1.0), (10, 0.1), (30, 0.01), (50, 0.01)])
+    def test_mirror_pairs_are_exact_and_adjacent(self, n, sep):
+        # the four sr benchmark pole tables: each off-axis pole sits next to
+        # its mirror image -conj(Delta), bit for bit, negative Re first
+        deltas = [p.delta for p in find_collective_rates(sr(n, sep))]
+        off_axis = [i for i, d in enumerate(deltas) if abs(d.real) > 1e-9]
+        assert len(off_axis) >= 8
+        for i in off_axis:
+            j = i + 1 if deltas[i].real < 0 else i - 1
+            assert 0 <= j < len(deltas)
+            assert (deltas[j].real, deltas[j].imag) == (-deltas[i].real, deltas[i].imag)
 
 
 def _is_mirror(a, b):
@@ -483,7 +510,7 @@ class TestBatchedWalkAgainstRecursiveWalk:
         # the four children of the cut, counted as one batch: each child
         # gets its own count, or the point count_zeros names for it alone
         seen.clear()
-        got = _count(fn.eval_many, children)
+        got, _ = _count(fn.eval_many, children)
         assert got == [want if want is not None else named[win] for win, (want, _, _)
                        in zip(children, refs[1:])]
         assert [type(g) for g in got] == [int if want is not None else complex
@@ -552,7 +579,7 @@ class TestBatchedWalkAgainstRecursiveWalk:
             named[win] = _named_point(err)
             assert abs(named[win] - near) < 1e-4
         for batch in ([left, right], [right, left], [right, clear, left]):
-            assert _count(fn, batch) == [named.get(win, 0) for win in batch]
+            assert _count(fn, batch)[0] == [named.get(win, 0) for win in batch]
 
     def test_overflowed_general_chain_still_fails(self):
         with pytest.raises(BoundaryDegeneracyError):
@@ -564,19 +591,20 @@ class TestBatchedWalkAgainstRecursiveWalk:
 
 
 def _ref_count(evaluate, windows):
-    """Zero counts of a batch; raises for the first window still failing
-    after five jitters."""
+    """Zero counts and first moments of a batch; raises for the first
+    window still failing after five jitters."""
     counts = [0] * len(windows)
+    moments = [complex("nan")] * len(windows)
     current = list(windows)
     todo = list(range(len(windows)))
     for attempt in range(6):
-        got, where = rootfind._windings(evaluate, [current[i] for i in todo])
+        got, where, s1 = rootfind._windings(evaluate, [current[i] for i in todo])
         retry = [(i, complex(w)) for i, w in zip(todo, where) if not cmath.isnan(w)]
-        for i, c, w in zip(todo, got, where):
+        for i, c, w, m in zip(todo, got, where, s1):
             if cmath.isnan(w):
-                counts[i] = int(c)
+                counts[i], moments[i] = int(c), complex(m)
         if not retry:
-            return counts
+            return counts, moments
         if attempt == 5:
             raise BoundaryDegeneracyError(
                 f"zero persists on the counting boundary near {retry[0][1]} after 5 jitters"
@@ -592,8 +620,11 @@ def _ref_count(evaluate, windows):
             )
 
 
-def _ref_quadrisect(evaluate, window, count, max_cell, out):
+def _ref_quadrisect(evaluate, window, count, s1, max_cell, out):
     if count == 0:
+        return
+    if count == 1 and window.contains(s1):
+        out.append(s1)
         return
     if max(window.width, window.height) < 1e-12:
         out.extend([window.center] * count)
@@ -604,12 +635,12 @@ def _ref_quadrisect(evaluate, window, count, max_cell, out):
     for fr, fi in ((0.5, 0.5), (0.43, 0.57), (0.57, 0.43), (0.37, 0.63), (0.63, 0.37)):
         children = _split(window, fr, fi)
         try:
-            counts = _ref_count(evaluate, children)
+            counts, moments = _ref_count(evaluate, children)
         except BoundaryDegeneracyError:
             continue
         if sum(counts) == count:
-            for child, c in zip(children, counts):
-                _ref_quadrisect(evaluate, child, c, max_cell, out)
+            for child, c, m in zip(children, counts, moments):
+                _ref_quadrisect(evaluate, child, c, m, max_cell, out)
             return
     raise BoundaryDegeneracyError(
         f"could not partition {count} zeros in {window}; zeros pinned to every tried cut"
@@ -625,8 +656,10 @@ def _outcome(localize, fn, window, max_cell):
 
 
 def _ref_localize(fn, window, max_cell):
+    evaluate = _vectorized(fn)
+    (count,), (s1,) = _ref_count(evaluate, [window])
     seeds = []
-    _ref_quadrisect(_vectorized(fn), window, count_zeros(fn, window), max_cell, seeds)
+    _ref_quadrisect(evaluate, window, count, s1, max_cell, seeds)
     return seeds
 
 
@@ -636,15 +669,17 @@ def _table_max_cell(window):
 
 
 def _pinned(*squares):
-    """Two zeros, at 0.8 + 0.8j and -0.9 - 0.9j, and nan on each square
-    (center, half side): every cut of a cell whose middle a square covers
-    runs through it."""
+    """Two pairs of zeros 1e-5 apart, at 0.8 + 0.8j and -0.9 - 0.9j, and nan
+    on each square (center, half side): every cut of a cell whose middle a
+    square covers runs through it.  A cell that holds a pair is never a
+    one-zero leaf, so it has to be cut."""
+    zeros = (0.8 + 0.8j, 0.80001 + 0.8j, -0.9 - 0.9j, -0.89999 - 0.9j)
 
     def fn(z):
         for c, h in squares:
             if abs(z.real - c.real) < h and abs(z.imag - c.imag) < h:
                 return complex("nan")
-        return (z - (0.8 + 0.8j)) * (z + (0.9 + 0.9j))
+        return math.prod(z - r for r in zeros)
 
     return fn
 
@@ -711,7 +746,7 @@ class TestBreadthFirstAgainstRecursiveQuadrisection:
             kind, msg = _outcome(localize_zeros, _pinned(square), window, 0.05)
             assert (kind, msg) == (
                 BoundaryDegeneracyError,
-                f"could not partition 1 zeros in {cell}; zeros pinned to every tried cut",
+                f"could not partition 2 zeros in {cell}; zeros pinned to every tried cut",
             )
         # with both, the breadth-first walk finds cell (3,) a level before
         # cell (0, 0), but the recursion reached (0, 0) first
@@ -721,25 +756,70 @@ class TestBreadthFirstAgainstRecursiveQuadrisection:
         assert _outcome(localize_zeros, fn, window, 0.05) == want
 
     def test_no_cell_after_the_first_failure_is_cut_further(self):
-        # once cell (0, 0) has failed, the cells of the zero at 0.8 + 0.8j
+        # once cell (0, 0) has failed, the cells of the pair at 0.8 + 0.8j
         # come after it in depth-first order and cannot change the error
         seen = []
         fn = _pinned(_SQUARE_00)
         with pytest.raises(BoundaryDegeneracyError, match="could not partition"):
             localize_zeros(lambda z: seen.append(z) or fn(z), SearchWindow(-1.0, 1.0, -1.0, 1.0), 1e-6)
-        # without the cut-off its cells shrink to 1e-6, and samples with them
+        # without the cut-off its cells shrink until they part the pair, and
+        # samples with them
         assert min(abs(z - (0.8 + 0.8j)) for z in seen) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# one-zero cells seeded from the first moment of their boundary
+
+
+@st.composite
+def _separated_zeros(draw):
+    """1-4 zeros in distinct cells of the 8 x 8 grid of side 0.25 over
+    SearchWindow(-1, 1, -1, 1), none in the outer ring of cells, each at
+    least 0.03 from its cell's edges.  Every cell of the third tree level
+    holds at most one zero, so no cut runs closer than 0.03 to a zero."""
+    cells = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                          min_size=1, max_size=4, unique=True))
+    offset = st.floats(0.12, 0.88)
+    return [complex(-1.0 + 0.25 * (i + draw(offset)), -1.0 + 0.25 * (j + draw(offset)))
+            for i, j in cells]
+
+
+class TestMomentSeeds:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(zeros=_separated_zeros())
+    def test_one_seed_next_to_each_zero(self, zeros):
+        window = SearchWindow(-1.0, 1.0, -1.0, 1.0)
+        seeds = localize_zeros(lambda z: math.prod(z - r for r in zeros), window,
+                               _table_max_cell(window))
+        # a center seed of a max_cell cell may lie 0.0055 diameters away
+        tol = 1e-3 * window.diameter()
+        assert len(seeds) == len(zeros)
+        for r in zeros:
+            assert sum(abs(s - r) <= tol for s in seeds) == 1
+
+    @pytest.mark.parametrize("shift", [10.0, complex("nan"), complex("inf")])
+    def test_rejected_moment_falls_back_to_a_small_cell_center(self, shift, monkeypatch):
+        original = rootfind._windings
+
+        def moved(evaluate, windows):
+            counts, where, moments = original(evaluate, windows)
+            return counts, where, moments + shift
+
+        monkeypatch.setattr(rootfind, "_windings", moved)
+        seeds = localize_zeros(lambda z: z - (0.3 - 0.2j), SearchWindow(-1.0, 1.0, -1.0, 1.0), 0.05)
+        # the center of the cell of side 2 / 64 around the zero
+        assert seeds == [0.296875 - 0.203125j]
 
 
 # the six counted pole_tables configurations of the benchmark, with the
 # points their quadrisection evaluates
 _COUNTED_TABLES = {
-    ("sr", 5, 1.0): 38982,
-    ("sr", 10, 0.1): 22088,
-    ("sr", 30, 0.01): 22088,
-    ("sr", 50, 0.01): 43864,
-    ("general", 2, 1.0): 10239,
-    ("general", 5, 0.1): 19752,
+    ("sr", 5, 1.0): 11682,
+    ("sr", 10, 0.1): 5512,
+    ("sr", 30, 0.01): 5490,
+    ("sr", 50, 0.01): 14256,
+    ("general", 2, 1.0): 1944,
+    ("general", 5, 0.1): 4934,
 }
 
 
@@ -761,4 +841,4 @@ def test_quadrisection_evaluates_in_few_large_batches(case, monkeypatch):
     localize_zeros(characteristic_function(ChainParams(n, sep, mode=mode)), window,
                    _table_max_cell(window))
     assert points[0] == _COUNTED_TABLES[case]
-    assert calls[0] <= 60
+    assert calls[0] <= 41
