@@ -62,8 +62,8 @@ class SSRResult:
     and one per CharFn.eval_derivatives call of the fold Newton.  The
     closed-form axis scans (_axis_im: one pass for the whole separation
     scan, one per golden-section point) are not counted.  A lone axis root is
-    not probed for a coalescing partner, so a solve takes about 250 to 380
-    evaluations from N = 2 to N = 1000.
+    not probed for a coalescing partner, so a solve takes about 250 to 310
+    evaluations from N = 2 to N = 10^4.
     """
 
     n_qubits: int

@@ -14,7 +14,8 @@ from ssrchain import (
     closed_form_residual,
     markovian_polynomial,
 )
-from ssrchain.charfn import _INF, _jchain, _jmul
+from ssrchain.charfn import _INF, _jchain, _jmul, _sinc
+from ssrchain.core import chebyshev_u_pair
 from ssrchain.output import Grid
 from ssrchain.rootfind import default_window, refine
 
@@ -412,6 +413,71 @@ class TestEvalDerivatives:
             CharFn(ChainParams(3, 0.4, mode="general")).eval_derivatives(1 - 1j)
         with pytest.raises(SingularDetuningError):
             CharFn(sr(3, 0.4), deflation_order=2).eval_derivatives(0.0)
+
+
+EPS = 2.220446049250313e-16
+
+
+def recurrence_eval(fn, delta):
+    """Test-local copy of CharFn.eval on the w = +-1 branch as it was
+    before the closed form: the three-term recurrence at every point."""
+    p = fn.params
+    n, w, le = p.n_qubits, p.phase_unit(), p.phase_separation()
+    expo = n - 1 - fn.deflation_order
+    try:
+        u = delta * le
+        x = w * (cmath.cos(u) + 0.5 * le * _sinc(u))
+        m11 = (delta + 0.5j) / (w * cmath.exp(1j * u))
+        uk, ukm1 = chebyshev_u_pair(x, n)
+        h = uk * m11 - delta * ukm1
+        return delta**expo * h if expo else h
+    except (OverflowError, ZeroDivisionError):
+        return _INF
+
+
+def closed_form_error(n, sep, delta):
+    """|eval - f| of the deflated sr-branch f over its noise_scale, f from
+    40-digit mpmath."""
+    fn = CharFn(sr(n, sep), deflation_order=n - 1)
+    with mp.workdps(40):
+        want = complex(mp_deflated_f(mp.mpc(delta), mp.mpf(sep), n, -1))
+    return abs(fn.eval(delta) - want) / fn.noise_scale(delta)
+
+
+class TestClosedFormKernel:
+    """eval and noise_scale take U_{k-1} = sin(k theta) / sin(theta) where
+    N |theta| <= 16 and the three-term recurrence beyond."""
+
+    @pytest.mark.parametrize("n, sep, delta", [(1000, 1.757e-6, -1138j), (100, 1.76e-4, -113.8j)])
+    def test_accurate_next_to_the_fold(self, n, sep, delta):
+        # the plain recurrence was off by 100 and 15 eps here
+        assert closed_form_error(n, sep, delta) <= 8 * EPS
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 30, 50, 100, 1000])
+    @pytest.mark.parametrize("sep", [0.01, 0.1, 0.5, 1.0, 3.0, "fold"])
+    def test_accuracy_matrix(self, n, sep):
+        sep = 1.7569154 / n**2 if sep == "fold" else sep
+        win = default_window(n)
+        rng = np.random.default_rng(n)
+        k = 10 if n == 1000 else 50
+        deltas = rng.uniform(win.re_min, win.re_max, k) + 1j * rng.uniform(win.im_min, win.im_max, k)
+        # the axis within 10% of the large-N fold, Delta = -1.1385i N
+        deltas = np.concatenate([deltas, -1.1385j * n * np.linspace(0.9, 1.1, 11)]).tolist()
+        # non-finite exactly where the recurrence overflows; at large N L
+        # that is the whole window
+        for order in (0, n - 1):
+            fn = CharFn(sr(n, sep), deflation_order=order)
+            for d in deltas:
+                assert cmath.isfinite(fn.eval(d)) == cmath.isfinite(recurrence_eval(fn, d))
+        finite = [d for d in deltas if cmath.isfinite(fn.eval(d))]
+        assert max((closed_form_error(n, sep, d) for d in finite), default=0.0) <= 8 * EPS
+
+    def test_closed_form_takes_the_fold(self, monkeypatch):
+        # next to the fold N |theta| is O(1): no recurrence step runs
+        monkeypatch.setattr("ssrchain.charfn.chebyshev_u_pair", None)
+        for n in (2, 100, 10_000):
+            fn = CharFn(sr(n, 1.7569154 / n**2), deflation_order=n - 1)
+            assert cmath.isfinite(fn.eval(-1.1385j * n)) and fn.noise_scale(-1.1385j * n) >= 1.0
 
 
 class TestDeflationConsistency:

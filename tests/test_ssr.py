@@ -455,7 +455,10 @@ class TestEvaluationCount:
         assert res.evaluations == calls[0]
 
     def test_large_n_budget(self):
-        assert maximize_over_separation(100).evaluations <= 450
+        assert maximize_over_separation(100).evaluations <= 310
+
+    def test_ten_thousand_qubit_budget(self):
+        assert maximize_over_separation(10_000).evaluations <= 335
 
     def test_two_qubit_budget(self):
         assert maximize_over_separation(2).evaluations <= 350
@@ -609,12 +612,30 @@ class TestFoldNewton:
 
     def test_ten_thousand_qubits_follow_the_large_n_laws(self):
         # Gamma / N - alpha_c falls like N^-4 and L_c N^2 - beta_c like N^-2:
-        # 1.3e-11 and 8.1e-9 relative here, the first at the rounding floor
+        # 1.2e-11 (at the rounding floor) and 1.4284e-8 here, where the
+        # N^-2 law predicts 1.4286e-8
         crit = critical_pair()
         res = maximize_over_separation(10_000)
         assert res.coalescence
         assert abs(res.gamma_ssr.real / (crit.alpha_c * 10_000) - 1.0) < 1e-9
         assert abs(res.l_critical * 10_000**2 / crit.beta_c - 1.0) < 5e-8
+
+    def test_ten_thousand_qubit_scan_stays_on_the_nearest_pair(self, monkeypatch):
+        # past the fold the warm scan keeps the pair closest to the origin,
+        # as a fresh tracker finds it, and needs no magnitude map
+        n = 10_000
+        a, b = _default_bracket(n)
+        xs = [a * (b / a) ** (i / 15) for i in range(16)]
+        maps, real = [], ssr.grid_scan_minima
+        monkeypatch.setattr(ssr, "grid_scan_minima", lambda *a, **kw: maps.append(a) or real(*a, **kw))
+        rates = _PoleTracker(n).rates(xs)
+        assert not maps
+        monkeypatch.undo()
+        past = [i for i in range(16) if xs[i] * n**2 > critical_pair().beta_c]
+        assert len(past) == 7
+        assert all(rates[i] > rates[i + 1] for i in past[:-1])
+        for i in past:
+            assert rates[i] == pytest.approx(_PoleTracker(n).rate(xs[i]), rel=1e-9)
 
     @pytest.mark.parametrize("outcome", ["step_test_failed", "outside_scan_cells", "no_coalescence"])
     def test_rejected_newton_falls_back_to_golden_section(self, outcome, monkeypatch):
