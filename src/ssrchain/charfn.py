@@ -10,12 +10,17 @@ N - 1; the deflated variant divides it out by known multiplicity (never by
 numerical deflation of discovered roots, which would not survive the N = 100
 cluster) and is the function actually searched for rates.
 
-There (w = exp(i Omega L) = +-1) the scalar f has a closed form in the
-paper's auxiliary angle theta, cos(theta) = cos(Delta L) + sin(Delta L) /
-(2 Delta): U_{N-1} = sin(N theta) / sin(theta) up to a sign, O(1) in N.
-CharFn.eval and noise_scale take it where N |theta| <= 16, which holds next
-to the fold, and the three-term recurrence elsewhere; CharFn._sr_terms gives
-the rule and its measured errors.
+Every mode evaluates f by the Chebyshev identity of the cell M = Delta T,
+whose determinant is Delta^2: (M^N)_11 = V_{N-1} m11 - Delta^2 V_{N-2} with
+V_k = Delta^k U_k(x) and x = tr(M) / (2 Delta).  Where w = exp(i Omega L) =
++-1, x is entire and the scalar f has a closed form in the paper's auxiliary
+angle theta, cos(theta) = cos(Delta L) + sin(Delta L) / (2 Delta): U_{N-1} =
+sin(N theta) / sin(theta) up to a sign, O(1) in N.  CharFn.eval and
+noise_scale take it where N |theta| <= 16, which holds next to the fold, and
+the three-term recurrence elsewhere; CharFn._terms gives the rule and its
+measured errors.  Off that branch x has a 1/Delta pole, so the scalar path
+runs the entire recurrence of V_k itself; the vectorised path runs the
+rescaled recurrence of U_k in every mode.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .core import (
 from .errors import ContractViolationError, SingularDetuningError
 
 _INF = complex(float("inf"), 0.0)
-_CLOSED_FORM_MAX = 16.0  # N |theta| up to which _sr_terms uses sin(N theta)
+_CLOSED_FORM_MAX = 16.0  # N |theta| up to which _terms uses sin(N theta)
 
 
 def _sinc(u: complex) -> complex:
@@ -73,9 +78,10 @@ class CharFn:
     def _consts(self) -> tuple[int, complex, float, int, bool]:
         """(N, w, L_e, expo, real_w), fixed per configuration and computed
         once: the phase unit w, the phase separation L_e, the power expo of
-        Delta left after deflation, and whether w = +-1 (the entire
-        Chebyshev branch).  The frozen dataclass keeps its __dict__, so the
-        cache never enters equality, hash or repr."""
+        Delta that multiplies Delta (T^N)_11 after deflation, and whether
+        w = +-1 (the branch where x = tr(T)/2 is entire).  The frozen
+        dataclass keeps its __dict__, so the cache never enters equality,
+        hash or repr."""
         p = self.params
         n = p.n_qubits
         w = p.phase_unit()
@@ -88,9 +94,9 @@ class CharFn:
         """Value at a single complex detuning (entire, safe at Delta = 0);
         _INF where the arithmetic overflows.
 
-        On the w = +-1 branch it is the difference of the two terms of
-        _sr_terms (closed form where N |theta| <= 16, recurrence beyond);
-        otherwise (M^N)_11 of the cell M = Delta T by squaring."""
+        Delta^expo times the difference of the two terms of _terms: closed
+        form where N |theta| <= 16 on the w = +-1 branch, a three-term
+        recurrence elsewhere."""
         try:
             return self._eval(complex(delta))
         except (OverflowError, ZeroDivisionError):
@@ -99,32 +105,35 @@ class CharFn:
     __call__ = eval
 
     def _eval(self, delta: complex) -> complex:
-        n, w, le, expo, real_w = self._consts
-        if real_w:
-            a, b = self._sr_terms(delta)
-            h = a - b  # Delta * (T^N)_11
-            return delta**expo * h if expo else h
-        # generic phase: power of the entire matrix Delta * T by squaring
-        pm = w * cmath.exp(1j * delta * le)
-        m = ((delta + 0.5j) / pm, 0.5j * pm, -0.5j / pm, (delta - 0.5j) * pm)
-        r = _matpow_11(m, n)
-        return r
+        a, b, expo = self._terms(delta)
+        h = a - b
+        return delta**expo * h if expo else h
 
-    def _sr_terms(self, delta: complex) -> tuple[complex, complex]:
-        """(U_{N-1}(x) m11, Delta U_{N-2}(x)) on the w = +-1 branch: the two
-        terms whose difference is Delta (T^N)_11, m11 = Delta T_11.
+    def _terms(self, delta: complex) -> tuple[complex, complex, int]:
+        """(a, b, expo) with f = Delta^expo (a - b): a and b are the two terms
+        that cancel in f, m11 = Delta T_11 and M = Delta T the cell.
 
-        exp(ikL) = w exp(iu) with u = Delta L, so x = tr(T)/2 = w (1 + g),
-        g = -2 sin^2(u/2) + (L/2) sinc u, free of cancellation near x = w.
-        With 1 + g = cos(theta), theta = 2 asin(sqrt(-g/2)), U_{k-1}(x) =
-        w^(k-1) sin(k theta) / sin(theta) (k at theta = 0; U is even in
-        theta, so the branch does not matter).  This closed form costs a few
-        complex functions whatever N is and loses about N |theta| eps to the
-        rounding of theta.  The three-term recurrence loses up to about
-        N eps / |sin theta| where theta is nearly real, but follows the
-        dominant solution where Im theta is large, and there sin(N theta)
-        overflows before U does.  So the closed form runs where N |theta|
-        <= _CLOSED_FORM_MAX and the recurrence beyond.
+        Off the w = +-1 branch x = tr(M) / (2 Delta) has a 1/Delta pole, so
+        the terms are (V_{N-1} m11, Delta^2 V_{N-2}) of f itself (expo = 0),
+        from the entire recurrence V_{k+1} = tr(M) V_k - Delta^2 V_{k-1}
+        that markovian_polynomial runs on coefficients.  Exact at Delta = 0,
+        where M has rank one.  Like any plain recurrence it loses precision
+        where x is near +-1: on random default-window points of N = 2 to
+        100 it was up to 121 eps of noise_scale off 40-digit mpmath.
+
+        On the branch they are (U_{N-1}(x) m11, Delta U_{N-2}(x)) of
+        Delta (T^N)_11 and expo is that of _consts.  exp(ikL) = w exp(iu)
+        with u = Delta L, so x = w (1 + g), g = -2 sin^2(u/2) + (L/2) sinc u,
+        free of cancellation near x = w.  With 1 + g = cos(theta), theta =
+        2 asin(sqrt(-g/2)), U_{k-1}(x) = w^(k-1) sin(k theta) / sin(theta)
+        (k at theta = 0; U is even in theta, so the branch does not matter).
+        This closed form costs a few complex functions whatever N is and
+        loses about N |theta| eps to the rounding of theta.  The three-term
+        recurrence loses up to about N eps / |sin theta| where theta is
+        nearly real, but follows the dominant solution where Im theta is
+        large, and there sin(N theta) overflows before U does.  So the
+        closed form runs where N |theta| <= _CLOSED_FORM_MAX and the
+        recurrence beyond.
 
         Against 40-digit mpmath on random points of the default windows of
         N = 2 to 1000 (L = 0.01 to 3 and beta_c / N^2), the worst error in
@@ -133,18 +142,26 @@ class CharFn:
         recurrence (the 390 next to the fold at N = 1000).  Nearer the origin
         (|Delta| < 3 N, L down to 1e-6) the recurrence reached 5,600 below
         16 and the closed form 12."""
-        n, w, le, _, _ = self._consts
+        n, w, le, expo, real_w = self._consts
         u = delta * le
+        pm = w * cmath.exp(1j * u)
+        m11 = (delta + 0.5j) / pm
+        if not real_w:
+            trace = m11 + (delta - 0.5j) * pm
+            d2 = delta * delta
+            vk, vkm1 = 1.0 + 0j, 0j
+            for _ in range(n - 1):
+                vk, vkm1 = trace * vk - d2 * vkm1, vk
+            return vk * m11, d2 * vkm1, 0
         sinc = _sinc(u)
-        m11 = (delta + 0.5j) / (w * cmath.exp(1j * u))
         theta = 2.0 * cmath.asin(cmath.sqrt(cmath.sin(0.5 * u) ** 2 - 0.25 * le * sinc))
         if n * abs(theta) <= _CLOSED_FORM_MAX:
             s = cmath.sin(theta)
             uk, ukm1 = (cmath.sin(n * theta) / s, cmath.sin((n - 1) * theta) / s) if s else (n, n - 1)
             sign = w.real ** (n - 1)
-            return sign * uk * m11, sign * w.real * delta * ukm1
+            return sign * uk * m11, sign * w.real * delta * ukm1, expo
         uk, ukm1 = chebyshev_u_pair(w * (cmath.cos(u) + 0.5 * le * sinc), n)
-        return uk * m11, delta * ukm1
+        return uk * m11, delta * ukm1, expo
 
     def eval_derivatives(self, delta: complex) -> tuple[complex, complex, complex, complex, complex]:
         """(f, f_Delta, f_L, f_DeltaDelta, f_DeltaL) of the deflated sr-branch
@@ -195,22 +212,18 @@ class CharFn:
             return (_INF,) * 5
 
     def noise_scale(self, delta: complex) -> float:
-        """Magnitude of the terms cancelling in eval, at least 1; eps times
-        this is the attainable residual floor at this point.
+        """Magnitude of the terms cancelling in eval, at least 1 (inf where
+        they overflow); eps times this is the attainable residual floor at
+        this point.
 
-        On the w = +-1 branch it is |U_{N-1} m11| + |Delta U_{N-2}| from the
-        same _sr_terms as eval (times |Delta|^expo), so the closed form sets
-        the floor wherever it sets the value; otherwise the largest entry of
-        any power of Delta T formed while squaring."""
-        n, w, le, expo, real_w = self._consts
+        |Delta|^expo (|a| + |b|) from the same _terms as eval, so the
+        closed form sets the floor wherever it sets the value."""
         try:
-            if real_w:
-                a, b = self._sr_terms(delta)
-                scale = abs(a) + abs(b)
-                return max(1.0, abs(delta) ** expo * scale if expo else scale)
-            pm = w * cmath.exp(1j * delta * le)
-            m = ((delta + 0.5j) / pm, 0.5j * pm, -0.5j / pm, (delta - 0.5j) * pm)
-            return max(1.0, _matpow_maxabs(m, n))
+            a, b, expo = self._terms(delta)
+            scale = abs(a) + abs(b)
+            if expo:
+                scale = abs(delta) ** expo * scale
+            return float("inf") if math.isnan(scale) else max(1.0, scale)
         except (OverflowError, ZeroDivisionError):
             return float("inf")
 
@@ -219,27 +232,24 @@ class CharFn:
     def eval_many(self, deltas: np.ndarray) -> np.ndarray:
         """eval on an array of detunings, in one numpy pass.
 
-        The values come from the rescaled recurrences of log10_magnitude.
-        Where those had to rescale, or |Im Delta L| is large enough for
-        cos and exp to approach overflow, the plain arithmetic of eval could
-        overflow, so those points take eval's own value: the result equals
-        eval to rounding where eval is finite and is non-finite where it
-        is not.  _scaled_sr checks for a rescale only every few steps, so a
-        point whose recurrence rises past 1e100 and falls back before the
-        next check keeps a zero scale; it never came near overflow, and its
-        plain-recurrence value is kept like that of any other such point.
+        The values come from the rescaled recurrence of log10_magnitude.
+        Where it had to rescale, where its value is not finite (Delta = 0
+        off the w = +-1 branch, where x has its pole), or where |Im Delta L|
+        is large enough for cos and exp to approach overflow, the plain
+        arithmetic of eval could differ, so those points take eval's own
+        value: the result equals eval to rounding where eval is finite and
+        is non-finite where it is not.  _scaled checks for a rescale only
+        every few steps, so a point whose recurrence rises past 1e100 and
+        falls back before the next check keeps a zero scale; it never came
+        near overflow, and its plain-recurrence value is kept like that of
+        any other such point.
         """
-        n, w, le, expo, real_w = self._consts
+        _, _, le, expo, _ = self._consts
         z = np.asarray(deltas, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if real_w:
-                h, ls = self._scaled_sr(z)
-                if expo:
-                    h = z**expo * h
-            else:
-                pm = w * np.exp(1j * z * le)
-                m = ((z + 0.5j) / pm, 0.5j * pm, -0.5j / pm, (z - 0.5j) * pm)
-                h, ls = _matpow_11_grid(m, n)
+            h, ls = self._scaled(z)
+            if expo:
+                h = z**expo * h
             # a zero scale means no rescaling happened: h is then the value
             # of the plain recurrence itself (at N = 1 there is no step that
             # could rescale, hence the bound on Im u)
@@ -252,35 +262,35 @@ class CharFn:
 
     def log10_magnitude(self, deltas: np.ndarray) -> np.ndarray:
         """log10 |f| on an array of detunings, stable far beyond the float
-        range of |f| itself (exponents are tracked separately).
+        range of |f| itself (exponents are tracked separately).  At
+        Delta = 0 exactly the value is that of eval, which is exact there.
 
-        Each value depends on its own point, with one exception: in the
-        sr-condition branch _scaled_sr takes its rescale cadence from the
-        whole batch, so a point whose recurrence passes 1e100 may round
-        differently when it is evaluated in another batch (fieldmap
-        evaluates a band of rows at a time).  Such values agree to about
-        1e-13 relative and are non-finite at the same points; every other
-        value is the same bit for bit in any batch."""
-        n, w, le, expo, real_w = self._consts
+        Each value depends on its own point, with one exception: _scaled
+        takes its rescale cadence from the whole batch, so a point whose
+        recurrence passes 1e100 may round differently when it is evaluated
+        in another batch (fieldmap evaluates a band of rows at a time).
+        Such values agree to about 1e-13 relative and are non-finite at the
+        same points; every other value is the same bit for bit in any
+        batch."""
+        _, _, _, expo, _ = self._consts
         z = np.asarray(deltas, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if real_w:
-                h, ls = self._scaled_sr(z)
-                out = np.log10(np.abs(h)) + ls
-                if expo:
-                    out = out + expo * np.log10(np.abs(z))
-                return out
-            pm = w * np.exp(1j * z * le)
-            m = ((z + 0.5j) / pm, 0.5j * pm, -0.5j / pm, (z - 0.5j) * pm)
-            f11, ls = _matpow_11_grid(m, n)
-            return np.log10(np.abs(f11)) + ls
+            h, ls = self._scaled(z)
+            out = np.log10(np.abs(h)) + ls
+            if expo:
+                out = out + expo * np.log10(np.abs(z))
+            zero = z == 0
+            if zero.any():
+                out = np.where(zero, np.log10(abs(self.eval(0j))), out)
+            return out
 
-    def _scaled_sr(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Delta (T^N)_11 on the phase w = +-1 branch as (mantissa, log10
-        scale): the value is mantissa * 10**scale.  The Chebyshev recurrence
-        is rescaled by positive reals, so the phase of the mantissa is that
-        of the value; points where the recurrence overflows anyway come
-        back non-finite.
+    def _scaled(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Delta (T^N)_11 as (mantissa, log10 scale): the value is mantissa *
+        10**scale.  The Chebyshev recurrence of U_k(x) is rescaled by
+        positive reals, so the phase of the mantissa is that of the value;
+        points where the recurrence overflows anyway come back non-finite.
+        On the w = +-1 branch x = w (cos u + (L/2) sinc u) as in _terms;
+        elsewhere x = tr(M) / (2 Delta), non-finite at Delta = 0.
 
         The rescale check (divide U_k and U_{k-1} by the larger of their
         moduli wherever it exceeds 1e100) runs every `every` steps and at
@@ -292,15 +302,19 @@ class CharFn:
         unrescaled values bit for bit, and its scale is exactly 0.  Since
         the cadence depends on max|x| over the batch, the points that do
         rescale can round differently in a batch with another max|x|."""
-        n, w, le, _, _ = self._consts
+        n, w, le, _, real_w = self._consts
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = z * le
-            small = np.abs(u) < 1e-4
-            us = np.where(small, u, 1.0)
-            series = 1.0 - us * us / 6.0 + us**4 / 120.0
-            direct = np.divide(np.sin(u), u, out=np.ones_like(u), where=~small)
-            x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
-            m11 = (z + 0.5j) / (w * np.exp(1j * u))
+            pm = w * np.exp(1j * u)
+            m11 = (z + 0.5j) / pm
+            if real_w:
+                small = np.abs(u) < 1e-4
+                us = np.where(small, u, 1.0)
+                series = 1.0 - us * us / 6.0 + us**4 / 120.0
+                direct = np.divide(np.sin(u), u, out=np.ones_like(u), where=~small)
+                x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
+            else:
+                x = (m11 + (z - 0.5j) * pm) / (2.0 * z)
             x2 = 2.0 * x
             growth = math.log10(2.0 * float(np.abs(x).max(initial=0.0)) + 1.0)
             if not math.isfinite(growth):
@@ -343,74 +357,6 @@ def _jchain(a, g0, g1, g2):
     """The jet of g(a), given g, g' and g'' at the value of the jet a."""
     _, ad, al, add, adl = a
     return (g0, g1 * ad, g1 * al, g2 * ad * ad + g1 * add, g2 * ad * al + g1 * adl)
-
-
-def _matpow_11(m, n: int) -> complex:
-    """(M^n)_11 for a 2x2 complex tuple by binary powering."""
-    r = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-    while True:
-        if n & 1:
-            r = _mul2(r, m)
-        n >>= 1
-        if not n:
-            return r[0]
-        m = _mul2(m, m)
-
-
-def _matpow_maxabs(m, n: int) -> float:
-    r = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
-    peak = 1.0
-    while True:
-        if n & 1:
-            r = _mul2(r, m)
-            peak = max(peak, *(abs(v) for v in r))
-        n >>= 1
-        if not n:
-            return max(peak, *(abs(v) for v in r))
-        m = _mul2(m, m)
-        peak = max(peak, *(abs(v) for v in m))
-
-
-def _mul2(a, b):
-    return (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
-    )
-
-
-def _renorm_grid(m, ls):
-    mag = np.maximum.reduce([np.abs(c) for c in m])
-    mask = mag > 1e100
-    if mask.any():
-        scale = np.where(mask, mag, 1.0)
-        m = tuple(c / scale for c in m)
-        ls = ls + np.where(mask, np.log10(scale), 0.0)
-    return m, ls
-
-
-def _matpow_11_grid(m, n: int):
-    shape = m[0].shape
-    r = (
-        np.ones(shape, dtype=complex),
-        np.zeros(shape, dtype=complex),
-        np.zeros(shape, dtype=complex),
-        np.ones(shape, dtype=complex),
-    )
-    rls = np.zeros(shape, dtype=float)
-    mls = np.zeros(shape, dtype=float)
-    while True:
-        if n & 1:
-            r = _mul2(r, m)
-            rls = rls + mls
-            r, rls = _renorm_grid(r, rls)
-        n >>= 1
-        if not n:
-            return r[0], rls
-        m = _mul2(m, m)
-        mls = 2.0 * mls
-        m, mls = _renorm_grid(m, mls)
 
 
 def markovian_polynomial(params: ChainParams) -> list[complex]:

@@ -103,6 +103,13 @@ class TestEval:
         fn = CharFn(sr(2, 1.0))
         assert not cmath.isfinite(fn(-4000.0j))
 
+    @pytest.mark.parametrize("mode", ["sr", "general"])
+    def test_noise_scale_is_inf_where_the_terms_overflow(self, mode):
+        # the recurrence overflows to nan here; max(1, nan) would read 1
+        fn = CharFn(ChainParams(100, 3.0, mode=mode))
+        for d in (-50j, 100 - 200j, -250j):
+            assert not cmath.isfinite(fn(d)) and fn.noise_scale(d) == math.inf
+
     def test_log10_magnitude_matches_scalar(self):
         rng = np.random.default_rng(1)
         for params, order in (
@@ -161,9 +168,10 @@ class TestEvalMany:
         assert not np.isfinite(got[np.array(overflowed)]).any()
 
 
-def every_step_scaled_sr(fn, z):
-    """Test-local copy of CharFn._scaled_sr as it was before the rescale
-    cadence: the rescale check runs after every step of the recurrence."""
+def every_step_scaled(fn, z):
+    """Test-local copy of CharFn._scaled on the w = +-1 branch as it was
+    before the rescale cadence: the rescale check runs after every step of
+    the recurrence."""
     p = fn.params
     n, w, le = p.n_qubits, p.phase_unit(), p.phase_separation()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -200,7 +208,7 @@ def window_grid(re_min, re_max, im_min, im_max, count=41):
 
 
 class TestRescaleCadence:
-    """_scaled_sr checks for a rescale every few steps instead of every
+    """_scaled checks for a rescale every few steps instead of every
     step; compared with the every-step loop it replaced."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 30, 100])
@@ -209,10 +217,10 @@ class TestRescaleCadence:
         win = default_window(n)
         z = window_grid(win.re_min, win.re_max, win.im_min, win.im_max)
         fns = [CharFn(sr(n, sep), deflation_order=order) for order in (0, n - 1)]
-        h, ls = fns[0]._scaled_sr(z)
+        h, ls = fns[0]._scaled(z)
         got = [(fn.eval_many(z), fn.log10_magnitude(z)) for fn in fns]
-        monkeypatch.setattr(CharFn, "_scaled_sr", every_step_scaled_sr)
-        ref_h, ref_ls = every_step_scaled_sr(fns[0], z)
+        monkeypatch.setattr(CharFn, "_scaled", every_step_scaled)
+        ref_h, ref_ls = every_step_scaled(fns[0], z)
         want = [(fn.eval_many(z), fn.log10_magnitude(z)) for fn in fns]
         plain = ref_ls == 0.0
         assert np.array_equal(bits(h[plain]), bits(ref_h[plain]))
@@ -229,10 +237,10 @@ class TestRescaleCadence:
         z = window_grid(-1.5 * n, 1.5 * n, -250.0, 0.0, count=61)
         for order in (0, n - 1):
             fn = CharFn(sr(n, sep), deflation_order=order)
-            assert np.count_nonzero(fn._scaled_sr(z)[1]) > z.size // 2
+            assert np.count_nonzero(fn._scaled(z)[1]) > z.size // 2
             got = fn.log10_magnitude(z)
             with monkeypatch.context() as m:
-                m.setattr(CharFn, "_scaled_sr", every_step_scaled_sr)
+                m.setattr(CharFn, "_scaled", every_step_scaled)
                 want = fn.log10_magnitude(z)
             finite = np.isfinite(want)
             assert np.array_equal(np.isfinite(got), finite)
@@ -241,7 +249,7 @@ class TestRescaleCadence:
     def test_empty_batch(self):
         fn = CharFn(sr(30, 1.0), deflation_order=29)
         empty = np.array([], dtype=complex)
-        h, ls = fn._scaled_sr(empty)
+        h, ls = fn._scaled(empty)
         assert h.shape == ls.shape == (0,)
         assert fn.eval_many(empty).shape == fn.log10_magnitude(empty).shape == (0,)
 
@@ -252,8 +260,8 @@ class TestRescaleCadence:
         good = np.array([3.0 - 2.0j, -1.0 - 20.0j, 0.5 - 0.1j])
         bad = np.array([complex(math.nan, -1.0), complex(0.0, -math.inf), complex(math.inf, -1.0)])
         z = np.concatenate([good, bad])
-        h, ls = fn._scaled_sr(z)
-        ref_h, ref_ls = every_step_scaled_sr(fn, z)
+        h, ls = fn._scaled(z)
+        ref_h, ref_ls = every_step_scaled(fn, z)
         assert np.array_equal(bits(h), bits(ref_h)) and np.array_equal(bits(ls), bits(ref_ls))
         assert ls[1] != 0.0  # one of the good points rescales
         assert not np.isfinite(fn.eval_many(z)[3:]).any()
@@ -308,22 +316,26 @@ class TestBandedMap:
         n, sep, mode, re_range, im_range, resolution = spec
         z = np.linspace(*re_range, resolution)[None, :] + 1j * np.linspace(*im_range, resolution)[:, None]
         fn = CharFn(ChainParams(n, sep, mode=mode), deflation_order=0)
-        assert np.count_nonzero(fn._scaled_sr(z)[1]) > z.size // 10
+        assert np.count_nonzero(fn._scaled(z)[1]) > z.size // 10
         banded, whole = banded_and_whole(*spec)
         finite = np.isfinite(whole)
         assert np.array_equal(np.isfinite(banded), finite)
         assert np.all(np.abs(banded[finite] - whole[finite]) <= 1e-12 * np.abs(whole[finite]))
 
 
-def mp_deflated_f(delta, sep, n, w):
-    """Test-local deflated sr-branch f at mpmath precision: the row vector
-    (1, 0) carried through N explicit cells Delta T, p = w exp(i Delta L),
-    divided by Delta^(N-1)."""
+def mp_f(delta, sep, n, w):
+    """Test-local f = Delta^N (T^N)_11 at mpmath precision: the row vector
+    (1, 0) carried through N explicit cells Delta T, p = w exp(i Delta L)."""
     p = w * mp.exp(1j * delta * sep)
     a, b = mp.mpc(1), mp.mpc(0)
     for _ in range(n):
         a, b = a * (delta + 0.5j) / p - b * 0.5j / p, a * 0.5j * p + b * (delta - 0.5j) * p
-    return a / delta ** (n - 1)
+    return a
+
+
+def mp_deflated_f(delta, sep, n, w):
+    """mp_f of the sr branch divided by Delta^(N-1)."""
+    return mp_f(delta, sep, n, w) / delta ** (n - 1)
 
 
 def tuple_loop_derivatives(fn, delta):
@@ -478,6 +490,75 @@ class TestClosedFormKernel:
         for n in (2, 100, 10_000):
             fn = CharFn(sr(n, 1.7569154 / n**2), deflation_order=n - 1)
             assert cmath.isfinite(fn.eval(-1.1385j * n)) and fn.noise_scale(-1.1385j * n) >= 1.0
+
+
+def generic_reference(params, delta):
+    """(f, |V_{N-1} m11| + |Delta^2 V_{N-2}|) at 40 digits for a detuning
+    given in doubles: f from mp_f, the two cancelling terms from the
+    recurrence V_{k+1} = tr(Delta T) V_k - Delta^2 V_{k-1}, V_0 = 1."""
+    n = params.n_qubits
+    with mp.workdps(40):
+        d, sep, w = mp.mpc(delta), mp.mpf(params.phase_separation()), mp.mpc(params.phase_unit())
+        p = w * mp.exp(1j * d * sep)
+        m11 = (d + 0.5j) / p
+        trace, d2 = m11 + (d - 0.5j) * p, d * d
+        vk, vkm1 = mp.mpc(1), mp.mpc(0)
+        for _ in range(n - 1):
+            vk, vkm1 = trace * vk - d2 * vkm1, vk
+        return complex(mp_f(d, sep, n, w)), float(abs(vk * m11) + abs(d2 * vkm1))
+
+
+class TestGenericPhaseNearOrigin:
+    """Off the w = +-1 branch x = tr(Delta T) / (2 Delta) has a pole at the
+    origin: the scalar path runs the entire recurrence of V_k = Delta^k U_k,
+    and log10_magnitude takes Delta = 0 from eval."""
+
+    DELTAS = [0j, 1e-12 * (1 - 1j), 1e-6j, -1e-4j, 1e-3 * (1 - 1j)]
+
+    @pytest.mark.parametrize("mode, n, sep", [("general", 100, 0.02), ("general", 30, 0.5), ("markovian", 50, 0.1)])
+    def test_finite_and_exact(self, mode, n, sep):
+        fn = CharFn(ChainParams(n, sep, mode=mode))
+        many = fn.eval_many(np.array(self.DELTAS))
+        logs = fn.log10_magnitude(np.array(self.DELTAS))
+        for d, v, lg in zip(self.DELTAS, many, logs):
+            want, terms = generic_reference(fn.params, d)
+            scale = fn.noise_scale(d)
+            assert scale == pytest.approx(max(1.0, terms), rel=1e-12)
+            for got in (fn.eval(d), v):
+                assert cmath.isfinite(got) and abs(got - want) <= 4 * EPS * scale
+                # against the unfloored terms too; binary powering lost up
+                # to 654 eps of them at (general, 30, 0.5)
+                assert abs(got - want) <= 256 * EPS * terms
+            # the map adds (N - 1) log10|Delta| to the log of Delta (T^N)_11,
+            # two logs that cancel to 1e-13 at |Delta| = 1e-12
+            assert math.isfinite(lg) and abs(lg - math.log10(abs(want))) <= 1e-12
+
+
+class TestGenericPhaseAccuracy:
+    """The recurrence of V_k against 40-digit mpmath on random points of the
+    default window, in eps of noise_scale = max(1, |V_{N-1} m11| +
+    |Delta^2 V_{N-2}|): rootfind._accept_tol is 64 eps of it.  The worst
+    cells are where x is near +-1 (small L in general mode, Omega L near a
+    multiple of 2 pi in markovian mode): 121 eps at (markovian, 100, 0.5),
+    107 at (general, 100, beta_c / N^2), 73 at (markovian, 30, 0.5)."""
+
+    @pytest.mark.parametrize("mode", ["general", "markovian"])
+    @pytest.mark.parametrize("n", [2, 5, 10, 30, 50, 100])
+    @pytest.mark.parametrize("sep", [0.01, 0.1, 0.5, 1.0, 3.0, "fold"])
+    def test_accuracy_matrix(self, mode, n, sep):
+        sep = 1.7569154 / n**2 if sep == "fold" else sep
+        fn = CharFn(ChainParams(n, sep, mode=mode))
+        win = default_window(n)
+        rng = np.random.default_rng(n)
+        deltas = rng.uniform(win.re_min, win.re_max, 50) + 1j * rng.uniform(win.im_min, win.im_max, 50)
+        for d in deltas.tolist():
+            got = fn.eval(d)
+            if not cmath.isfinite(got):
+                continue
+            want, terms = generic_reference(fn.params, d)
+            scale = fn.noise_scale(d)
+            assert scale == pytest.approx(max(1.0, terms), rel=1e-11)
+            assert abs(got - want) <= 3 * n * EPS * scale
 
 
 class TestDeflationConsistency:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -279,7 +280,8 @@ _FIELDMAP_CASES = {
     "sr2": (2, 0.56, "sr", (-1.0, 1.0), (-3.2, -1.4), 256),
     # 300 does not divide 16384: bands of 54 rows, the last one of 30
     "sr2_partial_band": (2, 0.56, "sr", (-1.0, 1.0), (-3.2, -1.4), 300),
-    # f overflows over most of this window: 2880 of the 4096 cells are nan
+    # below Im Delta = -230 exp(i Delta L) itself overflows: the 27 rows
+    # there (1728 of the 4096 cells) are nan
     "general30": (30, 3.0, "general", (-60.0, 60.0), (-400.0, -0.5), 64),
 }
 # smaller JSON tables; 130 rows make bands of 126 and 4 rows
@@ -334,10 +336,31 @@ class TestFieldmapBytes:
         spec = _FIELDMAP_CASES[case]
         rows = reference_fieldmap_rows(*spec)
         if case == "general30":
-            assert sum(math.isnan(r[2]) for r in rows) == 2880
+            assert sum(math.isnan(r[2]) for r in rows) == 1728
         rc, out = run(tmp_path, "map.csv", fieldmap_argv(*spec))
         assert rc == 0
         assert csv_data(out.read_text(encoding="utf-8")) == reference_fieldmap_csv(rows)
+
+    def test_general30_beyond_the_double_range(self):
+        # rows 27 to 44 of general30 (Im Delta -229 to -121) hold log10|f|
+        # of 4471 to 8412; binary powering of the cell overflowed there and
+        # left them nan, the rescaled recurrence keeps them
+        n, sep, mode, re_range, im_range, resolution = _FIELDMAP_CASES["general30"]
+        res = np.linspace(*re_range, resolution)
+        ims = np.linspace(*im_range, resolution)
+        vals = CharFn(ChainParams(n, sep, mode=mode)).log10_magnitude(res[None, :] + 1j * ims[:, None])
+        assert np.isfinite(vals[27:45]).all() and vals[27:45].min() > 4000.0
+        w = ChainParams(n, sep, mode=mode).phase_unit()
+        rng = np.random.default_rng(30)
+        for i, j in zip(rng.integers(27, 45, 12), rng.integers(0, resolution, 12)):
+            with mp.workdps(40):
+                d = mp.mpc(res[j], ims[i])
+                p = mp.mpc(w) * mp.exp(1j * d * sep)
+                a, b = mp.mpc(1), mp.mpc(0)
+                for _ in range(n):
+                    a, b = a * (d + 0.5j) / p - b * 0.5j / p, a * 0.5j * p + b * (d - 0.5j) * p
+                want = float(mp.log10(abs(a)))
+            assert abs(vals[i, j] - want) <= 1e-10
 
     def test_csv_to_stdout(self, capsys):
         spec = _FIELDMAP_CASES["sr2_partial_band"]

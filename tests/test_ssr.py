@@ -165,7 +165,7 @@ def scan_points(n):
 def recurrence_scan(n, sr_index, separations, y):
     """Test-local copy of the batched complex recurrence that scanned the
     axis before its closed form: the deflated f(-iy) at each separation (one
-    row each) by the Chebyshev recurrence of CharFn._scaled_sr, rescaled by
+    row each) by the Chebyshev recurrence of CharFn._scaled, rescaled by
     positive reals on each row's own check cadence.  Returns the imaginary
     part of the mantissa, NaN where the mantissa is not finite."""
     w = -1.0 if sr_index % 2 else 1.0
