@@ -266,9 +266,10 @@ class CharFn:
         Delta = 0 exactly the value is that of eval, which is exact there.
 
         Each value depends on its own point, with one exception: _scaled
-        takes its rescale cadence from the whole batch, so a point whose
-        recurrence passes 1e100 may round differently when it is evaluated
-        in another batch (fieldmap evaluates a band of rows at a time).
+        takes its rescale cadence from the largest finite |x| of the
+        batch, so a point whose recurrence passes 1e100 may round
+        differently when it is evaluated in another batch (fieldmap
+        evaluates a band of rows at a time).
         Such values agree to about 1e-13 relative and are non-finite at the
         same points; every other value is the same bit for bit in any
         batch."""
@@ -297,11 +298,13 @@ class CharFn:
         the last one, not at every step.  Since |U_{k+1}| <= (2|x| + 1)
         max(|U_k|, |U_{k-1}|), floor(200 / log10(2 max|x| + 1)) steps cannot
         carry a checked pair from 1e100 past 1e300, so no finite product
-        overflows in between; a non-finite x brings back the check at every
-        step.  A point whose recurrence never passes 1e100 gets the
-        unrescaled values bit for bit, and its scale is exactly 0.  Since
-        the cadence depends on max|x| over the batch, the points that do
-        rescale can round differently in a batch with another max|x|."""
+        overflows in between.  The max runs over the finite |x| only: a
+        point with a non-finite x comes back non-finite at any cadence, so
+        it does not change the values of the others.  A point whose
+        recurrence never passes 1e100 gets the unrescaled values bit for
+        bit, and its scale is exactly 0.  Since the cadence depends on the
+        largest finite |x| of the batch, the points that do rescale can
+        round differently in a batch with another such max."""
         n, w, le, _, real_w = self._consts
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             u = z * le
@@ -316,11 +319,9 @@ class CharFn:
             else:
                 x = (m11 + (z - 0.5j) * pm) / (2.0 * z)
             x2 = 2.0 * x
-            growth = math.log10(2.0 * float(np.abs(x).max(initial=0.0)) + 1.0)
-            if not math.isfinite(growth):
-                every = 1
-            else:
-                every = max(1, int(200.0 / growth)) if growth > 0.0 else n
+            ax = np.abs(x)
+            growth = math.log10(2.0 * float(ax.max(initial=0.0, where=np.isfinite(ax))) + 1.0)
+            every = max(1, int(200.0 / growth)) if growth > 0.0 else n
             uk = np.ones_like(z)
             ukm1 = np.zeros_like(z)
             spare = np.empty_like(z)

@@ -2,12 +2,12 @@
 
 Subcommands expose the solver pipeline as reproducible jobs writing CSV or
 JSON: ``poles`` (pole tables), ``ssr`` (single SSR point), ``sweep``
-(SSR point per N, optionally in parallel), ``fit`` (scaling laws from a
-sweep file), ``asym`` (critical pair / contour of the large-N theory) and
-``fieldmap`` (log10 |f| grids for external heatmap plotting).
+(ssr.scaling_sweep over a range of N, optionally in worker processes),
+``fit`` (scaling laws from a sweep file), ``asym`` (critical pair /
+contour of the large-N theory) and ``fieldmap`` (log10 |f| grids for
+external heatmap plotting).
 
-Exit codes: 0 success, 2 usage error, 3 solver failure.  The environment
-variable SSRCHAIN_JOBS overrides --jobs.
+Exit codes: 0 success, 2 usage error, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 import numpy as np
@@ -27,7 +26,7 @@ from .charfn import CharFn
 from .errors import ContractViolationError, SSRChainError
 from .output import Grid, build_meta, read_csv_table, write_json, write_table
 from .rootfind import SearchWindow, find_collective_rates
-from .ssr import SSRResult, fit_scaling, maximize_over_separation
+from .ssr import SSRResult, fit_scaling, maximize_over_separation, scaling_sweep
 
 _POLE_COLUMNS = [
     "n_qubits", "separation", "mode", "re_delta", "im_delta",
@@ -79,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--n-step", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (SSRCHAIN_JOBS overrides)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes; the data do not depend on it")
     add_output(p)
 
     p = sub.add_parser("fit", help="scaling-law fit of a sweep CSV")
@@ -166,39 +165,14 @@ def cmd_ssr(args) -> int:
     return 0
 
 
-def _sweep_worker(n: int):
-    try:
-        return n, maximize_over_separation(n), ""
-    except Exception as err:  # noqa: BLE001 - reported per row
-        return n, None, f"{type(err).__name__}: {err}"
-
-
 def cmd_sweep(args) -> int:
     if args.n_min < 2 or args.n_max < args.n_min or args.n_step < 1:
         raise ContractViolationError(
             f"empty or invalid sweep range n_min={args.n_min} n_max={args.n_max} n_step={args.n_step}"
         )
     ns = list(range(args.n_min, args.n_max + 1, args.n_step))
-    jobs = args.jobs
-    env = os.environ.get("SSRCHAIN_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError as err:
-            raise ContractViolationError(f"SSRCHAIN_JOBS={env!r} is not an integer") from err
-    if jobs < 1:
-        raise ContractViolationError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        outcomes = [_sweep_worker(n) for n in ns]
-    else:
-        # loaded only here: it pulls in multiprocessing on import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_worker, ns))
-    outcomes.sort(key=lambda t: t[0])
     rows, failures = [], 0
-    for n, res, err in outcomes:
+    for n, (res, err) in zip(ns, scaling_sweep(ns, jobs=args.jobs)):
         if res is None:
             failures += 1
             rows.append([n, float("nan"), float("nan"), float("nan"), False, float("nan"), 0, err])
@@ -206,7 +180,7 @@ def cmd_sweep(args) -> int:
             rows.append(_ssr_row(res) + ["ok"])
     meta = build_meta(
         "sweep",
-        {"n_min": args.n_min, "n_max": args.n_max, "n_step": args.n_step, "jobs": jobs},
+        {"n_min": args.n_min, "n_max": args.n_max, "n_step": args.n_step, "jobs": args.jobs},
     )
     write_table(args.output, meta, _SSR_COLUMNS + ["status"], rows, args.format)
     return 0 if failures <= 0.1 * len(ns) else 3

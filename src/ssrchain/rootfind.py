@@ -30,6 +30,12 @@ ZERO_MODE = "zero-mode"
 MARKOVIAN_LIKE = "markovian-like"
 NON_MARKOVIAN = "exclusively-non-markovian"
 
+# largest Im Delta of a decay pole: Re Gamma = -2 Im Delta >= -1e-9
+_MAX_POLE_IM = 5e-10
+# _track_root gives up once a halved stride is below _MIN_STEP * 1e-3 * max(1, L)
+_MIN_STEP = 1e-6
+
+
 @dataclass(frozen=True)
 class SearchWindow:
     """Axis-aligned rectangle in the complex detuning plane.
@@ -86,7 +92,7 @@ class Pole:
     classification: str
 
     def __post_init__(self):
-        if self.delta.imag > 5e-10:
+        if self.delta.imag > _MAX_POLE_IM:
             raise ContractViolationError(
                 f"pole at {self.delta} has Re Gamma < -1e-9; not a decay solution"
             )
@@ -523,7 +529,7 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
     for r in uniq:
         if not window.contains(r, pad=1e-6 * window.diameter()):
             continue
-        if r.imag > 5e-10:
+        if r.imag > _MAX_POLE_IM:
             warnings.warn(f"discarding unphysical root {r} (Re Gamma < 0)", stacklevel=2)
             continue
         res = abs(fn(r))
@@ -552,7 +558,7 @@ def _markovian_rates(params: ChainParams, window: SearchWindow) -> list[Pole]:
         z = complex(r)
         if not window.contains(z, pad=1e-9):
             continue
-        if z.imag > 5e-10:
+        if z.imag > _MAX_POLE_IM:
             continue
         cls = ZERO_MODE if abs(z) < 1e-6 else MARKOVIAN_LIKE
         poles.append(Pole(delta=z, residual=abs(fn(z)), classification=cls))
@@ -584,7 +590,7 @@ def _fn_at_separation(params: ChainParams, sep: float) -> CharFn:
     return characteristic_function(dataclasses.replace(params, separation=sep))
 
 
-def _track_root(params, z, l_from, l_to, divergence=None, min_step=1e-6):
+def _track_root(params, z, l_from, l_to, divergence=None):
     """Follow one zero from l_from to l_to with adaptive step halving.
 
     A step only counts when Newton converges AND the root moved by less
@@ -593,7 +599,7 @@ def _track_root(params, z, l_from, l_to, divergence=None, min_step=1e-6):
     35% relative changes of L.  Returns the root at l_to, or None once
     |Delta| crosses the divergence bound (the signature of an exclusively
     non-Markovian branch running away as L -> 0).  Raises
-    ContinuationBreakdownError below min_step.
+    ContinuationBreakdownError once the stride falls below _MIN_STEP.
     """
     cur = l_from
     pending = [l_to]
@@ -622,7 +628,7 @@ def _track_root(params, z, l_from, l_to, divergence=None, min_step=1e-6):
                 return None
             continue
         mid = 0.5 * (cur + target)
-        if abs(mid - cur) < min_step * max(1.0, abs(cur)) * 1e-3 or abs(mid - cur) < 1e-12:
+        if abs(mid - cur) < _MIN_STEP * max(1.0, abs(cur)) * 1e-3 or abs(mid - cur) < 1e-12:
             raise ContinuationBreakdownError(
                 f"continuation stalled at L = {cur:.6g} toward {target:.6g}", partial=[]
             )

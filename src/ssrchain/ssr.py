@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -387,14 +386,10 @@ def superradiant_pole(params: ChainParams) -> Pole:
     return Pole(delta=z, residual=abs(fn(z)), classification=_classify(params, z))
 
 
-def _bracket(n_qubits: int, beta: float) -> tuple[float, float]:
-    """The separation bracket around the law L_c ~ beta / N^2."""
-    return 0.2 * beta / n_qubits**2, 3.0 * beta / n_qubits**2
-
-
 def _default_bracket(n_qubits: int) -> tuple[float, float]:
+    """The separation bracket around the law L_c ~ BETA_HAT / N^2."""
     if n_qubits >= 4:
-        return _bracket(n_qubits, BETA_HAT)
+        return 0.2 * BETA_HAT / n_qubits**2, 3.0 * BETA_HAT / n_qubits**2
     return 0.05, 2.0
 
 
@@ -538,26 +533,36 @@ def degenerate_pair_probe(
     return out
 
 
-def scaling_sweep(n_list: list[int]) -> list[SSRResult]:
-    """maximize_over_separation for each N, warm-starting brackets by the
-    1/N^2 rule from the previous result; failures are warned and skipped."""
+def _sweep_entry(n_qubits: int) -> tuple[SSRResult | None, str]:
+    try:
+        return maximize_over_separation(n_qubits), ""
+    except Exception as err:  # noqa: BLE001 - reported per entry
+        return None, f"{type(err).__name__}: {err}"
+
+
+def scaling_sweep(n_list: list[int], jobs: int = 1) -> list[tuple[SSRResult | None, str]]:
+    """maximize_over_separation(n) with the default bracket for each N.
+
+    Returns one entry per N, in input order: (SSRResult, "") on success or
+    (None, "<ErrorType>: <message>") when that N fails; the sweep goes on
+    past a failure and warns about none.  jobs > 1 solves the N in that
+    many worker processes, with the same entries as jobs = 1; the pool pays
+    only on large-N sweeps.
+    """
     if list(n_list) != sorted(n_list):
         raise ContractViolationError("n_list must be sorted ascending")
     for n in n_list:
         if not isinstance(n, int) or n < 2:
             raise ContractViolationError(f"sweep entries need N >= 2, got {n!r}")
-    results: list[SSRResult] = []
-    beta_hat = None
-    for n in n_list:
-        bracket = _bracket(n, beta_hat) if beta_hat is not None and n >= 4 else None
-        try:
-            res = maximize_over_separation(n, bracket)
-        except Exception as err:  # noqa: BLE001 - sweep must survive per-N failures
-            warnings.warn(f"sweep entry N={n} failed: {err}", stacklevel=2)
-            continue
-        results.append(res)
-        beta_hat = res.l_critical * n * n
-    return results
+    if jobs < 1:
+        raise ContractViolationError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        return [_sweep_entry(n) for n in n_list]
+    # loaded only here: it pulls in multiprocessing on import
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_sweep_entry, n_list))
 
 
 def fit_scaling(results: list[SSRResult], n_min_fit: int = 20) -> ScalingFit:

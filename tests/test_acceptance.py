@@ -149,7 +149,7 @@ def test_criterion_6_fit_quality(big_sweep):
         )
         for r in rows
     ]
-    small = scaling_sweep(list(range(2, 11)))
+    small = [res for res, _ in scaling_sweep(list(range(2, 11)))]
     fit = fit_scaling(small + large, n_min_fit=20)
     devs = dict(zip(fit.n_values, fit.gamma_deviations))
     dev_large = max(v for n, v in devs.items() if n >= 20)

@@ -254,21 +254,35 @@ class TestRescaleCadence:
         assert fn.eval_many(empty).shape == fn.log10_magnitude(empty).shape == (0,)
 
     def test_non_finite_points_in_a_batch(self):
-        # a non-finite x brings back the check at every step; the finite
-        # points keep their values and only the bad ones come back non-finite
+        # the cadence comes from the finite |x| only: the good points keep
+        # their good-only values bit for bit and the bad ones come back
+        # non-finite
         fn = CharFn(sr(30, 1.0), deflation_order=29)
         good = np.array([3.0 - 2.0j, -1.0 - 20.0j, 0.5 - 0.1j])
         bad = np.array([complex(math.nan, -1.0), complex(0.0, -math.inf), complex(math.inf, -1.0)])
         z = np.concatenate([good, bad])
         h, ls = fn._scaled(z)
-        ref_h, ref_ls = every_step_scaled(fn, z)
-        assert np.array_equal(bits(h), bits(ref_h)) and np.array_equal(bits(ls), bits(ref_ls))
+        ref_h, ref_ls = fn._scaled(good)
+        assert np.array_equal(bits(h[:3]), bits(ref_h)) and np.array_equal(bits(ls[:3]), bits(ref_ls))
         assert ls[1] != 0.0  # one of the good points rescales
+        assert not np.isfinite(h[3:]).any()
         assert not np.isfinite(fn.eval_many(z)[3:]).any()
         assert not np.isfinite(fn.log10_magnitude(z)[3:]).any()
-        alone = fn.eval_many(good)
-        assert np.array_equal(bits(fn.eval_many(z)[:3]), bits(alone))
-        assert np.allclose(fn.log10_magnitude(z)[:3], fn.log10_magnitude(good), rtol=1e-12, atol=0.0)
+        assert np.array_equal(bits(fn.eval_many(z)[:3]), bits(fn.eval_many(good)))
+        assert np.array_equal(bits(fn.log10_magnitude(z)[:3]), bits(fn.log10_magnitude(good)))
+
+    @pytest.mark.parametrize("n, sep", [(100, 0.02), (30, 0.5)])
+    def test_origin_does_not_change_other_points(self, n, sep):
+        # off w = +-1, x is infinite at Delta = 0; the origin must not set
+        # the rescale cadence of the rest of its batch
+        fn = CharFn(ChainParams(n, sep, mode="general"), deflation_order=0)
+        win = default_window(n)
+        rng = np.random.default_rng(7)
+        z = rng.uniform(win.re_min, win.re_max, 400) + 1j * rng.uniform(win.im_min, win.im_max, 400)
+        with_origin = np.append(z, 0j)
+        assert np.count_nonzero(fn._scaled(z)[1]) > 0  # some points rescale
+        assert np.array_equal(bits(fn.log10_magnitude(with_origin)[:-1]), bits(fn.log10_magnitude(z)))
+        assert np.array_equal(bits(fn.eval_many(with_origin)[:-1]), bits(fn.eval_many(z)))
 
     def test_cached_constants_stay_out_of_identity(self):
         a = CharFn(sr(5, 0.3), deflation_order=4)

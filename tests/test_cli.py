@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ssrchain
-from ssrchain import cli
+from ssrchain import cli, ssr
 from ssrchain.charfn import CharFn
 from ssrchain.cli import main
 from ssrchain.core import ChainParams
@@ -122,8 +122,7 @@ class TestSweepAndFit:
         def fail(n):
             raise BracketError("no interior maximum in (0.1, 0.2)")
 
-        monkeypatch.delenv("SSRCHAIN_JOBS", raising=False)
-        monkeypatch.setattr(cli, "maximize_over_separation", fail)
+        monkeypatch.setattr(ssr, "maximize_over_separation", fail)
         rc, out = run(tmp_path, "sweep.csv", ["sweep", "--n-min", "2", "--n-max", "2"])
         assert rc == 3
         assert data_section(out)[-1] == (
@@ -166,16 +165,6 @@ class TestSweepAndFit:
         rc = main(["fit", "--input", str(path), "-o", str(tmp_path / "f.json")])
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
-
-    def test_env_override_echoed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SSRCHAIN_JOBS", "2")
-        rc, out = run(
-            tmp_path, "sweep.csv",
-            ["sweep", "--n-min", "2", "--n-max", "4", "--jobs", "7"],
-        )
-        assert rc == 0
-        meta, _, _ = read_csv_table(str(out))
-        assert meta["jobs"] == "2"
 
 
 class TestAsym:
@@ -483,12 +472,13 @@ class TestDeterminism:
 
 class TestStartup:
     def test_cli_import_loads_no_process_pool(self):
-        # the pool is imported by a sweep with --jobs > 1 only
+        # the pool is imported by scaling_sweep with jobs > 1 only
         src = os.path.dirname(os.path.dirname(ssrchain.__file__))
-        code = (
-            "import sys, ssrchain.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
-        )
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        for module in ("ssrchain", "ssrchain.ssr", "ssrchain.cli"):
+            code = (
+                f"import sys, {module}; "
+                "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+            )
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            assert out.stdout.strip() == "[]", module

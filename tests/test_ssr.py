@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -679,9 +680,10 @@ class TestDegeneratePairProbe:
 
 class TestSweepAndFit:
     def test_sweep_monotone_small_n(self):
-        res = scaling_sweep(list(range(2, 11)))
+        entries = scaling_sweep(list(range(2, 11)))
+        assert [err for _, err in entries] == [""] * 9
+        res = [r for r, _ in entries]
         rates = [r.gamma_ssr.real for r in res]
-        assert len(res) == 9
         assert all(b > a for a, b in zip(rates, rates[1:]))
         # super-superradiance beats Dicke at every N
         assert all(r.gamma_ssr.real > r.n_qubits for r in res)
@@ -693,6 +695,34 @@ class TestSweepAndFit:
     def test_sweep_requires_sorted(self):
         with pytest.raises(ContractViolationError):
             scaling_sweep([5, 2])
+
+    def test_sweep_rejects_zero_jobs(self):
+        with pytest.raises(ContractViolationError):
+            scaling_sweep([2, 3], jobs=0)
+
+    def test_sweep_entries_are_default_bracket_solves(self):
+        # no warm start: each entry is the cold default-bracket solve, bit for bit
+        ns = [2, 3, 5, 8, 20]
+        assert scaling_sweep(ns) == [(maximize_over_separation(n), "") for n in ns]
+
+    def test_sweep_worker_count_does_not_change_entries(self):
+        assert scaling_sweep(range(2, 6), jobs=2) == scaling_sweep(range(2, 6), jobs=1)
+
+    def test_sweep_reports_failure_and_goes_on(self, monkeypatch):
+        solve = ssr.maximize_over_separation
+
+        def fail_at_3(n):
+            if n == 3:
+                raise BracketError("no interior maximum in (0.1, 0.2)")
+            return solve(n)
+
+        monkeypatch.setattr(ssr, "maximize_over_separation", fail_at_3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = scaling_sweep([2, 3, 4])
+        assert entries[1] == (None, "BracketError: no interior maximum in (0.1, 0.2)")
+        assert [r.n_qubits for r, _ in (entries[0], entries[2])] == [2, 4]
+        assert entries[0][1] == entries[2][1] == ""
 
     def test_fit_recovers_exact_laws(self):
         synthetic = [
