@@ -20,7 +20,8 @@ noise_scale take it where N |theta| <= 16, which holds next to the fold, and
 the three-term recurrence elsewhere; CharFn._terms gives the rule and its
 measured errors.  Off that branch x has a 1/Delta pole, so the scalar path
 runs the entire recurrence of V_k itself; the vectorised path runs the
-rescaled recurrence of U_k in every mode.
+rescaled recurrence of U_k in every mode, for f as (mantissa, log10 scale)
+(eval_scaled, read by the zero counter) and for log10 |f| (log10_magnitude).
 """
 
 from __future__ import annotations
@@ -229,34 +230,28 @@ class CharFn:
 
     # -- vectorized evaluation ----------------------------------------------
 
-    def eval_many(self, deltas: np.ndarray) -> np.ndarray:
-        """eval on an array of detunings, in one numpy pass.
+    def eval_scaled(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f on an array of detunings as (mantissa, log10 scale), f =
+        mantissa * 10**scale, in one numpy pass.  The mantissa is finite far
+        beyond the float range of f, and non-finite where exp(i Delta L)
+        overflows or a detuning is not finite.
 
-        The values come from the rescaled recurrence of log10_magnitude.
-        Where it had to rescale, where its value is not finite (Delta = 0
-        off the w = +-1 branch, where x has its pole), or where |Im Delta L|
-        is large enough for cos and exp to approach overflow, the plain
-        arithmetic of eval could differ, so those points take eval's own
-        value: the result equals eval to rounding where eval is finite and
-        is non-finite where it is not.  _scaled checks for a rescale only
-        every few steps, so a point whose recurrence rises past 1e100 and
-        falls back before the next check keeps a zero scale; it never came
-        near overflow, and its plain-recurrence value is kept like that of
-        any other such point.
-        """
-        _, _, le, expo, _ = self._consts
+        The rescaled recurrence of _scaled, with the factor Delta^expo split
+        into its phase, which joins the mantissa, and its modulus, which
+        joins the scale.  Delta = 0 takes eval(0j) with a zero scale, as in
+        log10_magnitude.  Where expo is 0 and the recurrence never rescales,
+        the scale is exactly 0.  As in log10_magnitude, only a point whose
+        recurrence rescales can depend on the rest of its batch."""
+        _, _, _, expo, _ = self._consts
         z = np.asarray(deltas, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             h, ls = self._scaled(z)
             if expo:
-                h = z**expo * h
-            # a zero scale means no rescaling happened: h is then the value
-            # of the plain recurrence itself (at N = 1 there is no step that
-            # could rescale, hence the bound on Im u)
-            redo = (ls != 0.0) | ~(np.abs(h) < 1e300) | (np.abs((z * le).imag) > 200.0)
-        for i in zip(*np.nonzero(redo)):
-            h[i] = self.eval(complex(z[i]))
-        return h
+                h *= (z / np.abs(z)) ** expo
+                ls += expo * np.log10(np.abs(z))
+            if (z == 0).any():
+                h, ls = np.where(z == 0, self.eval(0j), h), np.where(z == 0, 0.0, ls)
+            return h, ls
 
     # -- vectorized magnitude map ------------------------------------------
 
@@ -264,6 +259,7 @@ class CharFn:
         """log10 |f| on an array of detunings, stable far beyond the float
         range of |f| itself (exponents are tracked separately).  At
         Delta = 0 exactly the value is that of eval, which is exact there.
+        Computed apart from eval_scaled: the modulus needs no phase of Delta^expo.
 
         Each value depends on its own point, with one exception: _scaled
         takes its rescale cadence from the largest finite |x| of the

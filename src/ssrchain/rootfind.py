@@ -32,8 +32,9 @@ NON_MARKOVIAN = "exclusively-non-markovian"
 
 # largest Im Delta of a decay pole: Re Gamma = -2 Im Delta >= -1e-9
 _MAX_POLE_IM = 5e-10
-# _track_root gives up once a halved stride is below _MIN_STEP * 1e-3 * max(1, L)
-_MIN_STEP = 1e-6
+# _track_root gives up once a halved stride is below _MIN_STEP * max(1, L)
+_MIN_STEP = 1e-9
+_ZERO_MODE_RADIUS = 1e-6  # |Delta| of a pole classified as the zero mode
 
 
 @dataclass(frozen=True)
@@ -112,29 +113,29 @@ _EDGE_T = np.arange(17) / 16.0
 
 
 def _vectorized(fn):
-    """fn as a function of a 1-D array of points: CharFn.eval_many, or a
-    plain callable applied point by point."""
+    """fn as a function of a 1-D array of points giving f as (mantissa,
+    log10 scale): CharFn.eval_scaled, or a plain callable point by point."""
     if isinstance(fn, CharFn):
-        return fn.eval_many
-    return lambda zs: np.array([fn(z) for z in zs.tolist()], dtype=complex)
+        return fn.eval_scaled
+    return lambda zs: (np.array([fn(z) for z in zs.tolist()], dtype=complex), np.zeros(zs.shape))
 
 
 def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Winding numbers and first moments of f around a batch of windows,
-    walked level by level.
+    walked level by level on f as (mantissa, log10 scale).
 
     Each boundary is 4 edges of 16 segments.  A segment is accepted once
     its phase turns by at most 0.9 rad and it has been bisected at least
     once; the midpoints of all open segments of the batch are evaluated in
-    one call per level.  The near-zero floor of a window is 1e-13 times the
-    median of 16 coarse boundary probes.  A window fails at its first
-    sample that is below the floor or not finite, at a segment still open
-    after 36 bisections, or at a non-integer winding; its open segments are
-    dropped at once.  Returns (counts, where, moments): where[i] is nan for
-    a counted window and the boundary point that failed otherwise;
-    moments[i] is the sum of the zeros inside, (1/2 pi i) of the contour
-    integral of z dlog f, taken by the midpoint rule on the accepted
-    segments (Delves & Lyness, Math. Comp. 21, 1967).
+    one call per level.  The near-zero floor of a window lies 13 decades
+    below the median log10|f| of 16 coarse boundary probes.  A window fails
+    at its first sample whose log10|f| is below the floor or not finite, at
+    a segment still open after 36 bisections, or at a non-integer winding;
+    its open segments are dropped at once.  Returns (counts, where,
+    moments): where[i] is nan for a counted window and the boundary point
+    that failed otherwise; moments[i] is the sum of the zeros inside,
+    (1/2 pi i) of the contour integral of z dlog f, taken by the midpoint
+    rule on the accepted segments (Delves & Lyness, Math. Comp. 21, 1967).
     """
     nw = len(windows)
     corners = np.array(
@@ -152,18 +153,15 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
     step = np.roll(corners, -1, axis=1)[:, :, None] - a
     probes = (a + _PROBE_T * step).reshape(nw, -1)
     samples = a + _EDGE_T * step
-    values = evaluate(np.concatenate([probes.ravel(), samples.ravel()]))
-    probe_mag = np.abs(values[: probes.size]).reshape(nw, -1)
-    f = values[probes.size :].reshape(samples.shape)
+    mant, scale = evaluate(np.concatenate([probes.ravel(), samples.ravel()]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probe_log = (np.log10(np.abs(mant)) + scale)[: probes.size].reshape(nw, -1)
+    m, s = (v[probes.size :].reshape(samples.shape) for v in (mant, scale))
 
-    where = np.full(nw, complex("nan"))
-    floor = np.zeros(nw)
-    for i in range(nw):
-        mags = np.sort(probe_mag[i][np.isfinite(probe_mag[i]) & (probe_mag[i] > 0.0)])
-        if mags.size:
-            floor[i] = 1e-13 * mags[mags.size // 2]
-        else:
-            where[i] = corners[i, 0]
+    finite = np.isfinite(probe_log)
+    ranked = np.sort(np.where(finite, probe_log, np.inf), axis=1)
+    floor = ranked[np.arange(nw), finite.sum(axis=1) // 2] - 13.0
+    where = np.where(finite.any(axis=1), complex("nan"), corners[:, 0])
 
     def fail(win, points, bad):
         # each window keeps the first point it failed at
@@ -172,39 +170,43 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
         fresh = np.isnan(where[hit])
         where[hit[fresh]] = points[idx[first[fresh]]]
 
-    def below(fz, win):
-        return ~(np.isfinite(fz) & (np.abs(fz) >= floor[win]))
+    def below(mz, sz, win):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lg = np.log10(np.abs(mz)) + sz
+        return ~(np.isfinite(lg) & (lg >= floor[win]))
 
     win = np.repeat(np.arange(nw), 4 * 17)
-    fail(win, samples.ravel(), below(f.ravel(), win))
+    fail(win, samples.ravel(), below(m.ravel(), s.ravel(), win))
     keep = np.isnan(where)[:, None, None] & np.ones((1, 4, 16), dtype=bool)
-    z0, f0 = samples[:, :, :-1][keep], f[:, :, :-1][keep]
-    z1, f1 = samples[:, :, 1:][keep], f[:, :, 1:][keep]
+    # the two ends of every open segment, each as (z, mantissa, log10 scale)
+    end0 = [v[:, :, :-1][keep] for v in (samples, m, s)]
+    end1 = [v[:, :, 1:][keep] for v in (samples, m, s)]
     win = np.repeat(np.arange(nw), 4 * 16)[keep.ravel()]
     total = np.zeros(nw)
     moment = np.zeros(nw, dtype=complex)
     depth = 0
-    while z0.size:
-        ratio = f1 / f0
+    while win.size:
+        (z0, m0, s0), (z1, m1, s1) = end0, end1
+        ratio = m1 / m0
         dphi = np.angle(ratio)
         done = (np.abs(dphi) <= 0.9) & (depth >= 1)
         total += np.bincount(win[done], weights=dphi[done], minlength=nw)
         # the segment's step of log f, weighted by its midpoint
-        term = 0.5 * (z0[done] + z1[done]) * (np.log(np.abs(ratio[done])) + 1j * dphi[done])
+        step = np.log(np.abs(ratio[done])) + (s1[done] - s0[done]) * math.log(10.0) + 1j * dphi[done]
+        term = 0.5 * (z0[done] + z1[done]) * step
         moment += np.bincount(win[done], weights=term.real, minlength=nw)
         moment += 1j * np.bincount(win[done], weights=term.imag, minlength=nw)
         if depth >= 36:
             fail(win, z0, ~done)
             break
-        z0, f0, z1, f1, win = (v[~done] for v in (z0, f0, z1, f1, win))
-        zm = 0.5 * (z0 + z1)
-        fm = evaluate(zm)
-        fail(win, zm, below(fm, win))
+        end0, end1, win = [v[~done] for v in end0], [v[~done] for v in end1], win[~done]
+        zm = 0.5 * (end0[0] + end1[0])
+        mid = [zm, *evaluate(zm)]
+        fail(win, zm, below(*mid[1:], win))
         live = np.isnan(where[win])
-        z0, f0, z1, f1, zm, fm, win = (v[live] for v in (z0, f0, z1, f1, zm, fm, win))
-        z0, f0 = np.concatenate([z0, zm]), np.concatenate([f0, fm])
-        z1, f1 = np.concatenate([zm, z1]), np.concatenate([fm, f1])
-        win = np.concatenate([win, win])
+        end0, end1, mid = ([v[live] for v in ends] for ends in (end0, end1, mid))
+        end0, end1 = [np.concatenate(p) for p in zip(end0, mid)], [np.concatenate(p) for p in zip(mid, end1)]
+        win = np.concatenate([win[live]] * 2)
         depth += 1
 
     count = total / (2.0 * math.pi)
@@ -262,8 +264,9 @@ def count_zeros(fn, window: SearchWindow) -> int:
     """Number of zeros of fn inside the window, multiplicity counted.
 
     Computed as the boundary winding number with adaptive phase-continuity
-    refinement, every level of bisection in one vectorised evaluation
-    (CharFn.eval_many; a plain callable is applied point by point).  A zero
+    refinement on f as (mantissa, log10 scale), every level of bisection in
+    one vectorised CharFn.eval_scaled (a plain callable is applied point by
+    point), so a window where |f| exceeds 1e308 counts.  A zero
     hugging the boundary triggers up to five jittered (slightly expanded)
     retries before a BoundaryDegeneracyError.  localize_zeros counts the
     children of every cut of one tree level in one such walk.
@@ -470,7 +473,7 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
     localize_zeros (max_cell = diameter / 128), polished by Newton from
     each seed (the boundary's first moment for a cell that isolates one
     zero, a cell center otherwise), deduplicated (1e-8), and classified:
-    ``zero-mode`` for |Delta| < 1e-6, ``markovian-like`` when continuation
+    ``zero-mode`` below _ZERO_MODE_RADIUS, ``markovian-like`` when continuation
     to L -> 0 lands on a finite Markovian root, ``exclusively-non-markovian``
     otherwise.  In sr-condition mode a root left of the axis within
     1e-8 (1 + |Delta|) of the mirror image -conj(Delta) of a root right of
@@ -560,14 +563,14 @@ def _markovian_rates(params: ChainParams, window: SearchWindow) -> list[Pole]:
             continue
         if z.imag > _MAX_POLE_IM:
             continue
-        cls = ZERO_MODE if abs(z) < 1e-6 else MARKOVIAN_LIKE
+        cls = ZERO_MODE if abs(z) < _ZERO_MODE_RADIUS else MARKOVIAN_LIKE
         poles.append(Pole(delta=z, residual=abs(fn(z)), classification=cls))
     poles.sort(key=lambda p: (abs(p.delta), p.delta.real, p.delta.imag))
     return poles
 
 
 def _classify(params: ChainParams, delta: complex) -> str:
-    if abs(delta) < 1e-6:
+    if abs(delta) < _ZERO_MODE_RADIUS:
         return ZERO_MODE
     n = params.n_qubits
     l_end = min(1e-3, 0.2 / (n * n))
@@ -599,7 +602,7 @@ def _track_root(params, z, l_from, l_to, divergence=None):
     35% relative changes of L.  Returns the root at l_to, or None once
     |Delta| crosses the divergence bound (the signature of an exclusively
     non-Markovian branch running away as L -> 0).  Raises
-    ContinuationBreakdownError once the stride falls below _MIN_STEP.
+    ContinuationBreakdownError once a halved stride is below _MIN_STEP max(1, L).
     """
     cur = l_from
     pending = [l_to]
@@ -628,7 +631,7 @@ def _track_root(params, z, l_from, l_to, divergence=None):
                 return None
             continue
         mid = 0.5 * (cur + target)
-        if abs(mid - cur) < _MIN_STEP * max(1.0, abs(cur)) * 1e-3 or abs(mid - cur) < 1e-12:
+        if abs(mid - cur) < _MIN_STEP * max(1.0, abs(cur)):
             raise ContinuationBreakdownError(
                 f"continuation stalled at L = {cur:.6g} toward {target:.6g}", partial=[]
             )
@@ -640,9 +643,10 @@ def continue_pole(params: ChainParams, pole: Pole, l_path: list[float]) -> list[
     """Track one pole along a separation path.
 
     The path must start at params.separation; steps that Newton cannot
-    bridge are halved adaptively down to a 1e-6 minimum.  In sr-condition
-    mode, where zeros come in mirror pairs (Delta, -conj(Delta)), the
-    emitted branch keeps the sign of Im Gamma across pair coalescence.
+    bridge are halved adaptively down to _MIN_STEP max(1, L) = 1e-9 max(1, L).
+    In sr-condition mode, where zeros come in mirror pairs (Delta,
+    -conj(Delta)), the emitted branch keeps the sign of Im Gamma across pair
+    coalescence.
     """
     if not l_path:
         raise ContractViolationError("l_path must contain at least the starting separation")

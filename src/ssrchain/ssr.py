@@ -334,10 +334,10 @@ class _PoleTracker:
         return float(g[i] - g[i - 1])
 
     def overflow_note(self, separation: float) -> str:
-        """The axis grid points where f is not finite, as a clause for an
-        error message; empty when f is finite on the whole grid."""
+        """The axis grid points where the scalar f is not finite, as a
+        clause for an error message; empty when f is finite on the whole grid."""
         g = self._ygrid
-        bad = ~np.isfinite(self.fn(separation).charfn.eval_many(-1j * g))
+        bad = ~np.isfinite(list(map(self.fn(separation).charfn, (-1j * g).tolist())))
         if not bad.any():
             return ""
         finite = np.flatnonzero(~bad)

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -130,9 +131,20 @@ class TestEval:
         assert math.isfinite(val) and val > 100.0
 
 
+def scaled_value(fn, z):
+    """eval_scaled's (mantissa, scale) turned back into f, inf beyond the
+    float range."""
+    m, s = fn.eval_scaled(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return m * 10.0**s
+
+
 class TestEvalMany:
-    # the grid reaches |Im Delta L| = 900, where cmath overflows (eval gives
-    # _INF) and, at N = 30, where the plain recurrence itself overflows
+    """f on many points in one call, CharFn.eval_scaled, against scalar
+    eval and mpmath."""
+
+    # the grid reaches |Im Delta L| = 900, where exp overflows, and, at
+    # N = 30, where the terms of scalar eval overflow long before f does
     GRID = [complex(x, y) for y in np.linspace(-300.0, 0.0, 61) for x in np.linspace(-40.0, 40.0, 41)]
 
     @pytest.mark.parametrize(
@@ -150,22 +162,77 @@ class TestEvalMany:
         ids=["sr-deflated", "sr", "sr30-deflated", "sr30", "general", "general30", "markovian", "markovian-w"],
     )
     def test_matches_scalar_eval(self, fn):
-        got = fn.eval_many(np.array(self.GRID))
+        got = scaled_value(fn, np.array(self.GRID))
         want = np.array([fn.eval(z) for z in self.GRID])
         finite = np.isfinite(want)
-        assert np.array_equal(np.isfinite(got), finite)
+        # finite wherever eval is; also beyond, where the terms of eval overflow
+        assert np.isfinite(got[finite]).all()
         # relative to the size of the terms that cancel in f, which is what
         # rounding is relative to near a zero
         scale = np.array([fn.noise_scale(z) for z in np.array(self.GRID)[finite].tolist()])
         assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale)
 
     def test_non_finite_where_cmath_overflows(self):
+        # cmath overflows where exp(i Delta L) does; eval_scaled is
+        # non-finite there and only there
         fn = CharFn(sr(5, 3.0), deflation_order=4)
-        want = [fn.eval(z) for z in self.GRID]
-        overflowed = [z == _INF for z in want]
-        assert 0 < sum(overflowed) < len(want)
-        got = fn.eval_many(np.array(self.GRID))
-        assert not np.isfinite(got[np.array(overflowed)]).any()
+        z = np.array(self.GRID)
+        overflowed = np.array([fn.eval(d) == _INF for d in self.GRID])
+        assert 0 < overflowed.sum() < len(z)
+        assert np.array_equal(overflowed, np.abs((z * 3.0).imag) > math.log(sys.float_info.max))
+        m, _ = fn.eval_scaled(z)
+        assert np.array_equal(~np.isfinite(m), overflowed)
+
+    @pytest.mark.parametrize(
+        "mode, n, sep, order, window",
+        [
+            ("sr", 100, 3.0, 99, (-0.02, 0.02, -4.02, -3.98)),
+            ("sr", 100, 3.0, 0, (-0.02, 0.02, -4.02, -3.98)),
+            ("general", 30, 1.0, 0, (-0.2, 0.2, -55.2, -54.8)),
+        ],
+    )
+    def test_beyond_the_float_range(self, mode, n, sep, order, window):
+        # |f| is above 1e500 here; eval is not finite, eval_scaled has
+        # log10 |f| and the phase to 3e-12 (measured)
+        params = ChainParams(n, sep, mode=mode)
+        fn = CharFn(params, deflation_order=order)
+        rng = np.random.default_rng(3)
+        z = rng.uniform(window[0], window[1], 12) + 1j * rng.uniform(window[2], window[3], 12)
+        m, s = fn.eval_scaled(z)
+        with mp.workdps(40):
+            sep_e, w = mp.mpf(params.phase_separation()), mp.mpc(params.phase_unit())
+            for d, mi, si in zip(z.tolist(), m, s):
+                assert not cmath.isfinite(fn.eval(d))
+                want = mp_f(mp.mpc(d), sep_e, n, w) / mp.mpc(d) ** order
+                assert float(mp.log10(abs(want))) > 500.0
+                assert abs(math.log10(abs(mi)) + si - float(mp.log10(abs(want)))) <= 5e-12
+                assert abs(cmath.phase(mi / complex(want / abs(want)))) <= 5e-12
+
+    @pytest.mark.parametrize(
+        "params, order",
+        [
+            (ChainParams(30, 1.0, mode="general"), 0),
+            (ChainParams(100, 0.02, mode="general"), 0),
+            (ChainParams(7, 0.3, mode="markovian", omega=51.0), 0),
+            (sr(30, 1.0), 29),
+            (sr(30, 1.0), 0),
+        ],
+    )
+    def test_origin_is_eval(self, params, order):
+        # off w = +-1, x has its pole at Delta = 0; every mode takes eval(0j)
+        fn = CharFn(params, deflation_order=order)
+        m, s = fn.eval_scaled(np.array([1.0 - 2.0j, 0j, -3.0j]))
+        assert m[1] == fn.eval(0j) and s[1] == 0.0
+        assert np.isfinite(m).all()
+
+    @pytest.mark.parametrize("mode", ["sr", "general", "markovian"])
+    def test_non_finite_inputs(self, mode):
+        inf, nan = math.inf, math.nan
+        bad = [complex(nan, 0.0), complex(inf, 0.0), complex(0.0, -inf), complex(nan, -1.0), complex(inf, -1.0)]
+        for order in (0, 29) if mode == "sr" else (0,):
+            fn = CharFn(ChainParams(30, 1.0, mode=mode), deflation_order=order)
+            m, _ = fn.eval_scaled(np.array(bad + [1.0 - 2.0j]))
+            assert not np.isfinite(m[:-1]).any() and np.isfinite(m[-1])
 
 
 def every_step_scaled(fn, z):
@@ -218,19 +285,18 @@ class TestRescaleCadence:
         z = window_grid(win.re_min, win.re_max, win.im_min, win.im_max)
         fns = [CharFn(sr(n, sep), deflation_order=order) for order in (0, n - 1)]
         h, ls = fns[0]._scaled(z)
-        got = [(fn.eval_many(z), fn.log10_magnitude(z)) for fn in fns]
+        got = [(*fn.eval_scaled(z), fn.log10_magnitude(z)) for fn in fns]
         monkeypatch.setattr(CharFn, "_scaled", every_step_scaled)
         ref_h, ref_ls = every_step_scaled(fns[0], z)
-        want = [(fn.eval_many(z), fn.log10_magnitude(z)) for fn in fns]
+        want = [(*fn.eval_scaled(z), fn.log10_magnitude(z)) for fn in fns]
         plain = ref_ls == 0.0
         assert np.array_equal(bits(h[plain]), bits(ref_h[plain]))
         assert np.array_equal(bits(ls[plain]), bits(ref_ls[plain]))
-        # a point that rescales keeps a nonzero scale, so eval_many still
-        # hands it to scalar eval: eval_many is unchanged everywhere
+        # a point that rescales at every step also rescales at the cadence
         assert np.all(ls[~plain] != 0.0)
-        for (many, logs), (ref_many, ref_logs) in zip(got, want):
-            assert np.array_equal(bits(many), bits(ref_many))
-            assert np.array_equal(bits(logs[plain]), bits(ref_logs[plain]))
+        for values, ref_values in zip(got, want):
+            for v, ref in zip(values, ref_values):
+                assert np.array_equal(bits(v[plain]), bits(ref[plain]))
 
     @pytest.mark.parametrize("n, sep", [(30, 3.0), (100, 0.5)])
     def test_rescaled_magnitudes_agree(self, n, sep, monkeypatch):
@@ -251,7 +317,8 @@ class TestRescaleCadence:
         empty = np.array([], dtype=complex)
         h, ls = fn._scaled(empty)
         assert h.shape == ls.shape == (0,)
-        assert fn.eval_many(empty).shape == fn.log10_magnitude(empty).shape == (0,)
+        m, s = fn.eval_scaled(empty)
+        assert m.shape == s.shape == fn.log10_magnitude(empty).shape == (0,)
 
     def test_non_finite_points_in_a_batch(self):
         # the cadence comes from the finite |x| only: the good points keep
@@ -266,9 +333,10 @@ class TestRescaleCadence:
         assert np.array_equal(bits(h[:3]), bits(ref_h)) and np.array_equal(bits(ls[:3]), bits(ref_ls))
         assert ls[1] != 0.0  # one of the good points rescales
         assert not np.isfinite(h[3:]).any()
-        assert not np.isfinite(fn.eval_many(z)[3:]).any()
+        assert not np.isfinite(fn.eval_scaled(z)[0][3:]).any()
         assert not np.isfinite(fn.log10_magnitude(z)[3:]).any()
-        assert np.array_equal(bits(fn.eval_many(z)[:3]), bits(fn.eval_many(good)))
+        for v, ref in zip(fn.eval_scaled(z), fn.eval_scaled(good)):
+            assert np.array_equal(bits(v[:3]), bits(ref))
         assert np.array_equal(bits(fn.log10_magnitude(z)[:3]), bits(fn.log10_magnitude(good)))
 
     @pytest.mark.parametrize("n, sep", [(100, 0.02), (30, 0.5)])
@@ -282,14 +350,15 @@ class TestRescaleCadence:
         with_origin = np.append(z, 0j)
         assert np.count_nonzero(fn._scaled(z)[1]) > 0  # some points rescale
         assert np.array_equal(bits(fn.log10_magnitude(with_origin)[:-1]), bits(fn.log10_magnitude(z)))
-        assert np.array_equal(bits(fn.eval_many(with_origin)[:-1]), bits(fn.eval_many(z)))
+        for v, ref in zip(fn.eval_scaled(with_origin), fn.eval_scaled(z)):
+            assert np.array_equal(bits(v[:-1]), bits(ref))
 
     def test_cached_constants_stay_out_of_identity(self):
         a = CharFn(sr(5, 0.3), deflation_order=4)
         b = CharFn(sr(5, 0.3), deflation_order=4)
         fresh = (repr(b), hash(b))
         a.eval(1.0 - 1.0j)
-        a.eval_many(np.array([2.0 - 1.0j]))
+        a.eval_scaled(np.array([2.0 - 1.0j]))
         assert "_consts" in vars(a) and "_consts" not in vars(b)
         assert a == b and (repr(a), hash(a)) == fresh
         assert a != CharFn(sr(5, 0.3))
@@ -525,27 +594,33 @@ def generic_reference(params, delta):
 class TestGenericPhaseNearOrigin:
     """Off the w = +-1 branch x = tr(Delta T) / (2 Delta) has a pole at the
     origin: the scalar path runs the entire recurrence of V_k = Delta^k U_k,
-    and log10_magnitude takes Delta = 0 from eval."""
+    and eval_scaled and log10_magnitude take Delta = 0 from eval."""
 
     DELTAS = [0j, 1e-12 * (1 - 1j), 1e-6j, -1e-4j, 1e-3 * (1 - 1j)]
 
     @pytest.mark.parametrize("mode, n, sep", [("general", 100, 0.02), ("general", 30, 0.5), ("markovian", 50, 0.1)])
     def test_finite_and_exact(self, mode, n, sep):
         fn = CharFn(ChainParams(n, sep, mode=mode))
-        many = fn.eval_many(np.array(self.DELTAS))
+        mant, scales = fn.eval_scaled(np.array(self.DELTAS))
+        values = scaled_value(fn, np.array(self.DELTAS))
         logs = fn.log10_magnitude(np.array(self.DELTAS))
-        for d, v, lg in zip(self.DELTAS, many, logs):
+        for d, m, s, v, lg in zip(self.DELTAS, mant, scales, values, logs):
             want, terms = generic_reference(fn.params, d)
             scale = fn.noise_scale(d)
             assert scale == pytest.approx(max(1.0, terms), rel=1e-12)
-            for got in (fn.eval(d), v):
-                assert cmath.isfinite(got) and abs(got - want) <= 4 * EPS * scale
-                # against the unfloored terms too; binary powering lost up
-                # to 654 eps of them at (general, 30, 0.5)
-                assert abs(got - want) <= 256 * EPS * terms
-            # the map adds (N - 1) log10|Delta| to the log of Delta (T^N)_11,
-            # two logs that cancel to 1e-13 at |Delta| = 1e-12
+            got = fn.eval(d)
+            assert cmath.isfinite(got) and abs(got - want) <= 4 * EPS * scale
+            # against the unfloored terms too; binary powering lost up to
+            # 654 eps of them at (general, 30, 0.5)
+            assert abs(got - want) <= 256 * EPS * terms
+            # the rescaled mantissa rounds differently: up to 10.0 eps of
+            # noise_scale at (markovian, 50, 0.1) (measured)
+            assert cmath.isfinite(v) and abs(v - want) <= 11 * EPS * scale
+            # the map and eval_scaled add (N - 1) log10|Delta| to the log of
+            # Delta (T^N)_11, two logs that cancel to 1e-13 at |Delta| = 1e-12
             assert math.isfinite(lg) and abs(lg - math.log10(abs(want))) <= 1e-12
+            assert abs(math.log10(abs(m)) + s - math.log10(abs(want))) <= 1e-12
+            assert abs(cmath.phase(m / want)) <= 1e-13
 
 
 class TestGenericPhaseAccuracy:
@@ -587,6 +662,67 @@ class TestDeflationConsistency:
         assert count_zeros(fn, box) == n - 1
         deflated = CharFn(sr(n, 0.4), deflation_order=n - 1)
         assert abs(deflated(0.0)) > 1e-3
+
+
+def mp_winding(params, order, window, dps=30):
+    """Winding number of mp_f / Delta^order around the window's boundary at
+    mpmath precision, with no float overflow: each edge starts as 32
+    segments, and a segment is halved until its phase turns by less than
+    0.5 rad."""
+    n = params.n_qubits
+    with mp.workdps(dps):
+        sep, w = mp.mpf(params.phase_separation()), mp.mpc(params.phase_unit())
+
+        def f(d):
+            return mp_f(d, sep, n, w) / d**order
+
+        def turn(z0, f0, z1, f1, depth):
+            dphi = mp.arg(f1 / f0)
+            if abs(dphi) < 0.5:
+                return dphi
+            assert depth < 30
+            zm = (z0 + z1) / 2
+            fm = f(zm)
+            return turn(z0, f0, zm, fm, depth + 1) + turn(zm, fm, z1, f1, depth + 1)
+
+        corners = [
+            mp.mpc(window.re_min, window.im_min),
+            mp.mpc(window.re_max, window.im_min),
+            mp.mpc(window.re_max, window.im_max),
+            mp.mpc(window.re_min, window.im_max),
+        ]
+        total = mp.mpf(0)
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            zs = [a + (b - a) * k / 32 for k in range(33)]
+            fs = [f(z) for z in zs]
+            total += sum(turn(zs[k], fs[k], zs[k + 1], fs[k + 1], 0) for k in range(32))
+        return float(total / (2 * mp.pi))
+
+
+class TestCountingBeyondTheFloatRange:
+    """count_zeros walks f as (mantissa, log10 scale), so a window where |f|
+    exceeds 1e308 on the whole boundary still counts; the count is checked
+    against an mpmath winding number of the same boundary."""
+
+    @pytest.mark.parametrize(
+        "params, order, window",
+        [
+            (sr(100, 3.0), 99, (-0.02, 0.02, -4.02, -3.98)),
+            (ChainParams(30, 1.0, mode="general"), 0, (-0.2, 0.2, -55.2, -54.8)),
+        ],
+        ids=["sr100", "general30"],
+    )
+    def test_count_matches_mpmath_winding(self, params, order, window):
+        from ssrchain import SearchWindow, count_zeros
+        from ssrchain.rootfind import characteristic_function
+
+        fn = characteristic_function(params)
+        assert fn.deflation_order == order
+        win = SearchWindow(*window)
+        assert not cmath.isfinite(fn.eval(win.center))
+        winding = mp_winding(params, order, win)
+        assert abs(winding - round(winding)) < 1e-6
+        assert count_zeros(fn, win) == round(winding)
 
 
 class TestMarkovianPolynomial:

@@ -525,13 +525,13 @@ class TestBatchedWalkAgainstRecursiveWalk:
     def test_same_counts_failures_and_points(self, mode, n, sep, monkeypatch):
         fn = characteristic_function(ChainParams(n, sep, mode=mode))
         seen = []
-        original = CharFn.eval_many
+        original = CharFn.eval_scaled
 
         def recorded(self, deltas):
             seen.extend(np.asarray(deltas).tolist())
             return original(self, deltas)
 
-        monkeypatch.setattr(CharFn, "eval_many", recorded)
+        monkeypatch.setattr(CharFn, "eval_scaled", recorded)
         window = default_window(n)
         children = _split(window, 0.5, 0.5)
         refs = [_ref_count_zeros(fn, win) for win in [window] + children]
@@ -552,7 +552,7 @@ class TestBatchedWalkAgainstRecursiveWalk:
         # the four children of the cut, counted as one batch: each child
         # gets its own count, or the point count_zeros names for it alone
         seen.clear()
-        got, _ = _count(fn.eval_many, children)
+        got, _ = _count(fn.eval_scaled, children)
         assert got == [want if want is not None else named[win] for win, (want, _, _)
                        in zip(children, refs[1:])]
         assert [type(g) for g in got] == [int if want is not None else complex
@@ -871,14 +871,14 @@ def test_quadrisection_evaluates_in_few_large_batches(case, monkeypatch):
     # makes the same decisions; a level per batch keeps the calls few
     mode, n, sep = case
     calls, points = [0], [0]
-    original = CharFn.eval_many
+    original = CharFn.eval_scaled
 
     def counted(self, deltas):
         calls[0] += 1
         points[0] += np.size(deltas)
         return original(self, deltas)
 
-    monkeypatch.setattr(CharFn, "eval_many", counted)
+    monkeypatch.setattr(CharFn, "eval_scaled", counted)
     window = default_window(n)
     localize_zeros(characteristic_function(ChainParams(n, sep, mode=mode)), window,
                    _table_max_cell(window))
