@@ -164,54 +164,6 @@ class CharFn:
         uk, ukm1 = chebyshev_u_pair(w * (cmath.cos(u) + 0.5 * le * sinc), n)
         return uk * m11, delta * ukm1, expo
 
-    def eval_derivatives(self, delta: complex) -> tuple[complex, complex, complex, complex, complex]:
-        """(f, f_Delta, f_L, f_DeltaDelta, f_DeltaL) of the deflated sr-branch
-        f at Delta != 0, the separation L taken as the second variable.
-
-        One forward-mode pass (Griewank & Walther, Evaluating Derivatives,
-        2nd ed., SIAM 2008) carries the jet (value, d/dDelta, d/dL,
-        d2/dDelta2, d2/dDelta dL) of every intermediate through the
-        Chebyshev recurrence of eval.  With x = w (1 + g), U_k(x) =
-        w^k U_k(1 + g), and the recurrence runs in Reinsch's difference form
-        D_{k+1} = 2 g U_k + D_k, U_{k+1} = U_k + D_{k+1}: near the fold g is
-        small, and the plain form would grow its rounding error like k^2.
-        The value equals eval to rounding; non-finite entries mean overflow.
-        """
-        p = self.params
-        n = p.n_qubits
-        if p.mode != MODE_SR or self.deflation_order != n - 1:
-            raise ContractViolationError("eval_derivatives needs the deflated sr-condition function")
-        delta = complex(delta)
-        if delta == 0:
-            raise SingularDetuningError("eval_derivatives is singular at Delta = 0")
-        try:
-            d = (delta, 1.0, 0.0, 0.0, 0.0)
-            u = _jmul(d, (p.separation, 0.0, 1.0, 0.0, 0.0))
-            c, s, e = cmath.cos(u[0]), cmath.sin(u[0]), cmath.exp(-1j * u[0])
-            inv = 0.5 / delta
-            # g = cos u - 1 + sin u / (2 Delta), cos u - 1 without cancellation
-            cos_m1 = _jchain(u, -2.0 * cmath.sin(0.5 * u[0]) ** 2, -s, -c)
-            sin_over = _jmul(_jchain(u, s, c, -s), (inv, -2.0 * inv * inv, 0.0, 8.0 * inv**3, 0.0))
-            gv, gd, gl, gdd, gdl = (2.0 * (a + b) for a, b in zip(cos_m1, sin_over))
-            # jets of U_k and D_k: D += _jmul(2g, U), then U += D, in locals
-            uv = dv = 1.0 + 0j  # U_0 and U_0 - U_{-1}
-            ud = ul = udd = udl = dd = dl = ddd = ddl = 0j
-            for _ in range(n - 1):
-                dv = gv * uv + dv
-                dd = gd * uv + gv * ud + dd
-                dl = gl * uv + gv * ul + dl
-                ddd = gdd * uv + 2.0 * gd * ud + gv * udd + ddd
-                ddl = gdl * uv + gd * ul + gl * ud + gv * udl + ddl
-                uv, ud, ul, udd, udl = uv + dv, ud + dd, ul + dl, udd + ddd, udl + ddl
-            uk = (uv, ud, ul, udd, udl)
-            ukm1 = (uv - dv, ud - dd, ul - dl, udd - ddd, udl - ddl)
-            # f = w^N (U_{N-1}(1 + g) (Delta + i/2) exp(-iu) - Delta U_{N-2}(1 + g))
-            m = _jmul((delta + 0.5j, 1.0, 0.0, 0.0, 0.0), _jchain(u, e, -1j * e, -e))
-            sign = p.phase_unit().real ** n
-            return tuple(sign * (a - b) for a, b in zip(_jmul(uk, m), _jmul(d, ukm1)))
-        except (OverflowError, ZeroDivisionError):
-            return (_INF,) * 5
-
     def noise_scale(self, delta: complex) -> float:
         """Magnitude of the terms cancelling in eval, at least 1 (inf where
         they overflow); eps times this is the attainable residual floor at
@@ -335,25 +287,6 @@ class CharFn:
                     np.divide(ukm1, mag, out=ukm1, where=mask)
                     ls[mask] += np.log10(mag[mask])
             return uk * m11 - z * ukm1, ls
-
-
-def _jmul(a, b):
-    """Product of two jets (v, v_Delta, v_L, v_DeltaDelta, v_DeltaL)."""
-    av, ad, al, add, adl = a
-    bv, bd, bl, bdd, bdl = b
-    return (
-        av * bv,
-        ad * bv + av * bd,
-        al * bv + av * bl,
-        add * bv + 2.0 * ad * bd + av * bdd,
-        adl * bv + ad * bl + al * bd + av * bdl,
-    )
-
-
-def _jchain(a, g0, g1, g2):
-    """The jet of g(a), given g, g' and g'' at the value of the jet a."""
-    _, ad, al, add, adl = a
-    return (g0, g1 * ad, g1 * al, g2 * ad * ad + g1 * add, g2 * ad * al + g1 * adl)
 
 
 def markovian_polynomial(params: ChainParams) -> list[complex]:

@@ -5,8 +5,9 @@ the critical separation L_c where the Markovian-like pole collides with the
 first exclusively non-Markovian one, and decays beyond.  The maximum is
 therefore a fold point.  A coarse scan of the rate over the bracket
 certifies an interior maximum, and Newton on the regular fold system
-(f = 0, df/dDelta = 0), with the exact Jacobian from
-CharFn.eval_derivatives, solves for it from the scan's best point.
+(psi = 0, dpsi/dy = 0) of the closed-form factor psi of Im f(-iy), with its
+exact Jacobian from one O(1) jet pass (_axis_jet), solves for it from the
+scan's best point.
 Golden-section search (derivative-free, safe at the branch-point kink) is
 only the fallback when that Newton is rejected.
 
@@ -57,12 +58,12 @@ class SSRResult:
     point is then the best separation found and its leading pole.
 
     evaluations is the number of scalar f evaluations the solve made: the
-    axis-root refinements, Newton and coalescent-pair steps, validation,
-    and one per CharFn.eval_derivatives call of the fold Newton.  The
-    closed-form axis scans (_axis_im: one pass for the whole separation
-    scan, one per golden-section point) are not counted.  A lone axis root is
-    not probed for a coalescing partner, so a solve takes about 250 to 310
-    evaluations from N = 2 to N = 10^4.
+    axis-root refinements, Newton and coalescent-pair steps, and
+    validation.  The closed form of Im f(-iy) evaluates no f, so neither
+    its axis scans (_axis_im: one pass for the whole separation scan, one
+    per golden-section point) nor the fold Newton steps on it (_axis_jet)
+    are counted.  A lone axis root is not probed for a coalescing partner,
+    so a solve takes about 250 to 315 evaluations from N = 2 to N = 10^4.
     """
 
     n_qubits: int
@@ -113,6 +114,73 @@ def _axis_im(n: int, sr_index: int, separations, y: np.ndarray) -> np.ndarray:
     return np.where((sep > 0.0) & (n * sr_index % 2 == 1), -im, im)
 
 
+def _jmul(a, b):
+    """Product of two jets (v, v_y, v_L, v_yy, v_yL)."""
+    av, ay, al, ayy, ayl = a
+    bv, by, bl, byy, byl = b
+    return (
+        av * bv,
+        ay * bv + av * by,
+        al * bv + av * bl,
+        ayy * bv + 2.0 * ay * by + av * byy,
+        ayl * bv + ay * bl + al * by + av * byl,
+    )
+
+
+def _jchain(a, g0, g1, g2):
+    """The jet of g(a), given g, g' and g'' at the value of the jet a."""
+    _, ay, al, ayy, ayl = a
+    return (g0, g1 * ay, g1 * al, g2 * ay * ay + g1 * ayy, g2 * ay * al + g1 * ayl)
+
+
+def _jadd(a, b):
+    """Sum of two jets."""
+    return tuple(p + q for p, q in zip(a, b))
+
+
+def _axis_jet(n: int, y: float, l: float) -> tuple[float, float, float, float, float]:
+    """(psi, psi_y, psi_L, psi_yy, psi_yL) at y, L > 0, psi being the row of
+    _axis_im without its sign w^N (the same for every sr_index); NaN where
+    e^t overflows, as f does.
+
+    One forward-mode pass (Griewank & Walther, Evaluating Derivatives, 2nd
+    ed., SIAM 2008) of jets in (y, L), O(1) in N, through psi in difference
+    form: psi = y (s_(N-1) - E s_N) + E s_N / 2, E = e^(phi - t), s_(N-1) -
+    E s_N = (-expm1(phi - t) + e^(-2(N-1) phi) expm1(-phi - t)) / phi.  Near
+    the fold each term of _axis_im is about N times psi's scale, and their
+    difference would lose that much."""
+    try:
+        tv = y * l
+        t = (tv, l, y, 0.0, 1.0)
+        et = math.exp(tv)  # raises where e^t overflows
+        sh, ch, inv = math.sinh(tv), 0.5 * (et + 1.0 / et), 0.25 / y
+        # h = g/2 = sinh^2(t/2) + sinh(t) / (4y) > 0 and phi = 2 asinh(sqrt(h))
+        h = _jadd(
+            _jchain(t, math.sinh(0.5 * tv) ** 2, 0.5 * sh, 0.5 * ch),
+            _jmul(_jchain(t, sh, ch, sh), (inv, -4.0 * inv * inv, 0.0, 32.0 * inv**3, 0.0)),
+        )
+        hv = h[0]
+        d1 = 1.0 / (math.sqrt(hv) * math.sqrt(1.0 + hv))
+        phi = _jchain(h, 2.0 * math.asinh(math.sqrt(hv)), d1, -0.5 * d1 * (1.0 / hv + 1.0 / (1.0 + hv)))
+        pv, q = phi[0], 1.0 / phi[0]
+        up = tuple(u - v for u, v in zip(phi, t))  # phi - t
+        dn = tuple(-u - v for u, v in zip(phi, t))  # -phi - t
+        e, en, m = math.exp(up[0]), math.exp(dn[0]), 2.0 * (n - 1)
+        b, c = math.exp(-m * pv), math.exp(-2.0 * n * pv)
+        # phi (s_(N-1) - E s_N) and phi E s_N / 2
+        diff = _jadd(
+            _jchain(up, -math.expm1(up[0]), -e, -e),
+            _jmul(_jchain(phi, b, -m * b, m * m * b), _jchain(dn, math.expm1(dn[0]), en, en)),
+        )
+        half = _jmul(
+            _jchain(up, 0.5 * e, 0.5 * e, 0.5 * e),
+            _jchain(phi, -math.expm1(-2.0 * n * pv), 2.0 * n * c, -4.0 * n * n * c),
+        )
+        return _jmul(_jadd(_jmul((y, 1.0, 0.0, 0.0, 0.0), diff), half), _jchain(phi, q, -q * q, 2.0 * q**3))
+    except (OverflowError, ZeroDivisionError):
+        return (math.nan,) * 5
+
+
 class _CountedFn:
     """A deflated CharFn whose scalar evaluations are tallied on its tracker."""
 
@@ -123,10 +191,6 @@ class _CountedFn:
     def __call__(self, delta: complex) -> complex:
         self.tracker.evals += 1
         return self.charfn.eval(delta)
-
-    def eval_derivatives(self, delta: complex):
-        self.tracker.evals += 1
-        return self.charfn.eval_derivatives(delta)
 
     def noise_scale(self, delta: complex) -> float:
         return self.charfn.noise_scale(delta)
@@ -412,29 +476,25 @@ def _golden_max(fn, a: float, b: float, abstol: float) -> tuple[float, float]:
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _fold_newton(fn_at, y: float, l: float, maxiter: int = 30) -> tuple[float, float, bool]:
-    """Newton on the regular fold system (phi, phi_y) = (0, 0) in (y, L),
-    with phi(y, L) = Im f(-iy, L) and the exact Jacobian
-    [[phi_y, phi_L], [phi_yy, phi_yL]] (Moore & Spence, SIAM J. Numer.
-    Anal. 17, 1980).
+def _fold_newton(n: int, y: float, l: float, maxiter: int = 30) -> tuple[float, float, bool]:
+    """Newton on the regular fold system (psi, psi_y) = (0, 0) in (y, L),
+    with psi(y, L) of _axis_jet, Im f(-iy, L) up to a positive factor, and
+    the exact Jacobian [[psi_y, psi_L], [psi_yy, psi_yL]] (Moore & Spence,
+    SIAM J. Numer. Anal. 17, 1980).
 
     On the imaginary axis f is i times a real function, so the fold where
-    the colliding pair coalesces is a real 2x2 system, regular at the fold.
-    Returns (y, L, converged): converged when the relative step falls to
-    1e-12, or, once below 1e-9, stops halving (the rounding floor of f
-    rises with N).
+    the colliding pair coalesces is a real 2x2 system, regular at the fold;
+    psi shares it with Im f.  Returns (y, L, converged): converged when the
+    relative step falls to 1e-12, or, once below 1e-9, stops halving.
     """
     prev = math.inf
     for _ in range(maxiter):
-        f, f_d, f_l, f_dd, f_dl = fn_at(l).eval_derivatives(-1j * y)
-        # d/dy = -i d/dDelta along Delta = -iy
-        phi, phi_y, phi_l = f.imag, -f_d.real, f_l.imag
-        phi_yy, phi_yl = -f_dd.imag, -f_dl.real
-        det = phi_y * phi_yl - phi_l * phi_yy
+        psi, psi_y, psi_l, psi_yy, psi_yl = _axis_jet(n, y, l)
+        det = psi_y * psi_yl - psi_l * psi_yy
         if not (det != 0.0 and math.isfinite(det)):
             return y, l, False
-        dy = (phi * phi_yl - phi_l * phi_y) / det
-        dl = (phi_y * phi_y - phi * phi_yy) / det
+        dy = (psi * psi_yl - psi_l * psi_y) / det
+        dl = (psi_y * psi_y - psi * psi_yy) / det
         y, l = y - dy, l - dl
         if not (0.0 < y < math.inf and 0.0 < l < math.inf):  # also catches NaN
             return y, l, False
@@ -479,7 +539,7 @@ def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None 
             "scan the rate over a wider range and re-bracket"
         )
     top = vs[ibest]
-    y, l_fold, converged = _fold_newton(tracker.fn, 0.5 * top, xs[ibest])
+    y, l_fold, converged = _fold_newton(n_qubits, 0.5 * top, xs[ibest])
     if converged and xs[ibest - 1] < l_fold < xs[ibest + 1] and 2.0 * y >= top - 1e-6 * (1.0 + top):
         fn = tracker.fn(l_fold)
         fold = -1j * y

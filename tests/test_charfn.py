@@ -15,7 +15,7 @@ from ssrchain import (
     closed_form_residual,
     markovian_polynomial,
 )
-from ssrchain.charfn import _INF, _jchain, _jmul, _sinc
+from ssrchain.charfn import _INF, _sinc
 from ssrchain.core import chebyshev_u_pair
 from ssrchain.output import Grid
 from ssrchain.rootfind import default_window, refine
@@ -419,95 +419,6 @@ def mp_f(delta, sep, n, w):
 def mp_deflated_f(delta, sep, n, w):
     """mp_f of the sr branch divided by Delta^(N-1)."""
     return mp_f(delta, sep, n, w) / delta ** (n - 1)
-
-
-def tuple_loop_derivatives(fn, delta):
-    """Test-local copy of CharFn.eval_derivatives as it was with its jet
-    loop over 5-tuples: _jmul and tuple sums at every step."""
-    p = fn.params
-    n = p.n_qubits
-    delta = complex(delta)
-    try:
-        d = (delta, 1.0, 0.0, 0.0, 0.0)
-        u = _jmul(d, (p.separation, 0.0, 1.0, 0.0, 0.0))
-        c, s, e = cmath.cos(u[0]), cmath.sin(u[0]), cmath.exp(-1j * u[0])
-        inv = 0.5 / delta
-        cos_m1 = _jchain(u, -2.0 * cmath.sin(0.5 * u[0]) ** 2, -s, -c)
-        sin_over = _jmul(_jchain(u, s, c, -s), (inv, -2.0 * inv * inv, 0.0, 8.0 * inv**3, 0.0))
-        g2 = tuple(2.0 * (a + b) for a, b in zip(cos_m1, sin_over))
-        uk = dk = (1.0 + 0j, 0j, 0j, 0j, 0j)
-        for _ in range(n - 1):
-            dk = tuple(a + b for a, b in zip(_jmul(g2, uk), dk))
-            uk = tuple(a + b for a, b in zip(uk, dk))
-        ukm1 = tuple(a - b for a, b in zip(uk, dk))
-        m = _jmul((delta + 0.5j, 1.0, 0.0, 0.0, 0.0), _jchain(u, e, -1j * e, -e))
-        sign = p.phase_unit().real ** n
-        return tuple(sign * (a - b) for a, b in zip(_jmul(uk, m), _jmul(d, ukm1)))
-    except (OverflowError, ZeroDivisionError):
-        return (_INF,) * 5
-
-
-class TestEvalDerivatives:
-    @pytest.mark.parametrize("n", [1, 2, 5, 20, 100, 1000])
-    @pytest.mark.parametrize("sr_index", [1, 2])
-    def test_unrolled_loop_is_bit_identical(self, n, sr_index):
-        deltas = [-1.1385j * n, 0.3 * n - 0.8j * n, -2.5j * n, 1e-3 - 1e-3j, -0.5j, 2.0 + 0.1j]
-        for sep in (1.757 / n**2, 0.05, 3.0):
-            fn = CharFn(sr(n, sep, sr_index), deflation_order=n - 1)
-            for delta in deltas:
-                got = np.array(fn.eval_derivatives(delta))
-                want = np.array(tuple_loop_derivatives(fn, delta))
-                assert np.array_equal(bits(got), bits(want))
-
-    @pytest.mark.parametrize(
-        "n, sep, delta, sr_index",
-        [
-            (2, 0.5, 1 - 2j, 1),
-            (5, 0.07, 2 - 12j, 1),
-            (7, 0.05, -4 - 9j, 2),
-            (20, 4e-3, 3 - 20j, 1),
-            (100, 1.76e-4, 20 - 60j, 1),
-            (100, 1.7e-4, 5 - 113j, 1),
-            (300, 2e-5, -30 - 340j, 3),
-        ],
-    )
-    def test_against_mpmath(self, n, sep, delta, sr_index):
-        fn = CharFn(sr(n, sep, sr_index), deflation_order=n - 1)
-        got = fn.eval_derivatives(delta)
-        with mp.workdps(30):
-            w = -1 if sr_index % 2 else 1
-            f = lambda d, l: mp_deflated_f(d, l, n, w)  # noqa: E731
-            d, l = mp.mpc(delta), mp.mpf(sep)
-            want = [
-                f(d, l),
-                mp.diff(lambda t: f(d + t, l), 0),
-                mp.diff(lambda t: f(d, l + t), 0),
-                mp.diff(lambda t: f(d + t, l), 0, 2),
-                mp.diff(f, (d, l), (1, 1)),
-            ]
-            for g, ref in zip(got, want):
-                assert abs(g - complex(ref)) <= 1e-10 * float(abs(ref))
-
-    @pytest.mark.parametrize(
-        "n, sep, delta", [(2, 0.557, -2.3j), (5, 0.073, -5.7j), (20, 4.4e-3, -22.77j), (100, 1.757e-4, 3 - 113.8j)]
-    )
-    def test_value_is_eval_to_rounding(self, n, sep, delta):
-        fn = CharFn(sr(n, sep), deflation_order=n - 1)
-        value = fn.eval_derivatives(delta)[0]
-        assert abs(value - fn.eval(delta)) <= 64 * 2.2e-16 * fn.noise_scale(delta)
-
-    def test_overflow_is_not_finite(self):
-        fn = CharFn(sr(100, 3.0), deflation_order=99)
-        assert not cmath.isfinite(fn(-200j))
-        assert not all(cmath.isfinite(v) for v in fn.eval_derivatives(-200j))
-
-    def test_contract(self):
-        with pytest.raises(ContractViolationError):
-            CharFn(sr(3, 0.4)).eval_derivatives(1 - 1j)
-        with pytest.raises(ContractViolationError):
-            CharFn(ChainParams(3, 0.4, mode="general")).eval_derivatives(1 - 1j)
-        with pytest.raises(SingularDetuningError):
-            CharFn(sr(3, 0.4), deflation_order=2).eval_derivatives(0.0)
 
 
 EPS = 2.220446049250313e-16

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import warnings
 
@@ -22,7 +23,14 @@ from ssrchain import (
 from ssrchain import ssr
 from ssrchain.charfn import CharFn
 from ssrchain.rootfind import _accept_tol, _newton, coalescent_pair, grid_scan_minima
-from ssrchain.ssr import _PoleTracker, _axis_im, _default_bracket, _fold_newton, _golden_max
+from ssrchain.ssr import (
+    _PoleTracker,
+    _axis_im,
+    _axis_jet,
+    _default_bracket,
+    _fold_newton,
+    _golden_max,
+)
 
 
 def two_qubit_fold():
@@ -443,15 +451,8 @@ class TestEvaluationCount:
             calls[0] += 1
             return original(self, delta)
 
-        original_derivatives = CharFn.eval_derivatives
-
-        def counted_derivatives(self, delta):
-            calls[0] += 1
-            return original_derivatives(self, delta)
-
         monkeypatch.setattr(CharFn, "eval", counted)
         monkeypatch.setattr(CharFn, "__call__", counted)
-        monkeypatch.setattr(CharFn, "eval_derivatives", counted_derivatives)
         res = maximize_over_separation(2)
         assert res.evaluations == calls[0]
 
@@ -565,6 +566,53 @@ def mp_fold(n):
     raise ArithmeticError(f"mpmath fold did not converge at N = {n}")
 
 
+EPS = 2.220446049250313e-16
+
+
+def mp_axis_parts(n, y, l):
+    """Test-local (E, s_N, s_(N-1)) of the closed form of Im f(-iy) in
+    _axis_im's docstring: E = e^(phi - t), s_k = -expm1(-2k phi) / phi,
+    phi = 2 asinh(sqrt(sinh^2(t/2) + sinh(t) / (4y))), t = yL."""
+    t = y * l
+    phi = 2 * mp.asinh(mp.sqrt(mp.sinh(t / 2) ** 2 + mp.sinh(t) / (4 * y)))
+    return mp.exp(phi - t), -mp.expm1(-2 * n * phi) / phi, -mp.expm1(-2 * (n - 1) * phi) / phi
+
+
+def mp_psi(n, y, l):
+    """Test-local psi = (1/2 - y) E s_N + y s_(N-1): Im f(-iy) is psi times
+    w^N and a positive factor."""
+    e, s_n, s_m = mp_axis_parts(n, y, l)
+    return (mp.mpf(1) / 2 - y) * e * s_n + y * s_m
+
+
+def mp_tau_c():
+    """tau_c of the large-N laws, 4 tau cosh tau = (tau^2 + 4) sinh tau, at
+    the working precision."""
+    return mp.findroot(lambda t: 4 * t * mp.cosh(t) - (t * t + 4) * mp.sinh(t), mp.mpf("2.4"))
+
+
+@functools.lru_cache(maxsize=None)
+def mp_psi_fold(n):
+    """Test-local 40-digit fold (y, L) of the closed-form psi, as mpmath
+    numbers: Newton on (psi, dpsi/dy) = 0 with mpmath derivatives, from the
+    large-N law (y, L) = (alpha_c N/2, beta_c/N^2).  O(1) in N, unlike the
+    N-cell products of mp_fold."""
+    with mp.workdps(40):
+        phi = lambda y, l: mp_psi(n, y, l)  # noqa: E731
+        beta = mp_tau_c() ** 2 - 4
+        y, l = 2 * n / beta, beta / n**2
+        for _ in range(40):
+            f0, fy = phi(y, l), mp.diff(phi, (y, l), (1, 0))
+            fl, fyy = mp.diff(phi, (y, l), (0, 1)), mp.diff(phi, (y, l), (2, 0))
+            fyl = mp.diff(phi, (y, l), (1, 1))
+            det = fy * fyl - fl * fyy
+            dy, dl = (f0 * fyl - fl * fy) / det, (fy * fy - f0 * fyy) / det
+            y, l = y - dy, l - dl
+            if abs(dy) < mp.mpf("1e-34") * y and abs(dl) < mp.mpf("1e-34") * l:
+                return y, l
+    raise ArithmeticError(f"mpmath fold of psi did not converge at N = {n}")
+
+
 def scan_seed(n):
     """The maximizer's Newton seed: its 16-point scan's best point."""
     a, b = _default_bracket(n)
@@ -575,31 +623,104 @@ def scan_seed(n):
     return 0.5 * vs[i], xs[i]
 
 
+class TestAxisJet:
+    """_axis_jet against mpmath derivatives of the closed form and against
+    the axis scan it shares that form with."""
+
+    @staticmethod
+    def points(n):
+        y, l = mp_psi_fold(n)
+        return [(float(b * y), float(a * l)) for a in (0.5, 1, 3) for b in (0.5, 1, 2)]
+
+    @pytest.mark.parametrize("n", [2, 20, 100, 10_000])
+    def test_against_mpmath(self, n):
+        # each component within 1e-12 of the size of the two terms of the
+        # difference form, y (s_(N-1) - E s_N) and E s_N / 2, that it sums;
+        # the plain form of _axis_im is off by about N eps of that size
+        def terms(y, l):
+            e, s_n, s_m = mp_axis_parts(n, y, l)
+            return y * (s_m - e * s_n), e * s_n / 2
+
+        with mp.workdps(40):
+            for y, l in self.points(n):
+                got = _axis_jet(n, y, l)
+                at = (mp.mpf(y), mp.mpf(l))
+                for g, order in zip(got, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]):
+                    a, b = (mp.diff(lambda u, v: terms(u, v)[i], at, order) for i in (0, 1))
+                    assert abs(g - (a + b)) <= 1e-12 * (abs(a) + abs(b))
+
+    @pytest.mark.parametrize("n", [2, 5, 20, 100, 101, 10_000])
+    @pytest.mark.parametrize("sr_index", [1, 2])
+    def test_value_is_the_axis_scan(self, n, sr_index):
+        w = -1.0 if n * sr_index % 2 else 1.0
+        for y, l in self.points(n):
+            value = _axis_jet(n, y, l)[0]
+            scan = w * _axis_im(n, sr_index, [l], np.array([y]))[0, 0]
+            with mp.workdps(30):
+                e, s_n, s_m = mp_axis_parts(n, mp.mpf(y), mp.mpf(l))
+                rounding = 8 * EPS * float(abs(0.5 - y) * e * s_n + y * s_m)
+            assert abs(value - scan) <= rounding
+            if abs(scan) > rounding:
+                assert (value < 0.0) == (scan < 0.0)
+
+    @pytest.mark.parametrize("n, sep", [(2, 3.0), (100, 3.0), (1000, 0.5)])
+    def test_not_finite_where_the_scan_has_no_data(self, n, sep):
+        y = np.linspace(700.0 / sep, 712.0 / sep, 2001)
+        data = np.isfinite(_axis_im(n, 1, [sep], y)[0])
+        jets = np.array([_axis_jet(n, v, sep) for v in y.tolist()])
+        assert 0 < np.count_nonzero(data) < y.size
+        assert np.array_equal(np.isfinite(jets[:, 0]), data)
+        assert not np.isfinite(jets[~data]).any()
+
+
 class TestFoldNewton:
     @pytest.mark.parametrize("n", [2, 20, 100])
-    def test_matches_mpmath_fold(self, n):
+    def test_closed_form_fold_is_the_product_fold(self, n):
         gamma, l_c = mp_fold(n)
+        y, l = mp_psi_fold(n)
+        assert abs(2 * y - gamma) <= 1e-15 * gamma
+        assert abs(l - l_c) <= 1e-15 * l_c
+
+    @pytest.mark.parametrize("n", [2, 20, 100, 1000, 10_000])
+    def test_matches_mpmath_fold(self, n):
+        if n <= 100:
+            gamma, l_c = mp_fold(n)
+        else:
+            y, l = mp_psi_fold(n)
+            gamma, l_c = float(2 * y), float(l)
         res = maximize_over_separation(n)
         assert res.coalescence
         assert res.gamma_ssr.imag == 0.0
-        assert abs(res.gamma_ssr.real - gamma) <= 1e-10 * gamma
-        assert abs(res.l_critical - l_c) <= 1e-10 * l_c
+        assert abs(res.gamma_ssr.real - gamma) <= 1e-13 * gamma
+        assert abs(res.l_critical - l_c) <= 1e-13 * l_c
+
+    def test_thousand_qubits_resolve_the_n_to_the_minus_four_term(self):
+        # Gamma / N - alpha_c = c / N^4 + ..., c -> 0.2130 (0.21302 at the
+        # 40-digit fold of N = 1000); critical_pair()'s alpha_c is itself
+        # 1.8e-15 off, so alpha_c is solved here at 40 digits
+        n = 1000
+        res = maximize_over_separation(n)
+        with mp.workdps(40):
+            alpha_c = 4 / (mp_tau_c() ** 2 - 4)
+            want = (2 * mp_psi_fold(n)[0] / n - alpha_c) * n**4
+            got = (mp.mpf(res.gamma_ssr.real) / n - alpha_c) * n**4
+        assert abs(want - mp.mpf("0.2130")) < 1e-4
+        assert abs(got - want) < 0.01
 
     @pytest.mark.parametrize("n", [20, 50, 100])
-    def test_converges_in_a_handful_of_steps(self, n):
-        tracker = _PoleTracker(n)
-        y, l, converged = _fold_newton(tracker.fn, *scan_seed(n))
+    def test_converges_in_a_handful_of_steps(self, n, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ssr, "_axis_jet", lambda *a: calls.append(a) or _axis_jet(*a))
+        y, l, converged = _fold_newton(n, *scan_seed(n))
         assert converged
-        assert 0 < tracker.evals <= 8
+        assert 0 < len(calls) <= 8
 
     @pytest.mark.parametrize("n", [20, 100])
     def test_stable_under_ulp_moves_of_the_seed(self, n):
         y0, l0 = scan_seed(n)
         ys = []
         for k in (-3, -1, 1, 3):
-            y, _, converged = _fold_newton(
-                _PoleTracker(n).fn, y0 + k * math.ulp(y0), l0 - k * math.ulp(l0)
-            )
+            y, _, converged = _fold_newton(n, y0 + k * math.ulp(y0), l0 - k * math.ulp(l0))
             assert converged
             ys.append(y)
         assert max(ys) - min(ys) <= 1e-12 * max(ys)
@@ -612,8 +733,10 @@ class TestFoldNewton:
         assert abs(res.l_critical * 1000**2 / crit.beta_c - 1.0) < 1e-4
 
     def test_ten_thousand_qubits_follow_the_large_n_laws(self):
-        # Gamma / N - alpha_c falls like N^-4 and L_c N^2 - beta_c like N^-2:
-        # 1.2e-11 (at the rounding floor) and 1.4284e-8 here, where the
+        # Gamma / N - alpha_c falls like N^-4 and L_c N^2 - beta_c like N^-2.
+        # The first is 1e-17 relative here, below the rounding floor: Gamma
+        # is 1.5e-15 off a 40-digit alpha_c N and 3e-16 off critical_pair()'s,
+        # which is itself 1.8e-15 off.  The second is 1.4285e-8, where the
         # N^-2 law predicts 1.4286e-8
         crit = critical_pair()
         res = maximize_over_separation(10_000)
@@ -642,10 +765,10 @@ class TestFoldNewton:
     def test_rejected_newton_falls_back_to_golden_section(self, outcome, monkeypatch):
         real = _fold_newton
 
-        def fake(fn_at, y, l):
+        def fake(n, y, l):
             if outcome == "no_coalescence":
                 return y, l, True  # the seed: 2y is the scan's best rate
-            y, l, _ = real(fn_at, y, l)
+            y, l, _ = real(n, y, l)
             return (y, l, False) if outcome == "step_test_failed" else (y, 10.0 * l, True)
 
         monkeypatch.setattr(ssr, "_fold_newton", fake)
