@@ -57,4 +57,5 @@ class WindowExhaustedError(SSRChainError):
 
 
 class BracketError(SSRChainError):
-    """The maximizer bracket does not contain a certifiable interior maximum."""
+    """The maximizer bracket does not hold the fold, or the fold found in it
+    failed a check; the message names which."""

@@ -3,21 +3,20 @@
 The objective Re Gamma_u(L) rises from the Dicke value N gamma_0, peaks at
 the critical separation L_c where the Markovian-like pole collides with the
 first exclusively non-Markovian one, and decays beyond.  The maximum is
-therefore a fold point.  A coarse scan of the rate over the bracket
-certifies an interior maximum, and Newton on the regular fold system
-(psi = 0, dpsi/dy = 0) of the closed-form factor psi of Im f(-iy), with its
-exact Jacobian from one O(1) jet pass (_axis_jet), solves for it from the
-scan's best point.
-Golden-section search (derivative-free, safe at the branch-point kink) is
-only the fallback when that Newton is rejected.
+therefore a fold point, and the last separation where the leading pole
+is still a root of the real scalar Im f(-iy) brackets it: the closed form
+of Im f(-iy) (_axis_im) is scanned on a fixed y-grid at 16 separations in
+one vectorized pass, and the fold lies between the last row with a sign
+change and the next.  Newton on the regular fold system (psi = 0,
+dpsi/dy = 0) of the closed-form factor psi of Im f(-iy), with its exact
+Jacobian from one O(1) jet pass (_axis_jet), solves for it from that cell.
 
 Everything here runs in sr-condition mode, whose mirror symmetry
 f(-conj(Delta)) = (-1)^N conj(f(Delta)) pins the colliding pair to the
-imaginary axis: below L_c the two poles are roots of the real scalar
-Im f(-iy), bracketed by sign changes on a fixed y-grid (its closed form,
-evaluated at every scan separation in one vectorized pass) and refined by
-Illinois steps on the scalar f; above L_c the pair sits at (Delta,
--conj(Delta)) and is chased by Newton from symmetry-broken seeds.
+imaginary axis: below L_c the two poles are roots of Im f(-iy), bracketed
+by sign changes on the y-grid and refined by Illinois steps on the scalar
+f; above L_c the pair sits at (Delta, -conj(Delta)) and is found by Newton
+from the minima of a magnitude map.
 """
 
 from __future__ import annotations
@@ -45,25 +44,25 @@ from .rootfind import (
 
 BETA_HAT = 1.76  # prior for the L_c ~ beta/N^2 bracket rule
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# up to about 3e-6 below L_c (relative) the colliding axis roots share one
+# y-grid cell, so a scan row there shows no sign change though L < L_c
+_MERGED_SLACK = 1e-4
 
 
 @dataclass(frozen=True)
 class SSRResult:
     """Optimized super-superradiant point at fixed qubit number.
 
-    coalescence is True when the fold Newton converged and was accepted:
-    the point is then the fold itself, where the two poles coalesce.  It
-    is False when the maximizer fell back to golden-section search; the
-    point is then the best separation found and its leading pole.
+    The point is the fold itself, where the two poles coalesce, so
+    coalescence is True for every result maximize_over_separation returns.
+    The field stays because sweep files written when the maximizer still
+    had a golden-section fallback may carry false.
 
     evaluations is the number of scalar f evaluations the solve made: the
-    axis-root refinements, Newton and coalescent-pair steps, and
-    validation.  The closed form of Im f(-iy) evaluates no f, so neither
-    its axis scans (_axis_im: one pass for the whole separation scan, one
-    per golden-section point) nor the fold Newton steps on it (_axis_jet)
-    are counted.  A lone axis root is not probed for a coalescing partner,
-    so a solve takes about 250 to 315 evaluations from N = 2 to N = 10^4.
+    coalescent-pair steps that resolve the pair at the fold, and the
+    residual.  The closed form of Im f(-iy) evaluates no f, so neither its
+    axis scan (_axis_im) nor the fold Newton steps on it (_axis_jet) are
+    counted; a solve takes about 10 to 50 evaluations.
     """
 
     n_qubits: int
@@ -112,6 +111,14 @@ def _axis_im(n: int, sr_index: int, separations, y: np.ndarray) -> np.ndarray:
         im[~np.isfinite(np.exp(t))] = np.nan
     # w^N = -1 for odd N and sr_index, except at L = 0, where w = 1
     return np.where((sep > 0.0) & (n * sr_index % 2 == 1), -im, im)
+
+
+def _sign_cells(row: np.ndarray) -> np.ndarray:
+    """Indices i of the cells (y_i, y_(i+1)) of an _axis_im row that hold a
+    root: both ends finite, and a sign change or an exact zero at y_i."""
+    neg = row < 0.0
+    data = np.isfinite(row)
+    return np.flatnonzero(data[:-1] & data[1:] & ((row[:-1] == 0.0) | (neg[:-1] != neg[1:])))
 
 
 def _jmul(a, b):
@@ -200,7 +207,8 @@ class _CountedFn:
 
 
 class _PoleTracker:
-    """Warm-started finder of the two smallest nonzero poles vs separation.
+    """Finder of the two smallest nonzero poles at a separation; each pair()
+    call starts cold.
 
     evals counts the scalar f evaluations made through fn().
     """
@@ -214,8 +222,6 @@ class _PoleTracker:
             if depth <= 2.5
             else SearchWindow(base.re_min, base.re_max, -depth * n_qubits, base.im_max)
         )
-        self.warm_complex: complex | None = None
-        self.warm_axis: float | None = None
         self.evals = 0
         n = float(n_qubits)
         lo, knee, hi = 1e-4 * max(1.0, n), 0.35 * n, -self.window.im_min
@@ -227,19 +233,14 @@ class _PoleTracker:
     def fn(self, separation: float) -> _CountedFn:
         return _CountedFn(_fn_at_separation(self.params, separation), self)
 
-    def axis_roots(self, fn: _CountedFn, row: np.ndarray | None = None) -> list[float]:
+    def axis_roots(self, fn: _CountedFn) -> list[float]:
         """Roots of Im f(-iy) above y = 1e-6, one per sign-change cell of
         the y-grid, each refined on the scalar f.  Cells touching a point
-        where f is not finite hold no data and report nothing.  row is the
-        _axis_im row of f on the grid when rates() has computed it already."""
+        where f is not finite hold no data and report nothing."""
         g = self._ygrid
         p = fn.charfn.params
-        im = _axis_im(p.n_qubits, p.sr_index, [p.separation], g)[0] if row is None else row
-        neg = im < 0.0
-        data = np.isfinite(im)
-        cells = np.flatnonzero(data[:-1] & data[1:] & ((im[:-1] == 0.0) | (neg[:-1] != neg[1:])))
         roots = []
-        for i in cells:
+        for i in _sign_cells(_axis_im(p.n_qubits, p.sr_index, [p.separation], g)[0]):
             y = self._refine_axis_root(fn, float(g[i]), float(g[i + 1]))
             if y is not None and y > 1e-6:
                 roots.append(y)
@@ -298,45 +299,27 @@ class _PoleTracker:
     def _is_complex(self, z: complex) -> bool:
         return abs(z.real) > 1e-7 * (1.0 + abs(z))
 
-    def pair(self, separation: float, row: np.ndarray | None = None) -> list[complex]:
+    def pair(self, separation: float) -> list[complex]:
         """Up to two smallest-|Delta| nonzero poles, |Delta|-sorted; ties
         put the Im Gamma >= 0 member first.
 
-        row is this separation's axis scan from rates(), or None to scan
-        here.  The coalescent-pair probe runs only where a fold can hide:
-        when two axis roots lie within four grid cells of each other, or
-        when neither the axis nor the warm Newton gave a candidate.  A lone
-        axis root is a sign change of Im f(-iy) and so a simple root; a
-        pair merged inside one cell shows no sign change.  Such a root is
-        reported without a probe.
+        The coalescent-pair probe runs only where a fold can hide: when two
+        axis roots lie within four grid cells of each other.  A lone axis
+        root is a sign change of Im f(-iy), so a simple root, and is
+        reported without a probe; a pair merged inside one cell shows no
+        sign change and is left to the magnitude map.
         """
         fn = self.fn(separation)
-        axis = self.axis_roots(fn, row)
+        axis = self.axis_roots(fn)
         cands: list[complex] = [-1j * y for y in axis[:3]]
-        # chase the conjugate pair by Newton from the warm estimate
-        if len(axis) < 2 and self.warm_complex is not None:
-            z, _, ok = _newton(fn, self.warm_complex, _accept_tol(fn, self.warm_complex))
-            if ok and self._valid(fn, z) and self._is_complex(z):
-                cands.append(z)
-        # near a fold the pair sits within a few grid cells (or merges off
-        # the axis); the local quadratic model resolves both members at once
-        near_fold = len(axis) >= 2 and axis[1] - axis[0] < 4.0 * self._cell(axis[0])
-        if not cands or near_fold:
-            center = None
-            if axis:
-                center = -1j * axis[0]
-            elif self.warm_complex is not None:
-                center = self.warm_complex
-            elif self.warm_axis is not None:
-                center = -1j * self.warm_axis
-            if center is not None:
-                r1, r2 = coalescent_pair(fn, center, scale=abs(center) + 1.0)
-                for z in (r1, r2):
-                    if self._valid(fn, z):
-                        cands.append(z)
+        # near a fold the pair sits within a few grid cells; the local
+        # quadratic model resolves both members at once
+        if len(axis) >= 2 and axis[1] - axis[0] < 4.0 * self._cell(axis[0]):
+            probe = coalescent_pair(fn, -1j * axis[0], scale=axis[0] + 1.0)
+            cands += [z for z in probe if self._valid(fn, z)]
         if not cands:
-            # cold start: brute local minima of the magnitude map; seeds that
-            # stall in a flat valley get the coalescent-pair treatment
+            # no axis root: brute local minima of the magnitude map; seeds
+            # that stall in a flat valley get the coalescent-pair treatment
             for seed in grid_scan_minima(fn.log10_magnitude, self.window, resolution=160):
                 z, _, ok = _newton(fn, seed, _accept_tol(fn, seed))
                 if ok and self._valid(fn, z):
@@ -352,8 +335,9 @@ class _PoleTracker:
                 if self._valid(fn, m):
                     cands.append(m)
         # merge near-duplicates, keeping the best-converged representative
+        key = lambda c: (abs(c), -(2j * c).imag)  # noqa: E731
         uniq: list[complex] = []
-        for z in sorted(cands, key=lambda c: (abs(c), -(2j * c).imag)):
+        for z in sorted(cands, key=key):
             for i, u in enumerate(uniq):
                 if abs(z - u) <= 1e-7 * (1.0 + abs(u)):
                     if abs(fn(z)) < abs(fn(u)):
@@ -372,20 +356,8 @@ class _PoleTracker:
                 if self._valid(fn, z) and abs(z - uniq[0]) < 1e-2 * (1.0 + abs(uniq[0]))
             ]
             if len(members) == 2:
-                pair = sorted(members, key=lambda c: (abs(c), -(2j * c).imag))
-                if self._is_complex(pair[0]):
-                    self.warm_complex = pair[0]
-                else:
-                    self.warm_axis = -pair[0].imag
-                return pair
-        pair = uniq[:2]
-        if pair:
-            first = pair[0]
-            if self._is_complex(first):
-                self.warm_complex = first
-            else:
-                self.warm_axis = -first.imag
-        return pair
+                return sorted(members, key=key)
+        return uniq[:2]
 
     def _cell(self, y: float) -> float:
         """Width of the grid cell holding y (the lower one at a grid point),
@@ -412,21 +384,6 @@ class _PoleTracker:
             else f"the lowest at y = {g[np.argmax(bad)]:.4g}"
         )
         return f"; f is not finite at {int(bad.sum())} of {g.size} axis grid points ({where})"
-
-    def rates(self, separations: list[float]) -> list[float]:
-        """rate at each separation in turn, the axis scans of all of them
-        done in one _axis_im call."""
-        rows = _axis_im(self.params.n_qubits, self.params.sr_index, separations, self._ygrid)
-        return [self.rate(x, row) for x, row in zip(separations, rows)]
-
-    def rate(self, separation: float, row: np.ndarray | None = None) -> float:
-        pair = self.pair(separation, row)
-        if not pair:
-            raise WindowExhaustedError(
-                f"no nonzero pole inside {self.window} at separation {separation:.6g}"
-                + self.overflow_note(separation)
-            )
-        return -2.0 * pair[0].imag
 
 
 def superradiant_pole(params: ChainParams) -> Pole:
@@ -455,25 +412,6 @@ def _default_bracket(n_qubits: int) -> tuple[float, float]:
     if n_qubits >= 4:
         return 0.2 * BETA_HAT / n_qubits**2, 3.0 * BETA_HAT / n_qubits**2
     return 0.05, 2.0
-
-
-def _golden_max(fn, a: float, b: float, abstol: float) -> tuple[float, float]:
-    """Golden-section search for the maximum of fn over (a, b): (x, fn(x))."""
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    evals = 2
-    while (b - a) > abstol and evals < 300:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = fn(x1)
-        evals += 1
-    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def _fold_newton(n: int, y: float, l: float, maxiter: int = 30) -> tuple[float, float, bool]:
@@ -508,16 +446,19 @@ def _fold_newton(n: int, y: float, l: float, maxiter: int = 30) -> tuple[float, 
 def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None = None) -> SSRResult:
     """Maximize Re Gamma_u over the separation: the SSR point (Gamma_SSR, L_c).
 
-    A coarse log-spaced scan of 16 separations certifies an interior
-    maximum (raising BracketError otherwise); its axis scans of Im f(-iy)
-    are one closed-form _axis_im call (_PoleTracker.rates).  The bracket needs
-    0 < a < b with a, b and b / a finite (ContractViolationError
-    otherwise).  Newton on the fold system, seeded from the scan's best
-    point, is accepted when it converges inside the scan cells around that
-    point, does not lose objective value against the scan, and the
-    coalescing pair resolves at the fold; the result then carries
-    coalescence=True.  Otherwise golden-section search over those cells
-    gives the answer, with coalescence=False.
+    The bracket needs 0 < a < b with a, b and b / a finite
+    (ContractViolationError otherwise).  Im f(-iy) is scanned in closed
+    form (_axis_im, one call) on the tracker's y-grid at 16 log-spaced
+    separations x_0 < ... < x_15 of the bracket.  Below L_c the leading
+    pole is an axis root, so with x_k the last separation whose row has a
+    sign change, the fold lies in (x_k, x_(k+1)), or up to _MERGED_SLACK
+    past x_(k+1) where the pair shares a grid cell; BracketError is raised
+    when no row has one (the bracket lies above L_c) or the last row still
+    has one (below L_c).  Newton on the fold system starts from the lower
+    end of the leading root's sign-change cell on row k, at x_k.  Its
+    result is accepted when Newton converged, L lies in that cell, y lies
+    above the seed, and the coalescing pair resolves at the fold on the
+    scalar f; otherwise BracketError names the test that failed.
     """
     if not isinstance(n_qubits, int) or n_qubits < 2:
         raise ContractViolationError("the SSR point needs at least 2 qubits")
@@ -528,40 +469,37 @@ def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None 
             f"bad bracket ({a}, {b}): need 0 < lo < hi with lo, hi and hi / lo finite"
         )
     tracker = _PoleTracker(n_qubits)
+    g = tracker._ygrid
 
     nscan = 16
     xs = [a * (b / a) ** (i / (nscan - 1)) for i in range(nscan)]
-    vs = tracker.rates(xs)
-    ibest = max(range(nscan), key=lambda i: vs[i])
-    if ibest in (0, nscan - 1):
-        raise BracketError(
-            f"Re Gamma_u has no interior maximum over ({a:.6g}, {b:.6g}); "
-            "scan the rate over a wider range and re-bracket"
-        )
-    top = vs[ibest]
-    y, l_fold, converged = _fold_newton(n_qubits, 0.5 * top, xs[ibest])
-    if converged and xs[ibest - 1] < l_fold < xs[ibest + 1] and 2.0 * y >= top - 1e-6 * (1.0 + top):
-        fn = tracker.fn(l_fold)
-        fold = -1j * y
-        pair = coalescent_pair(fn, fold, scale=y + 1.0)
-        if all(abs(z - fold) <= 1e-3 * (1.0 + y) for z in pair):
-            residual = abs(fn(fold))
-            return SSRResult(
-                n_qubits=n_qubits,
-                l_critical=l_fold,
-                gamma_ssr=complex(2.0 * y, 0.0),
-                coalescence=True,
-                evaluations=tracker.evals,
-                residual=residual,
-            )
-    l_gs, _ = _golden_max(tracker.rate, xs[ibest - 1], xs[ibest + 1], abstol=1e-10 * (b - a))
-    z = tracker.pair(l_gs)[0]
-    residual = abs(tracker.fn(l_gs)(z))
+    cells = [_sign_cells(row) for row in _axis_im(n_qubits, 1, xs, g)]
+    rooted = [k for k in range(nscan) if cells[k].size]
+    span = f"({a:.6g}, {b:.6g}): the bracket lies"
+    if not rooted:
+        raise BracketError(f"no axis root of Im f(-iy) at any separation of {span} above L_c")
+    if rooted[-1] == nscan - 1:
+        raise BracketError(f"an axis root of Im f(-iy) still at the upper end of {span} below L_c")
+    k = rooted[-1]
+    y0, l0 = float(g[cells[k][0]]), xs[k]
+    y, l_fold, converged = _fold_newton(n_qubits, y0, l0)
+    newton = f"the fold Newton from (y, L) = ({y0:.6g}, {l0:.6g})"
+    if not converged:
+        raise BracketError(f"{newton} did not converge")
+    if not xs[k] < l_fold < xs[k + 1] * (1.0 + _MERGED_SLACK):
+        raise BracketError(f"{newton} left the scan cell ({l0:.6g}, {xs[k + 1]:.6g}): L = {l_fold:.6g}")
+    if not y > y0:
+        raise BracketError(f"{newton} ended at y = {y:.6g}, not above its seed")
+    fn = tracker.fn(l_fold)
+    fold = -1j * y
+    if not all(abs(z - fold) <= 1e-3 * (1.0 + y) for z in coalescent_pair(fn, fold, scale=y + 1.0)):
+        raise BracketError(f"the coalescing pair does not resolve at the fold ({y:.6g}, {l_fold:.6g})")
+    residual = abs(fn(fold))
     return SSRResult(
         n_qubits=n_qubits,
-        l_critical=l_gs,
-        gamma_ssr=2j * z,
-        coalescence=False,
+        l_critical=l_fold,
+        gamma_ssr=complex(2.0 * y, 0.0),
+        coalescence=True,
         evaluations=tracker.evals,
         residual=residual,
     )

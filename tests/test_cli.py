@@ -107,6 +107,23 @@ class TestSSR:
         assert "bad bracket (0.01, " in err
         assert "separation" not in err
 
+    def test_tight_bracket_gives_the_default_fold(self, tmp_path):
+        # the rate sampled at 16 points of (0.7, 1.02) L_c once peaked at the
+        # upper end and exited 3; the axis roots bracket the fold there
+        _, default = run(tmp_path, "d.csv", ["ssr", "--n", "2"])
+        l_c = float(read_csv_table(str(default))[2][0]["l_critical"])
+        bracket = [repr(0.7 * l_c), repr(1.02 * l_c)]
+        rc, out = run(tmp_path, "s.csv", ["ssr", "--n", "2", "--bracket", *bracket])
+        assert rc == 0
+        got, want = read_csv_table(str(out))[2][0], read_csv_table(str(default))[2][0]
+        for key in ("l_critical", "re_gamma_ssr", "im_gamma_ssr", "coalescence"):
+            assert got[key] == want[key]
+
+    def test_bracket_above_the_fold_is_a_solver_failure(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "s.csv", ["ssr", "--n", "2", "--bracket", "0.9", "2.0"])
+        assert rc == 3
+        assert "solver failure: no axis root of Im f(-iy)" in capsys.readouterr().err
+
 
 class TestSweepAndFit:
     def test_small_sweep_monotone(self, tmp_path):

@@ -6,6 +6,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ssrchain import (
     BracketError,
@@ -29,7 +30,6 @@ from ssrchain.ssr import (
     _axis_jet,
     _default_bracket,
     _fold_newton,
-    _golden_max,
 )
 
 
@@ -284,11 +284,6 @@ class TestClosedFormScan:
         assert [float(v) for v in np.sign(got)] == [float(v) for v in want]
         assert len(set(want)) == 2
 
-    def test_rates_match_one_pass_per_separation(self):
-        xs = scan_points(20)
-        serial = _PoleTracker(20)
-        assert _PoleTracker(20).rates(xs) == [serial.rate(x) for x in xs]
-
 
 def parent_pair(tracker, separation):
     """_PoleTracker.pair as it was before the probe was limited to close
@@ -297,25 +292,14 @@ def parent_pair(tracker, separation):
     fn = tracker.fn(separation)
     axis = tracker.axis_roots(fn)
     cands = [-1j * y for y in axis[:3]]
-    if len(axis) < 2 and tracker.warm_complex is not None:
-        z, _, ok = _newton(fn, tracker.warm_complex, _accept_tol(fn, tracker.warm_complex))
-        if ok and tracker._valid(fn, z) and tracker._is_complex(z):
-            cands.append(z)
     near_fold = bool(axis) and (
         len(axis) == 1 or axis[1] - axis[0] < 4.0 * tracker._cell(axis[0])
     )
-    if not cands or near_fold:
-        center = None
-        if axis:
-            center = -1j * axis[0]
-        elif tracker.warm_complex is not None:
-            center = tracker.warm_complex
-        elif tracker.warm_axis is not None:
-            center = -1j * tracker.warm_axis
-        if center is not None:
-            for z in coalescent_pair(fn, center, scale=abs(center) + 1.0):
-                if tracker._valid(fn, z):
-                    cands.append(z)
+    if near_fold:
+        center = -1j * axis[0]
+        for z in coalescent_pair(fn, center, scale=abs(center) + 1.0):
+            if tracker._valid(fn, z):
+                cands.append(z)
     if not cands:
         for seed in grid_scan_minima(fn.log10_magnitude, tracker.window, resolution=160):
             z, _, ok = _newton(fn, seed, _accept_tol(fn, seed))
@@ -349,11 +333,6 @@ def parent_pair(tracker, separation):
         ]
         if len(members) == 2:
             pair = sorted(members, key=key)
-    if pair:
-        if tracker._is_complex(pair[0]):
-            tracker.warm_complex = pair[0]
-        else:
-            tracker.warm_axis = -pair[0].imag
     return pair
 
 
@@ -372,12 +351,13 @@ def assert_same_pair(fn, got, want):
 class TestProbeRule:
     @pytest.mark.parametrize("n", [2, 10, 50, 100])
     def test_same_pairs_as_probing_every_root(self, n):
-        xs = scan_points(n)
-        new, old = _PoleTracker(n), _PoleTracker(n)
-        rows = _axis_im(n, 1, xs, new._ygrid)
-        for x, row in zip(xs, rows):
-            assert_same_pair(new.fn(x), new.pair(x, row), parent_pair(old, x))
-        assert new.evals < old.evals
+        new_evals = old_evals = 0
+        for x in scan_points(n):
+            new, old = _PoleTracker(n), _PoleTracker(n)
+            got, want = new.pair(x), parent_pair(old, x)
+            new_evals, old_evals = new_evals + new.evals, old_evals + old.evals
+            assert_same_pair(new.fn(x), got, want)
+        assert new_evals < old_evals
 
     @pytest.mark.parametrize("n", [2, 20, 100])
     def test_same_pairs_near_the_fold(self, n, monkeypatch):
@@ -431,8 +411,6 @@ class TestOverflowRegression:
         note = r"f is not finite at 467 of 600 axis grid points \(every y >= 2\.337\)"
         with pytest.raises(WindowExhaustedError, match=note):
             superradiant_pole(ChainParams(100, 3.0))
-        with pytest.raises(WindowExhaustedError, match=note):
-            _PoleTracker(100).rate(3.0)
 
     def test_valid_rejects_non_finite_f(self):
         tracker = _PoleTracker(100)
@@ -457,13 +435,13 @@ class TestEvaluationCount:
         assert res.evaluations == calls[0]
 
     def test_large_n_budget(self):
-        assert maximize_over_separation(100).evaluations <= 310
+        assert maximize_over_separation(100).evaluations <= 60
 
     def test_ten_thousand_qubit_budget(self):
-        assert maximize_over_separation(10_000).evaluations <= 335
+        assert maximize_over_separation(10_000).evaluations <= 60
 
     def test_two_qubit_budget(self):
-        assert maximize_over_separation(2).evaluations <= 350
+        assert maximize_over_separation(2).evaluations <= 60
 
 
 class TestMaximize:
@@ -514,15 +492,14 @@ class TestMaximize:
 
     @pytest.mark.parametrize("n", [2, 5, 10, 50])
     def test_golden_section_agrees_with_coalescence_solve(self, n):
+        # derivative-free search on the rate of the leading pole, found by
+        # a fresh tracker at every separation, peaks at the fold
         res = maximize_over_separation(n)
         assert res.coalescence
-        tracker = _PoleTracker(n)
-        if n >= 4:
-            a, b = 0.2 * 1.76 / n**2, 3.0 * 1.76 / n**2
-        else:
-            a, b = 0.05, 2.0
-        l_gs, _ = _golden_max(tracker.rate, a, b, abstol=1e-10 * (b - a))
-        assert abs(l_gs - res.l_critical) / res.l_critical < 1e-5
+        a, b = 0.8 * res.l_critical, 1.25 * res.l_critical
+        rate = lambda x: -2.0 * _PoleTracker(n).pair(x)[0].imag  # noqa: E731
+        l_gs, _ = golden_max(rate, a, b, abstol=1e-10 * (b - a))
+        assert abs(l_gs - res.l_critical) / res.l_critical < 1e-8
 
     def test_ssr_beats_dicke(self):
         for n in (2, 5, 20):
@@ -532,6 +509,30 @@ class TestMaximize:
     def test_system_size_shrinks(self):
         res = maximize_over_separation(50)
         assert 50 * res.l_critical < 2.0 * 1.1 / 50
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(fn, a, b, abstol):
+    """Test-local golden-section search for the maximum of fn over (a, b):
+    (x, fn(x)).  Derivative-free, so safe at the branch-point kink of the
+    rate at the fold."""
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    evals = 2
+    while (b - a) > abstol and evals < 300:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = fn(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = fn(x1)
+        evals += 1
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 def mp_fold(n):
@@ -614,13 +615,14 @@ def mp_psi_fold(n):
 
 
 def scan_seed(n):
-    """The maximizer's Newton seed: its 16-point scan's best point."""
-    a, b = _default_bracket(n)
-    xs = [a * (b / a) ** (i / 15) for i in range(16)]
-    tracker = _PoleTracker(n)
-    vs = [tracker.rate(x) for x in xs]
-    i = max(range(16), key=lambda k: vs[k])
-    return 0.5 * vs[i], xs[i]
+    """The maximizer's Newton seed (y, L): at the last of its 16 scan
+    separations whose axis row changes sign, the lower end of the leading
+    root's sign-change cell."""
+    xs = scan_points(n)
+    y = _PoleTracker(n)._ygrid
+    cells = sign_cells(_axis_im(n, 1, xs, y))
+    k = max(i for i in range(16) if cells[i].any())
+    return float(y[np.argmax(cells[k])]), xs[k]
 
 
 class TestAxisJet:
@@ -744,43 +746,99 @@ class TestFoldNewton:
         assert abs(res.gamma_ssr.real / (crit.alpha_c * 10_000) - 1.0) < 1e-9
         assert abs(res.l_critical * 10_000**2 / crit.beta_c - 1.0) < 5e-8
 
-    def test_ten_thousand_qubit_scan_stays_on_the_nearest_pair(self, monkeypatch):
-        # past the fold the warm scan keeps the pair closest to the origin,
-        # as a fresh tracker finds it, and needs no magnitude map
-        n = 10_000
-        a, b = _default_bracket(n)
-        xs = [a * (b / a) ** (i / 15) for i in range(16)]
-        maps, real = [], ssr.grid_scan_minima
-        monkeypatch.setattr(ssr, "grid_scan_minima", lambda *a, **kw: maps.append(a) or real(*a, **kw))
-        rates = _PoleTracker(n).rates(xs)
-        assert not maps
-        monkeypatch.undo()
-        past = [i for i in range(16) if xs[i] * n**2 > critical_pair().beta_c]
-        assert len(past) == 7
-        assert all(rates[i] > rates[i + 1] for i in past[:-1])
-        for i in past:
-            assert rates[i] == pytest.approx(_PoleTracker(n).rate(xs[i]), rel=1e-9)
+    def test_ten_thousand_qubits_need_no_map_and_no_newton_on_f(self, monkeypatch):
+        # the fold is bracketed on the closed-form axis rows: no separation
+        # past the fold is solved for its complex pair
+        calls = []
+        for name in ("grid_scan_minima", "_newton"):
+            real = getattr(ssr, name)
+            monkeypatch.setattr(ssr, name, lambda *a, _r=real, **kw: calls.append(a) or _r(*a, **kw))
+        assert maximize_over_separation(10_000).coalescence
+        assert not calls
 
-    @pytest.mark.parametrize("outcome", ["step_test_failed", "outside_scan_cells", "no_coalescence"])
-    def test_rejected_newton_falls_back_to_golden_section(self, outcome, monkeypatch):
+    REJECTIONS = {
+        "step_test_failed": "did not converge",
+        "outside_scan_cells": "left the scan cell",
+        "not_above_seed": "not above its seed",
+        "no_coalescence": "coalescing pair does not resolve",
+    }
+
+    @pytest.mark.parametrize("outcome", list(REJECTIONS))
+    def test_rejected_newton_raises_bracket_error(self, outcome, monkeypatch):
         real = _fold_newton
 
-        def fake(n, y, l):
-            if outcome == "no_coalescence":
-                return y, l, True  # the seed: 2y is the scan's best rate
-            y, l, _ = real(n, y, l)
-            return (y, l, False) if outcome == "step_test_failed" else (y, 10.0 * l, True)
+        def fake(n, y0, l0):
+            y, l, _ = real(n, y0, l0)
+            return {
+                "step_test_failed": (y, l, False),
+                "outside_scan_cells": (y, 10.0 * l, True),
+                "not_above_seed": (y0, l, True),
+                "no_coalescence": (1.01 * y, l, True),  # on no fold
+            }[outcome]
 
         monkeypatch.setattr(ssr, "_fold_newton", fake)
-        res = maximize_over_separation(2)
-        assert not res.coalescence
-        a, b = _default_bracket(2)
-        xs = [a * (b / a) ** (i / 15) for i in range(16)]
-        i = min(range(16), key=lambda k: abs(xs[k] - ORACLE_LC2))
-        l_gs, rate_gs = _golden_max(_PoleTracker(2).rate, xs[i - 1], xs[i + 1], 1e-10 * (b - a))
-        assert res.l_critical == pytest.approx(l_gs, rel=1e-9)
-        assert res.gamma_ssr.real == pytest.approx(rate_gs, rel=1e-9)
-        assert res.gamma_ssr.real == pytest.approx(ORACLE_GAMMA2, rel=1e-6)
+        with pytest.raises(BracketError, match=self.REJECTIONS[outcome]):
+            maximize_over_separation(2)
+
+
+@functools.lru_cache(maxsize=None)
+def default_fold(n):
+    return maximize_over_separation(n)
+
+
+class TestBracket:
+    """Every bracket that holds the fold gives the default bracket's fold;
+    the rate's 16 samples once missed it near either end."""
+
+    @staticmethod
+    def assert_default_fold(n, lo, hi):
+        want = default_fold(n)
+        res = maximize_over_separation(n, (lo * want.l_critical, hi * want.l_critical))
+        assert res.coalescence
+        assert abs(res.l_critical - want.l_critical) <= 1e-12 * want.l_critical
+        assert abs(res.gamma_ssr - want.gamma_ssr) <= 1e-12 * want.gamma_ssr.real
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 10_000])
+    @pytest.mark.parametrize("lo, hi", [(0.7, 1.02), (0.3, 1.0001), (0.9999, 3.0)])
+    def test_tight_brackets(self, n, lo, hi):
+        self.assert_default_fold(n, lo, hi)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 10_000])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(lo=st.floats(0.01, 0.999), hi=st.floats(1.001, 100.0))
+    def test_random_brackets(self, n, lo, hi):
+        self.assert_default_fold(n, lo, hi)
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("eps", [0.0, 1e-6])
+    def test_scan_point_at_or_just_below_the_fold(self, n, eps):
+        # x_10 = 100 lo sits eps below L_c: from 0 up to about 3e-6 below
+        # the colliding roots share a grid cell and the row shows no sign
+        # change, so the fold lies at or just past the cell's upper end
+        self.assert_default_fold(n, 0.01 * (1.0 - eps), 10.0 * (1.0 - eps))
+
+    def test_thirteen_qubits_keep_the_nearest_pole(self):
+        # the warm rate scan of an earlier maximizer jumped to a farther
+        # pair at x_8 = 0.02177 and returned L = 0.021861, Gamma = 10.727 +
+        # 15.397i with coalescence false
+        res = maximize_over_separation(13, (0.00040162342576661986, 0.7161294863218141))
+        assert res.coalescence
+        assert res.gamma_ssr.real == pytest.approx(29.5974255938, abs=1e-9)
+        assert res.gamma_ssr.imag == 0.0
+        assert res.l_critical == pytest.approx(0.0104462474660, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 10_000])
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (0.2, 0.9, r"axis root of Im f\(-iy\) still at the upper end .* below L_c"),
+            (1.1, 5.0, "no axis root .* above L_c"),
+        ],
+    )
+    def test_bracket_without_the_fold_raises(self, n, lo, hi, message):
+        l_c = default_fold(n).l_critical
+        with pytest.raises(BracketError, match=message):
+            maximize_over_separation(n, (lo * l_c, hi * l_c))
 
 
 class TestDegeneratePairProbe:
