@@ -341,10 +341,12 @@ class ClosedFormResidual:
 def closed_form_residual(p: complex, params: ChainParams) -> ClosedFormResidual:
     """Evaluate the closed-form pole system at p (sr-condition mode only).
 
-    The auxiliary angle solves cos(lam) = cos(pL) + sin(pL)/(2p); both signs
-    of the principal inverse cosine are tried in
-    (p + i/2) sin(lam N) - exp(ipL) p sin(lam (N-1)) and the branch with the
-    smaller defect is reported.
+    The auxiliary angle lam is the principal inverse cosine of
+    cos(pL) + sin(pL)/(2p), and res_b is the defect of
+    (p + i/2) sin(lam N) - exp(ipL) p sin(lam (N-1)) = 0.  res_b is odd in
+    lam, so the other sign of lam has the same |res_b|.  Where the
+    arithmetic overflows (from |Im pL| above about 710) both defects are
+    _INF and lam is nan.
     """
     if params.mode != MODE_SR:
         raise ContractViolationError("the closed-form pole system is stated under the superradiant condition")
@@ -353,16 +355,10 @@ def closed_form_residual(p: complex, params: ChainParams) -> ClosedFormResidual:
         raise SingularDetuningError("closed-form residual is singular at p = 0")
     n = params.n_qubits
     sep = params.separation
-    rhs = cmath.cos(p * sep) + cmath.sin(p * sep) / (2.0 * p)
-    lam0 = cmath.acos(rhs)
-    best = None
-    for lam in (lam0, -lam0):
-        try:
-            res_b = (p + 0.5j) * cmath.sin(lam * n) - cmath.exp(1j * p * sep) * p * cmath.sin(lam * (n - 1))
-        except OverflowError:
-            res_b = _INF
-        if best is None or abs(res_b) < abs(best[1]):
-            best = (lam, res_b)
-    lam, res_b = best
-    res_a = cmath.cos(lam) - rhs
-    return ClosedFormResidual(res_a=res_a, res_b=res_b, lam=lam)
+    try:
+        rhs = cmath.cos(p * sep) + cmath.sin(p * sep) / (2.0 * p)
+        lam = cmath.acos(rhs)
+        res_b = (p + 0.5j) * cmath.sin(lam * n) - cmath.exp(1j * p * sep) * p * cmath.sin(lam * (n - 1))
+    except OverflowError:
+        return ClosedFormResidual(res_a=_INF, res_b=_INF, lam=complex(math.nan, math.nan))
+    return ClosedFormResidual(res_a=cmath.cos(lam) - rhs, res_b=res_b, lam=lam)

@@ -122,14 +122,6 @@ class Mat2c:
     def trace(self) -> complex:
         return self.a11 + self.a22
 
-    def __matmul__(self, other: "Mat2c") -> "Mat2c":
-        return Mat2c(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
     @classmethod
     def identity(cls) -> "Mat2c":
         return cls(1.0, 0.0, 0.0, 1.0)

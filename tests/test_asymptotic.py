@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,7 +12,6 @@ from ssrchain import (
     solve_branches,
     trace_contour,
 )
-from ssrchain import asymptotic
 
 
 def reduced_equation_root():
@@ -165,102 +165,61 @@ class TestSolveBranchesArguments:
         with pytest.raises(ContractViolationError, match="finite beta"):
             solve_branches(beta)
 
-    @pytest.mark.parametrize("alpha_max", [math.nan, math.inf, -1.0, 0.0, 1e-3])
-    def test_rejects_bad_alpha_max(self, alpha_max):
-        # nan once gave BranchPair(nan, nan); -1 a TypeError from a complex pow
-        with pytest.raises(ContractViolationError, match="alpha_max"):
-            solve_branches(1.0, alpha_max=alpha_max)
+
+def mp_critical():
+    """Oracle: (alpha_c, beta_c, tau_c) at 40 digits from the root of
+    4 t cosh t = (t^2 + 4) sinh t, with beta_c = t^2 - 4 and alpha_c = 4 / beta_c."""
+    with mp.workdps(40):
+        tau = mp.findroot(lambda t: 4 * t * mp.cosh(t) - (t * t + 4) * mp.sinh(t), mp.mpf("2.4"))
+        beta = tau * tau - 4
+        return 4 / beta, beta, tau
 
 
-def scalar_solve_branches(beta, alpha_max=50.0, g_eval=g_eval):
-    """Reference: the grid scan one g_eval at a time, the grid rebuilt per call."""
-    grid = [1e-3 * (alpha_max / 1e-3) ** (i / 1999.0) for i in range(2000)]
-    vals = [g_eval(a, beta) for a in grid]
-    roots = []
-    for i in range(1999):
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(grid[i])
-        elif (fa < 0.0) != (fb < 0.0):
-            roots.append(asymptotic._bisect_root(beta, grid[i], grid[i + 1], fa, fb))
-    if not roots:
-        imax = max(range(2000), key=lambda i: vals[i])
-        if 0 < imax < 1999:
-            a_lo, a_hi = grid[imax - 1], grid[imax + 1]
-            for _ in range(200):
-                m1 = a_lo + (a_hi - a_lo) / 3.0
-                m2 = a_hi - (a_hi - a_lo) / 3.0
-                if g_eval(m1, beta) < g_eval(m2, beta):
-                    a_lo = m1
-                else:
-                    a_hi = m2
-                if a_hi - a_lo < 1e-13 * max(1.0, a_hi):
-                    break
-            a_star = 0.5 * (a_lo + a_hi)
-            if abs(g_eval(a_star, beta)) < 1e-9:
-                return BranchPair(beta, a_star, a_star)
-        return BranchPair(beta, None, None)
-    roots.sort()
-    if len(roots) == 1 or roots[-1] - roots[0] < 1e-6:
-        return BranchPair(beta, roots[0], roots[0])
-    return BranchPair(beta, roots[0], roots[-1])
+def mp_root_of_g(alpha, beta):
+    """Oracle: the root of g(., beta) itself nearest alpha, at 50 digits."""
+    with mp.workdps(50):
+        b = mp.mpf(beta)
+
+        def g(a):
+            tau = mp.sqrt(b * (4 + a * a * b)) / 2
+            return 2 * a * tau * mp.cosh(tau) - (2 + a * a * b) * mp.sinh(tau)
+
+        return mp.findroot(g, mp.mpf(alpha))
 
 
-_BETA_C = critical_pair().beta_c
-# 1e-6 .. 40, and the tangency: two roots, the fold, and none
-_SCAN_BETAS = sorted(
-    np.geomspace(1e-6, 40.0, 41).tolist() + [_BETA_C - 1e-9, _BETA_C, _BETA_C + 1e-9]
-)
-# tau passes 300 on part of the grid for beta > 12 at the default alpha_max = 50
-# and for beta > 0.3 at alpha_max = 2000
-_SCAN_ALPHA_MAX = (50.0, 2000.0)
-_GRID = [1e-3 * (50.0 / 1e-3) ** (i / 1999.0) for i in range(2000)]
+class TestClosedFormContour:
+    def test_large_root_beyond_alpha_50(self):
+        # the large root lies past alpha = 50, where a bounded alpha grid would
+        # miss it and report the small one as a double root
+        bp = solve_branches(0.2)
+        assert bp.alpha_small == pytest.approx(1.0354923020528588, rel=1e-13)
+        assert bp.alpha_large == pytest.approx(68.2418347850, abs=1e-10)
 
+    @pytest.mark.parametrize("beta", np.geomspace(1e-6, 1.7, 52).tolist())
+    def test_roots_match_mpmath(self, beta):
+        bp = solve_branches(beta)
+        for alpha in (bp.alpha_small, bp.alpha_large):
+            ref = mp_root_of_g(alpha, beta)
+            assert float(abs(alpha - ref) / ref) < 1e-14, alpha
+        assert bp.alpha_small < critical_pair().alpha_c < bp.alpha_large
 
-class TestVectorScan:
-    @pytest.mark.parametrize("alpha_max", _SCAN_ALPHA_MAX)
-    def test_matches_scalar_scan(self, alpha_max):
-        kinds = set()
-        for beta in _SCAN_BETAS:
-            got = solve_branches(beta, alpha_max)
-            assert got == scalar_solve_branches(beta, alpha_max), beta
-            kinds.add((got.alpha_small is None, got.alpha_small == got.alpha_large))
-        assert kinds == {(False, False), (False, True), (True, True)}
+    def test_critical_pair_within_two_ulps_of_mpmath(self):
+        cp = critical_pair()
+        for got, ref in zip((cp.alpha_c, cp.beta_c, cp.tau_c), mp_critical()):
+            assert abs(got - float(ref)) <= 2 * math.ulp(float(ref)), (got, ref)
 
-    @pytest.mark.parametrize("g", [
-        # exact zeros on grid points, each followed by a cell without a sign change
-        lambda a, b: -(a - _GRID[600]) * (a - _GRID[1400]),
-        # no root, and the maximum -1e-12 tied at two grid points: the first wins
-        lambda a, b: -1e-12 - ((a - _GRID[600]) * (a - _GRID[1400])) ** 2,
-    ], ids=["exact_zeros", "tied_maximum"])
-    def test_synthetic_g_matches_scalar_scan(self, monkeypatch, g):
-        # the same arithmetic on floats and on arrays, so both scans see equal values
-        monkeypatch.setattr(asymptotic, "g_eval", g)
-        monkeypatch.setattr(asymptotic, "_g_many", g)
-        got = solve_branches(1.0)
-        assert got == scalar_solve_branches(1.0, g_eval=g)
-        assert got.alpha_small is not None
+    def test_root_count_at_the_fold(self):
+        cp = critical_pair()
+        assert solve_branches(cp.beta_c) == BranchPair(cp.beta_c, cp.alpha_c, cp.alpha_c)
+        below = solve_branches(math.nextafter(cp.beta_c, 0.0))
+        assert below.alpha_small < cp.alpha_c < below.alpha_large
+        above = solve_branches(math.nextafter(cp.beta_c, math.inf))
+        assert above.alpha_small is None and above.alpha_large is None
 
-    @pytest.mark.parametrize("alpha_max", _SCAN_ALPHA_MAX)
-    def test_grid_matches_scalar_expression(self, alpha_max):
-        grid = asymptotic._log_grid(alpha_max)
-        want = [1e-3 * (alpha_max / 1e-3) ** (i / 1999.0) for i in range(2000)]
-        assert grid.tolist() == want
-        assert not grid.flags.writeable
-
-    @pytest.mark.parametrize("alpha_max", _SCAN_ALPHA_MAX)
-    def test_vector_g_matches_g_eval(self, alpha_max):
-        grid = asymptotic._log_grid(alpha_max)
-        overflowed = 0
-        for beta in _SCAN_BETAS:
-            got = asymptotic._g_many(grid, beta)
-            want = np.array([g_eval(a, beta) for a in grid.tolist()])
-            assert np.array_equal(np.sign(got), np.sign(want)), beta
-            inf = np.isinf(want)
-            assert np.array_equal(got[inf], want[inf])
-            overflowed += int(inf.sum())
-            # relative to the two terms of g, whose difference cancels near a root
-            a, tau = grid[~inf], 0.5 * np.sqrt(beta * (4.0 + grid[~inf] ** 2 * beta))
-            scale = 2.0 * a * tau * np.cosh(tau) + (2.0 + a * a * beta) * np.sinh(tau)
-            assert np.all(np.abs(got[~inf] - want[~inf]) <= 1e-13 * scale), beta
-        assert overflowed > 0
+    def test_vanishing_beta(self):
+        # sinh overflows on the large branch: the root is reported as inf, not
+        # dropped, so the small root is never claimed as a double root
+        bp = solve_branches(1e-305)
+        assert (bp.alpha_small, bp.alpha_large) == (1.0, math.inf)
+        bp = solve_branches(5e-324)
+        assert bp.alpha_small == 1.0 and bp.alpha_large == math.inf

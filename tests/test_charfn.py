@@ -13,6 +13,7 @@ from ssrchain import (
     ContractViolationError,
     SingularDetuningError,
     closed_form_residual,
+    find_collective_rates,
     markovian_polynomial,
 )
 from ssrchain.charfn import _INF, _sinc
@@ -709,6 +710,32 @@ class TestClosedFormResidual:
     def test_non_pole_rejected(self):
         res = closed_form_residual(-1.0 - 1.0j, sr(2, 0.56))
         assert abs(res.res_b) > 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_either_sign_of_lam_gives_the_same_defect(self, n):
+        # res_b is odd in lam: trying both signs and keeping the smaller |res_b|
+        # gives the principal branch's values bit for bit
+        for frac in (0.8, 1.4):
+            params = sr(n, frac * 1.76 / n**2 if n >= 4 else frac * 0.5569 * (2.0 / n) ** 1.2)
+            for pole in find_collective_rates(params):
+                p, sep = pole.delta, params.separation
+                rhs = cmath.cos(p * sep) + cmath.sin(p * sep) / (2.0 * p)
+                cands = []
+                for lam in (cmath.acos(rhs), -cmath.acos(rhs)):
+                    res_b = (p + 0.5j) * cmath.sin(lam * n) - (
+                        cmath.exp(1j * p * sep) * p * cmath.sin(lam * (n - 1))
+                    )
+                    cands.append((abs(res_b), lam, res_b))
+                assert cands[0][0] == cands[1][0]
+                got = closed_form_residual(p, params)
+                _, lam, res_b = cands[0]
+                assert (got.lam, got.res_b, got.res_a) == (lam, res_b, cmath.cos(lam) - rhs)
+
+    def test_overflow_gives_infinite_defects(self):
+        # cos(pL) itself overflows once |Im pL| passes about 710
+        res = closed_form_residual(-800j, ChainParams(2, 1.0))
+        assert res.res_a == res.res_b == _INF
+        assert cmath.isnan(res.lam)
 
     def test_guards(self):
         with pytest.raises(ContractViolationError):

@@ -72,6 +72,16 @@ class TestPoles:
         rc, _ = run(tmp_path, "p.csv", ["poles", "--n", "1", "--sep", "0.3", "--re-min", "-1"])
         assert rc == 2
 
+    def test_window_edges_echoed_in_metadata(self, tmp_path):
+        window = ["--re-min", "-1", "--re-max", "1", "--im-min", "-2", "--im-max", "-0.05"]
+        rc, out = run(tmp_path, "p.csv", ["poles", "--n", "1", "--sep", "0.3"] + window)
+        assert rc == 0
+        meta, _, rows = read_csv_table(str(out))
+        assert {k: meta[k] for k in ("re_min", "re_max", "im_min", "im_max")} == {
+            "re_min": "-1", "re_max": "1", "im_min": "-2", "im_max": "-0.05",
+        }
+        assert len(rows) == 1 and float(rows[0]["im_delta"]) == pytest.approx(-0.5)
+
     def test_json_format(self, tmp_path):
         rc, out = run(tmp_path, "p.json", ["poles", "--n", "1", "--sep", "0.3", "--format", "json"])
         assert rc == 0
@@ -176,6 +186,29 @@ class TestSweepAndFit:
         assert doc["data"]["beta"] == pytest.approx(1.5, abs=1e-11)
         assert all(p["gamma_deviation"] < 1e-12 for p in doc["data"]["points"])
 
+    def test_fit_skips_failed_rows(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        lines = ["n_qubits,l_critical,re_gamma_ssr,im_gamma_ssr,coalescence,residual,evaluations,status"]
+        for n in (20, 30, 40):
+            lines.append(f"{n},{1.5 / n**2!r},{2.5 * n!r},0,true,0,1,ok")
+        lines.append('50,nan,nan,nan,false,nan,0,"BracketError: no sign change"')
+        path.write_text("\n".join(lines) + "\n")
+        rc, fit_out = run(tmp_path, "fit.json", ["fit", "--input", str(path)])
+        assert rc == 0
+        doc = json.loads(fit_out.read_text())
+        assert [p["n_qubits"] for p in doc["data"]["points"]] == [20, 30, 40]
+        assert doc["data"]["alpha"] == pytest.approx(2.5, abs=1e-11)
+
+    def test_fit_bad_value_names_the_data_row(self, tmp_path, capsys):
+        path = tmp_path / "sweep.csv"
+        path.write_text(
+            "n_qubits,l_critical,re_gamma_ssr,im_gamma_ssr,coalescence,residual,evaluations,status\n"
+            "abc,0.1,1,0,true,0,1,ok\n"
+        )
+        rc = main(["fit", "--input", str(path), "-o", str(tmp_path / "f.json")])
+        assert rc == 2
+        assert "data row 1" in capsys.readouterr().err
+
     def test_fit_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("n_qubits,l_critical\n2,0.5,EXTRA\n")
@@ -200,6 +233,12 @@ class TestAsym:
         _, _, rows = read_csv_table(str(out))
         top = max(float(r["beta"]) for r in rows)
         assert top == pytest.approx(1.7569, abs=0.02)
+        # every beta of the grid below beta_c has a small and a large root
+        beta_c = ssrchain.critical_pair().beta_c
+        below = [b for b in (0.1 + 2.4 * i / 199 for i in range(200)) if b < beta_c]
+        for branch in ("small", "large"):
+            got = [float(r["beta"]) for r in rows if r["branch"] == branch]
+            assert sorted(got) == pytest.approx(below, rel=1e-11), branch
 
     def test_single_step_rejected(self, tmp_path):
         rc, _ = run(tmp_path, "c.csv", ["asym", "--contour", "--steps", "1"])

@@ -11,6 +11,7 @@ from ssrchain import (
     BoundaryDegeneracyError,
     ChainParams,
     CharFn,
+    ContinuationBreakdownError,
     ContractViolationError,
     Pole,
     RefinementFailureError,
@@ -19,8 +20,10 @@ from ssrchain import (
     continue_pole,
     count_zeros,
     default_window,
+    degenerate_pair_probe,
     find_collective_rates,
     localize_zeros,
+    maximize_over_separation,
     refine,
     superradiant_pole,
 )
@@ -408,6 +411,50 @@ class TestContinuePole:
         p = superradiant_pole(sr(2, 0.3))
         with pytest.raises(ContractViolationError):
             continue_pole(sr(2, 0.3), p, [0.4, 0.5])
+
+    @staticmethod
+    def _fold_path(n):
+        l_c = maximize_over_separation(n).l_critical
+        return [f * l_c for f in (0.5, 0.8, 0.95, 1.05, 1.2, 1.5)]
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_track_through_the_fold_keeps_im_gamma_positive(self, n):
+        # on the axis below L_c; past the coalescence the track takes the
+        # member with Im Gamma > 0, and each pole is one of the probed pair
+        path = self._fold_path(n)
+        track = continue_pole(sr(n, path[0]), superradiant_pole(sr(n, path[0])), path)
+        for sep, pole, pair in zip(path, track, degenerate_pair_probe(n, path)):
+            if sep < path[3]:
+                assert pole.gamma.imag == 0.0
+            else:
+                assert pole.gamma.imag > 0.0
+            assert min(abs(pole.delta - q.delta) / abs(q.delta) for q in pair) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_negative_member_keeps_its_sign(self, n, monkeypatch):
+        path = self._fold_path(n)[:2:-1]
+        (pair,) = degenerate_pair_probe(n, path[:1])
+        start = min(pair, key=lambda q: q.gamma.imag)
+        track = continue_pole(sr(n, path[0]), start, path)
+        assert all(p.gamma.imag < 0.0 for p in track)
+        # a track that hops to the mirror twin is flipped back by the sign rule
+        track_root = rootfind._track_root
+        monkeypatch.setattr(
+            rootfind, "_track_root", lambda *a, **k: -track_root(*a, **k).conjugate()
+        )
+        assert continue_pole(sr(n, path[0]), start, path) == track
+
+    def test_lost_pole_raises_with_the_partial_track(self, monkeypatch):
+        # Newton and the coalescent-pair fallback both miss the root: the
+        # stride halves to the minimum step and the continuation breaks down
+        start = superradiant_pole(sr(2, 0.3))
+        monkeypatch.setattr(rootfind, "_newton", lambda fn, z, tol: (z, math.inf, False))
+        monkeypatch.setattr(
+            rootfind, "coalescent_pair", lambda fn, z, scale=None: (z + 10.0, z - 10.0)
+        )
+        with pytest.raises(ContinuationBreakdownError, match="pole lost between") as err:
+            continue_pole(sr(2, 0.3), start, [0.3, 0.35])
+        assert err.value.partial == [start]
 
 
 def test_grid_scan_oracle_small_n():
