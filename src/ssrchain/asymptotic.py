@@ -21,7 +21,8 @@ maximum beta_c where d log beta / d tau = 2 / tau - tanh(tau/2) = 0, i.e.
 tau_c tanh(tau_c/2) = 2, and falls back to 0.  tau < tau_c is the small
 (Markovian-like) branch and tau > tau_c the large (first exclusively
 non-Markovian) branch; they merge at the turning point (beta_c, alpha_c),
-where alpha_c beta_c = 2 tau_c tanh(tau_c/2) = 4 exactly.
+where alpha_c beta_c = 2 tau_c tanh(tau_c/2) = 4 exactly.  ln beta(tau) is
+strictly concave and its slope convex, so monotone Newton gives tau_c and both roots.
 """
 
 from __future__ import annotations
@@ -86,26 +87,35 @@ def _beta(tau: float) -> float:
     return 4.0 * tau * (tau * e) / ((1.0 + e) * (1.0 + e))
 
 
-def _bisect(fn, lo: float, hi: float) -> float:
-    """The sign change of fn on [lo, hi], bisected until the ends are adjacent
-    floats; returns the end with the smaller |fn| (hi on a tie)."""
-    flo, fhi = fn(lo), fn(hi)
+def _log_beta(tau: float) -> tuple[float, float]:
+    """ln beta(tau) = 2 ln(2 tau) - tau - 2 log1p(e^-tau) and its slope
+    2/tau - tanh(tau/2); finite for every tau > 0 that a root can have."""
+    e = math.exp(-tau)
+    return 2.0 * (math.log(2.0 * tau) - math.log1p(e)) - tau, 2.0 / tau - math.tanh(0.5 * tau)
+
+
+def _newton(fn, target: float, t: float, bound: float) -> float:
+    """The root of fn = target between t and bound, for a concave fn returning
+    (value, slope) that is below target at t.  Concavity keeps each Newton step
+    short of the root, so the iterates advance monotonically; returns the last
+    one before a step that does not advance (or would reach bound)."""
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo if abs(flo) < abs(fhi) else hi
-        fm = fn(mid)
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+        h, slope = fn(t)
+        nxt = t - (h - target) / slope
+        if not (t < nxt < bound or bound < nxt < t):
+            return t
+        t = nxt
 
 
-_TAU_C = _bisect(lambda t: t * math.tanh(0.5 * t) - 2.0, 0.0, 20.0)
+_TAU_C = _newton(
+    lambda t: (math.tanh(0.5 * t) - 2.0 / t, 2.0 / (t * t) + 0.5 / math.cosh(0.5 * t) ** 2),
+    0.0, 1.0, math.inf,
+)
 
 
 def critical_pair() -> CriticalPair:
-    """The turning point: tau_c solves tau tanh(tau/2) = 2 on (0, 20)."""
+    """The turning point: tau_c solves 2 / tau = tanh(tau/2), by Newton on minus the
+    (convex, decreasing) slope of ln beta from tau = 1."""
     alpha_c, beta_c = _alpha(_TAU_C), _beta(_TAU_C)
     return CriticalPair(
         alpha_c=alpha_c, beta_c=beta_c, tau_c=_TAU_C, residual=abs(g_eval(alpha_c, beta_c))
@@ -115,10 +125,10 @@ def critical_pair() -> CriticalPair:
 def solve_branches(beta: float) -> BranchPair:
     """Both real roots of g(., beta), from tau on each monotone arm of beta(tau).
 
-    None above beta_c and (alpha_c, alpha_c) at it.  Below it the small root
-    is bisected on (0, tau_c) and the large one on (tau_c, hi), hi doubled
-    from 2 tau_c until beta(hi) < beta; alpha_large is inf where sinh
-    overflows (beta below about 1e-302).
+    None above beta_c and (alpha_c, alpha_c) at it.  Below it Newton on ln beta
+    starts where beta(tau) < beta: at sqrt(beta) on the small arm, and at 2 tau_c
+    doubled until then on the large one; alpha_large is inf where sinh overflows
+    (beta below about 1e-302).
     """
     if not 0 < beta < math.inf:
         raise ContractViolationError(f"solve_branches needs a finite beta > 0, got {beta!r}")
@@ -126,14 +136,14 @@ def solve_branches(beta: float) -> BranchPair:
     if beta >= beta_c:
         alpha_c = _alpha(_TAU_C) if beta == beta_c else None
         return BranchPair(beta=beta, alpha_small=alpha_c, alpha_large=alpha_c)
-    fn = lambda t: _beta(t) - beta
+    log_b = math.log(beta)
     hi = 2.0 * _TAU_C
-    while _beta(hi) >= beta:
+    while _log_beta(hi)[0] >= log_b:
         hi *= 2.0
     return BranchPair(
         beta=beta,
-        alpha_small=_alpha(_bisect(fn, 0.0, _TAU_C)),
-        alpha_large=_alpha(_bisect(fn, _TAU_C, hi)),
+        alpha_small=_alpha(_newton(_log_beta, log_b, math.sqrt(beta), _TAU_C)),
+        alpha_large=_alpha(_newton(_log_beta, log_b, hi, _TAU_C)),
     )
 
 
@@ -141,7 +151,7 @@ def trace_contour(beta_range: tuple[float, float], steps: int) -> list[tuple[flo
     """Polyline of the g = 0 contour over a beta range.
 
     Emits the small branch left to right, the turning point from the
-    critical-pair solve (when it falls inside the range), then the large
+    critical-pair solve (once, when it falls inside the range), then the large
     branch right to left; each point carries its branch label.
     """
     if steps < 2:
@@ -154,11 +164,11 @@ def trace_contour(beta_range: tuple[float, float], steps: int) -> list[tuple[flo
     crit = critical_pair()
     out: list[tuple[float, float, str]] = []
     for b, p in zip(betas, pairs):
-        if p.alpha_small is not None:
+        if p.alpha_small != p.alpha_large:
             out.append((b, p.alpha_small, BRANCH_SMALL))
     if b0 <= crit.beta_c <= b1:
         out.append((crit.beta_c, crit.alpha_c, BRANCH_CRITICAL))
     for b, p in zip(reversed(betas), reversed(pairs)):
-        if p.alpha_large is not None and p.alpha_large != p.alpha_small:
+        if p.alpha_large != p.alpha_small:
             out.append((b, p.alpha_large, BRANCH_LARGE))
     return out

@@ -7,6 +7,7 @@ import pytest
 from ssrchain import (
     BranchPair,
     ContractViolationError,
+    asymptotic,
     critical_pair,
     g_eval,
     solve_branches,
@@ -144,6 +145,19 @@ class TestTraceContour:
         assert pts[0][0] == pts[1][0] == 0.5
         assert pts[0][1] < pts[1][1]
 
+    @pytest.mark.parametrize("steps", [2, 3])
+    @pytest.mark.parametrize("ends", ["fold-left", "fold-only", "fold-right"])
+    def test_grid_beta_at_the_fold_emits_the_vertex_once(self, ends, steps):
+        cp = critical_pair()
+        b0, b1 = {"fold-left": (cp.beta_c, 2.0), "fold-only": (cp.beta_c, cp.beta_c),
+                  "fold-right": (0.1, cp.beta_c)}[ends]
+        pts = trace_contour((b0, b1), steps)
+        at_fold = [p for p in pts if p[:2] == (cp.beta_c, cp.alpha_c)]
+        assert at_fold == [(cp.beta_c, cp.alpha_c, "critical")]
+        assert all(p[:2] != q[:2] for p, q in zip(pts, pts[1:]))
+        labels = [p[2] for p in pts]
+        assert labels == sorted(labels, key=["small", "critical", "large"].index)
+
     def test_point_validity(self):
         for b, a, branch in trace_contour((0.2, 2.0), 40):
             assert abs(g_eval(a, b)) < 1e-9
@@ -223,3 +237,62 @@ class TestClosedFormContour:
         assert (bp.alpha_small, bp.alpha_large) == (1.0, math.inf)
         bp = solve_branches(5e-324)
         assert bp.alpha_small == 1.0 and bp.alpha_large == math.inf
+
+    @pytest.mark.parametrize("k", range(1, 53))
+    def test_roots_near_the_fold_match_mpmath(self, k):
+        # at the fold beta(tau) is quadratic in tau - tau_c, so a rounding of
+        # ln beta moves the root by its square root: the bound grows as
+        # sqrt(beta_c / (beta_c - beta))
+        cp = critical_pair()
+        beta = cp.beta_c * (1.0 - 2.0**-k)
+        bp = solve_branches(beta)
+        assert bp.alpha_small < cp.alpha_c < bp.alpha_large
+        tol = 16 * 2.0**-52 * (1.0 + math.sqrt(cp.beta_c / (cp.beta_c - beta)))
+        for alpha in (bp.alpha_small, bp.alpha_large):
+            ref = mp_root_of_g(alpha, beta)
+            assert float(abs(alpha - ref) / ref) <= tol, (alpha, tol)
+
+
+class TestEvaluationBudget:
+    """Calls of ln beta(tau), the one function the root finder evaluates:
+    deterministic counts, independent of the machine."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        taus = []
+        log_beta = asymptotic._log_beta
+
+        def counted(tau):
+            taus.append(tau)
+            assert len(taus) <= 10_000, "root finder does not terminate"
+            return log_beta(tau)
+
+        monkeypatch.setattr(asymptotic, "_log_beta", counted)
+        return taus
+
+    def test_contour_of_200_steps(self, calls):
+        trace_contour((0.1, 2.5), 200)
+        assert 0 < len(calls) <= 2000
+
+    @staticmethod
+    def calls_per_arm(calls, beta):
+        del calls[:]
+        bp = solve_branches(beta)
+        assert bp.alpha_small is not None and bp.alpha_large is not None
+        small = sum(t < critical_pair().tau_c for t in calls)
+        return small, len(calls) - small
+
+    def test_one_float_below_the_fold(self, calls):
+        small, large = self.calls_per_arm(calls, math.nextafter(critical_pair().beta_c, 0.0))
+        assert 0 < small <= 40 and 0 < large <= 40
+
+    def test_every_scale_of_beta(self, calls):
+        # down to the least subnormal, where ln beta is still finite
+        betas = [5e-324, 1e-320, 1e-310, 1e-305, 1e-300] + np.geomspace(1e-290, 1.75, 60).tolist()
+        beta = critical_pair().beta_c
+        for _ in range(200):  # the 200 floats below the fold
+            beta = math.nextafter(beta, 0.0)
+            betas.append(beta)
+        for beta in betas:
+            small, large = self.calls_per_arm(calls, beta)
+            assert 0 < small <= 40 and 0 < large <= 40, (beta, small, large)

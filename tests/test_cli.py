@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -538,3 +539,10 @@ class TestStartup:
             )
             out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
             assert out.stdout.strip() == "[]", module
+
+    def test_python_m_ssrchain_runs_the_cli(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["ssrchain", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("ssrchain", run_name="__main__")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"ssrchain {ssrchain.__version__}\n"
