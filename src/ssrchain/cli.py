@@ -34,7 +34,7 @@ _POLE_COLUMNS = [
 ]
 _SSR_COLUMNS = [
     "n_qubits", "l_critical", "re_gamma_ssr", "im_gamma_ssr",
-    "coalescence", "residual", "evaluations",
+    "residual", "evaluations",
 ]
 
 
@@ -150,7 +150,7 @@ def cmd_poles(args) -> int:
 def _ssr_row(res: SSRResult) -> list:
     return [
         res.n_qubits, res.l_critical, res.gamma_ssr.real, res.gamma_ssr.imag,
-        res.coalescence, res.residual, res.evaluations,
+        res.residual, res.evaluations,
     ]
 
 
@@ -175,7 +175,7 @@ def cmd_sweep(args) -> int:
     for n, (res, err) in zip(ns, scaling_sweep(ns, jobs=args.jobs)):
         if res is None:
             failures += 1
-            rows.append([n, float("nan"), float("nan"), float("nan"), False, float("nan"), 0, err])
+            rows.append([n, float("nan"), float("nan"), float("nan"), float("nan"), 0, err])
         else:
             rows.append(_ssr_row(res) + ["ok"])
     meta = build_meta(
@@ -198,7 +198,6 @@ def cmd_fit(args) -> int:
                     n_qubits=int(row["n_qubits"]),
                     l_critical=float(row["l_critical"]),
                     gamma_ssr=complex(float(row["re_gamma_ssr"]), float(row["im_gamma_ssr"])),
-                    coalescence=row["coalescence"] == "true",
                     evaluations=int(row["evaluations"]),
                     residual=float(row["residual"]),
                 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ _MODE_ALIASES = {
     "markovian": MODE_MARKOVIAN,
 }
 
-_EPS = 2.220446049250313e-16
+_EPS = sys.float_info.epsilon
 
 
 def snapped_phase_unit(theta: float) -> complex:
@@ -130,21 +131,16 @@ class Mat2c:
         return (self.a11, self.a12, self.a21, self.a22)
 
 
-def _qubit_matrix(delta: complex, gamma: float) -> Mat2c:
-    # gamma knob exists for the interaction-off identity check only
-    if delta == 0:
-        raise SingularDetuningError("qubit matrix has a 1/Delta pole at Delta = 0")
-    c = 0.5j * gamma / delta
-    return Mat2c(1.0 + c, c, -c, 1.0 - c)
-
-
 def qubit_matrix(delta: complex) -> Mat2c:
     """Single qubit-light interaction block of the unit cell.
 
     Returns [[1 + i/(2 Delta), i/(2 Delta)], [-i/(2 Delta), 1 - i/(2 Delta)]]
     with gamma_0 = 1; the determinant is exactly 1.
     """
-    return _qubit_matrix(delta, GAMMA0)
+    if delta == 0:
+        raise SingularDetuningError("qubit matrix has a 1/Delta pole at Delta = 0")
+    c = 0.5j * GAMMA0 / delta
+    return Mat2c(1.0 + c, c, -c, 1.0 - c)
 
 
 def propagation_matrix(phase: complex) -> Mat2c:

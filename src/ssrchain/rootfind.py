@@ -355,8 +355,8 @@ def localize_zeros(fn, window: SearchWindow, max_cell: float) -> list[complex]:
 # refinement
 
 
-def _newton(fn, z, tol, maxiter=100):
-    """Damped Newton with a central-difference derivative.
+def _newton(fn, z, tol):
+    """Damped Newton with a central-difference derivative, at most 100 steps.
 
     Returns (z, |f(z)|, converged).  Convergence demands both a small
     residual and a collapsing step, so flat near-double valleys where |f|
@@ -365,7 +365,7 @@ def _newton(fn, z, tol, maxiter=100):
     fz = fn(z)
     best, bres = z, abs(fz)
     step_small = False
-    for _ in range(maxiter):
+    for _ in range(100):
         if bres < tol and step_small:
             return best, bres, True
         s = 1e-7 * (abs(z) + 1.0)
@@ -391,13 +391,13 @@ def _newton(fn, z, tol, maxiter=100):
     return best, bres, bres < tol and step_small
 
 
-def refine(fn, seed: complex, tol: float = 1e-9, maxiter: int = 100) -> complex:
+def refine(fn, seed: complex, tol: float = 1e-9) -> complex:
     """Polish a seed to a zero of fn; |f| < tol on success.
 
     Raises RefinementFailureError (carrying the best iterate and residual)
     when Newton plus its damped fallback cannot converge from this seed.
     """
-    z, res, ok = _newton(fn, complex(seed), tol, maxiter)
+    z, res, ok = _newton(fn, complex(seed), tol)
     if not ok:
         raise RefinementFailureError(
             f"no zero reached from seed {seed} (best residual {res:.3g})", best=z, residual=res
@@ -405,20 +405,20 @@ def refine(fn, seed: complex, tol: float = 1e-9, maxiter: int = 100) -> complex:
     return z
 
 
-def coalescent_pair(fn, center: complex, scale: float | None = None, rounds: int = 3):
+def coalescent_pair(fn, center: complex, scale: float | None = None):
     """Resolve two (possibly merged) nearby zeros around center.
 
     Fits a local quadratic model of fn and takes its two roots, recentering
-    on their midpoint; each root then gets a few plain Newton steps.  Stays
-    accurate through exact coalescence, where ordinary refinement stalls on
-    the flat |f| valley.
+    on their midpoint, three times; each root then gets a few plain Newton
+    steps.  Stays accurate through exact coalescence, where ordinary
+    refinement stalls on the flat |f| valley.
     """
     z0 = complex(center)
     if scale is None:
         scale = abs(z0) + 1.0
     s = max(1e-4 * scale, 1e-9)
     u1 = u2 = 0.0j
-    for _ in range(rounds):
+    for _ in range(3):
         c0 = fn(z0)
         fp, fm = fn(z0 + s), fn(z0 - s)
         c1 = (fp - fm) / (2.0 * s)
@@ -671,8 +671,6 @@ def continue_pole(params: ChainParams, pole: Pole, l_path: list[float]) -> list[
             raise ContinuationBreakdownError(
                 f"pole lost between L = {cur:.6g} and {target:.6g}", partial=out
             ) from err
-        if z is None:  # pragma: no cover - no divergence bound on explicit paths
-            raise ContinuationBreakdownError("pole diverged along the path", partial=out)
         if params.mode == MODE_SR and abs(z.real) > 1e-9 * (1.0 + abs(z)):
             mirror = -z.conjugate()
             if prev_sign != 0 and _im_gamma_sign(z) != prev_sign:

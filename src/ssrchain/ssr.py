@@ -51,12 +51,8 @@ _MERGED_SLACK = 1e-4
 
 @dataclass(frozen=True)
 class SSRResult:
-    """Optimized super-superradiant point at fixed qubit number.
-
-    The point is the fold itself, where the two poles coalesce, so
-    coalescence is True for every result maximize_over_separation returns.
-    The field stays because sweep files written when the maximizer still
-    had a golden-section fallback may carry false.
+    """Optimized super-superradiant point at fixed qubit number: the fold
+    itself, where the two poles coalesce.
 
     evaluations is the number of scalar f evaluations the solve made: the
     coalescent-pair steps that resolve the pair at the fold, and the
@@ -68,7 +64,6 @@ class SSRResult:
     n_qubits: int
     l_critical: float
     gamma_ssr: complex
-    coalescence: bool
     evaluations: int
     residual: float
 
@@ -409,12 +404,10 @@ def superradiant_pole(params: ChainParams) -> Pole:
 
 def _default_bracket(n_qubits: int) -> tuple[float, float]:
     """The separation bracket around the law L_c ~ BETA_HAT / N^2."""
-    if n_qubits >= 4:
-        return 0.2 * BETA_HAT / n_qubits**2, 3.0 * BETA_HAT / n_qubits**2
-    return 0.05, 2.0
+    return 0.2 * BETA_HAT / n_qubits**2, 3.0 * BETA_HAT / n_qubits**2
 
 
-def _fold_newton(n: int, y: float, l: float, maxiter: int = 30) -> tuple[float, float, bool]:
+def _fold_newton(n: int, y: float, l: float) -> tuple[float, float, bool]:
     """Newton on the regular fold system (psi, psi_y) = (0, 0) in (y, L),
     with psi(y, L) of _axis_jet, Im f(-iy, L) up to a positive factor, and
     the exact Jacobian [[psi_y, psi_L], [psi_yy, psi_yL]] (Moore & Spence,
@@ -423,10 +416,11 @@ def _fold_newton(n: int, y: float, l: float, maxiter: int = 30) -> tuple[float, 
     On the imaginary axis f is i times a real function, so the fold where
     the colliding pair coalesces is a real 2x2 system, regular at the fold;
     psi shares it with Im f.  Returns (y, L, converged): converged when the
-    relative step falls to 1e-12, or, once below 1e-9, stops halving.
+    relative step falls to 1e-12, or, once below 1e-9, stops halving,
+    within 30 steps.
     """
     prev = math.inf
-    for _ in range(maxiter):
+    for _ in range(30):
         psi, psi_y, psi_l, psi_yy, psi_yl = _axis_jet(n, y, l)
         det = psi_y * psi_yl - psi_l * psi_yy
         if not (det != 0.0 and math.isfinite(det)):
@@ -499,7 +493,6 @@ def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None 
         n_qubits=n_qubits,
         l_critical=l_fold,
         gamma_ssr=complex(2.0 * y, 0.0),
-        coalescence=True,
         evaluations=tracker.evals,
         residual=residual,
     )
@@ -544,11 +537,9 @@ def scaling_sweep(n_list: list[int], jobs: int = 1) -> list[tuple[SSRResult | No
     Returns one entry per N, in input order: (SSRResult, "") on success or
     (None, "<ErrorType>: <message>") when that N fails; the sweep goes on
     past a failure and warns about none.  jobs > 1 solves the N in that
-    many worker processes, with the same entries as jobs = 1; the pool pays
-    only on large-N sweeps.
+    many worker processes, with the same entries as jobs = 1; a solve costs
+    the same at every N, so the pool pays only on sweeps of thousands of N.
     """
-    if list(n_list) != sorted(n_list):
-        raise ContractViolationError("n_list must be sorted ascending")
     for n in n_list:
         if not isinstance(n, int) or n < 2:
             raise ContractViolationError(f"sweep entries need N >= 2, got {n!r}")

@@ -143,7 +143,6 @@ def test_criterion_6_fit_quality(big_sweep):
             n_qubits=int(r["n_qubits"]),
             l_critical=float(r["l_critical"]),
             gamma_ssr=complex(float(r["re_gamma_ssr"]), float(r["im_gamma_ssr"])),
-            coalescence=r["coalescence"] == "true",
             evaluations=int(r["evaluations"]),
             residual=float(r["residual"]),
         )

@@ -17,7 +17,7 @@ from ssrchain import (
     markovian_polynomial,
 )
 from ssrchain.charfn import _INF, _sinc
-from ssrchain.core import chebyshev_u_pair
+from ssrchain.core import _EPS as EPS, chebyshev_u_pair
 from ssrchain.output import Grid
 from ssrchain.rootfind import default_window, refine
 
@@ -420,9 +420,6 @@ def mp_f(delta, sep, n, w):
 def mp_deflated_f(delta, sep, n, w):
     """mp_f of the sr branch divided by Delta^(N-1)."""
     return mp_f(delta, sep, n, w) / delta ** (n - 1)
-
-
-EPS = 2.220446049250313e-16
 
 
 def recurrence_eval(fn, delta):

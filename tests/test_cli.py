@@ -127,7 +127,7 @@ class TestSSR:
         rc, out = run(tmp_path, "s.csv", ["ssr", "--n", "2", "--bracket", *bracket])
         assert rc == 0
         got, want = read_csv_table(str(out))[2][0], read_csv_table(str(default))[2][0]
-        for key in ("l_critical", "re_gamma_ssr", "im_gamma_ssr", "coalescence"):
+        for key in ("l_critical", "re_gamma_ssr", "im_gamma_ssr"):
             assert got[key] == want[key]
 
     def test_bracket_above_the_fold_is_a_solver_failure(self, tmp_path, capsys):
@@ -154,7 +154,7 @@ class TestSweepAndFit:
         rc, out = run(tmp_path, "sweep.csv", ["sweep", "--n-min", "2", "--n-max", "2"])
         assert rc == 3
         assert data_section(out)[-1] == (
-            '2,nan,nan,nan,false,nan,0,"BracketError: no interior maximum in (0.1, 0.2)"\n'
+            '2,nan,nan,nan,nan,0,"BracketError: no interior maximum in (0.1, 0.2)"\n'
         )
 
     def test_empty_range_rejected(self, tmp_path):
@@ -176,9 +176,9 @@ class TestSweepAndFit:
 
     def test_fit_exact_synthetic_law(self, tmp_path):
         path = tmp_path / "synthetic.csv"
-        lines = ["n_qubits,l_critical,re_gamma_ssr,im_gamma_ssr,coalescence,residual,evaluations,status"]
+        lines = ["n_qubits,l_critical,re_gamma_ssr,im_gamma_ssr,residual,evaluations,status"]
         for n in (20, 30, 40, 50):
-            lines.append(f"{n},{1.5 / n**2!r},{2.5 * n!r},0,true,0,1,ok")
+            lines.append(f"{n},{1.5 / n**2!r},{2.5 * n!r},0,0,1,ok")
         path.write_text("\n".join(lines) + "\n")
         rc, fit_out = run(tmp_path, "fit.json", ["fit", "--input", str(path)])
         assert rc == 0
@@ -189,10 +189,10 @@ class TestSweepAndFit:
 
     def test_fit_skips_failed_rows(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        lines = ["n_qubits,l_critical,re_gamma_ssr,im_gamma_ssr,coalescence,residual,evaluations,status"]
+        lines = ["n_qubits,l_critical,re_gamma_ssr,im_gamma_ssr,residual,evaluations,status"]
         for n in (20, 30, 40):
-            lines.append(f"{n},{1.5 / n**2!r},{2.5 * n!r},0,true,0,1,ok")
-        lines.append('50,nan,nan,nan,false,nan,0,"BracketError: no sign change"')
+            lines.append(f"{n},{1.5 / n**2!r},{2.5 * n!r},0,0,1,ok")
+        lines.append('50,nan,nan,nan,nan,0,"BracketError: no sign change"')
         path.write_text("\n".join(lines) + "\n")
         rc, fit_out = run(tmp_path, "fit.json", ["fit", "--input", str(path)])
         assert rc == 0
@@ -203,12 +203,41 @@ class TestSweepAndFit:
     def test_fit_bad_value_names_the_data_row(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
         path.write_text(
-            "n_qubits,l_critical,re_gamma_ssr,im_gamma_ssr,coalescence,residual,evaluations,status\n"
-            "abc,0.1,1,0,true,0,1,ok\n"
+            "n_qubits,l_critical,re_gamma_ssr,im_gamma_ssr,residual,evaluations,status\n"
+            "abc,0.1,1,0,0,1,ok\n"
         )
         rc = main(["fit", "--input", str(path), "-o", str(tmp_path / "f.json")])
         assert rc == 2
         assert "data row 1" in capsys.readouterr().err
+
+    def test_fit_reads_the_layout_with_a_coalescence_column(self, tmp_path, monkeypatch):
+        # sweep files once carried a coalescence column, false on failed rows
+        solve = ssr.maximize_over_separation
+
+        def fail_at_30(n):
+            if n == 30:
+                raise BracketError("no interior maximum in (0.1, 0.2)")
+            return solve(n)
+
+        monkeypatch.setattr(ssr, "maximize_over_separation", fail_at_30)
+        _, new = run(tmp_path, "new.csv", ["sweep", "--n-min", "20", "--n-max", "50", "--n-step", "10"])
+        lines = new.read_text().splitlines()
+        head = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        old_lines = lines[:head] + [lines[head].replace(",residual,", ",coalescence,residual,")]
+        for row in lines[head + 1:]:
+            cells = row.split(",")
+            cells.insert(4, "true" if row.endswith(",ok") else "false")
+            old_lines.append(",".join(cells))
+        assert old_lines[-3] == '30,nan,nan,nan,false,nan,0,"BracketError: no interior maximum in (0.1, 0.2)"'
+        old = tmp_path / "old.csv"
+        old.write_text("\n".join(old_lines) + "\n")
+        docs = []
+        for path in (new, old):
+            rc, fit_out = run(tmp_path, "fit.json", ["fit", "--input", str(path)])
+            assert rc == 0
+            docs.append(json.loads(fit_out.read_text())["data"])
+        assert docs[0] == docs[1]
+        assert [p["n_qubits"] for p in docs[0]["points"]] == [20, 40, 50]
 
     def test_fit_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

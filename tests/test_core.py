@@ -14,7 +14,7 @@ from ssrchain import (
     scattering,
     unit_cell,
 )
-from ssrchain.core import _qubit_matrix, chebyshev_u_pair
+from ssrchain.core import chebyshev_u_pair
 
 
 def as_array(m: Mat2c) -> np.ndarray:
@@ -77,10 +77,6 @@ class TestQubitMatrix:
         assert m.a12 == pytest.approx(-1.0)
         assert m.a21 == pytest.approx(1.0)
         assert m.a22 == pytest.approx(2.0)
-
-    def test_interaction_off_gives_identity(self):
-        m = _qubit_matrix(0.7 - 0.3j, 0.0)
-        assert m.as_tuple() == (1.0, 0.0, -0.0, 1.0)
 
     def test_unimodular(self):
         for d in (1.0, -2.3 + 0.4j, 1e-6j, 100.0 - 5j):

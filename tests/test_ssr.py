@@ -23,6 +23,7 @@ from ssrchain import (
 )
 from ssrchain import ssr
 from ssrchain.charfn import CharFn
+from ssrchain.core import _EPS as EPS
 from ssrchain.rootfind import _accept_tol, _newton, coalescent_pair, grid_scan_minima
 from ssrchain.ssr import (
     _PoleTracker,
@@ -390,7 +391,7 @@ class TestProbeRule:
             return coalescent_pair(*args, **kwargs)
 
         monkeypatch.setattr(ssr, "coalescent_pair", counted)
-        assert maximize_over_separation(50).coalescence
+        maximize_over_separation(50)
         assert 0 < calls[0] <= 4
 
 
@@ -447,7 +448,6 @@ class TestEvaluationCount:
 class TestMaximize:
     def test_two_qubits_against_closed_form(self):
         res = maximize_over_separation(2)
-        assert res.coalescence
         assert res.gamma_ssr.real == pytest.approx(ORACLE_GAMMA2, abs=1e-6)
         assert abs(res.gamma_ssr.imag) < 1e-9
         assert res.l_critical == pytest.approx(ORACLE_LC2, abs=1e-8)
@@ -495,7 +495,6 @@ class TestMaximize:
         # derivative-free search on the rate of the leading pole, found by
         # a fresh tracker at every separation, peaks at the fold
         res = maximize_over_separation(n)
-        assert res.coalescence
         a, b = 0.8 * res.l_critical, 1.25 * res.l_critical
         rate = lambda x: -2.0 * _PoleTracker(n).pair(x)[0].imag  # noqa: E731
         l_gs, _ = golden_max(rate, a, b, abstol=1e-10 * (b - a))
@@ -565,9 +564,6 @@ def mp_fold(n):
             if abs(dy) < mp.mpf("1e-24") * y and abs(dl) < mp.mpf("1e-24") * l:
                 return float(2 * y), float(l)
     raise ArithmeticError(f"mpmath fold did not converge at N = {n}")
-
-
-EPS = 2.220446049250313e-16
 
 
 def mp_axis_parts(n, y, l):
@@ -691,7 +687,6 @@ class TestFoldNewton:
             y, l = mp_psi_fold(n)
             gamma, l_c = float(2 * y), float(l)
         res = maximize_over_separation(n)
-        assert res.coalescence
         assert res.gamma_ssr.imag == 0.0
         assert abs(res.gamma_ssr.real - gamma) <= 1e-13 * gamma
         assert abs(res.l_critical - l_c) <= 1e-13 * l_c
@@ -730,7 +725,6 @@ class TestFoldNewton:
     def test_thousand_qubits_follow_the_large_n_laws(self):
         crit = critical_pair()
         res = maximize_over_separation(1000)
-        assert res.coalescence
         assert abs(res.gamma_ssr.real / (crit.alpha_c * 1000) - 1.0) < 1e-4
         assert abs(res.l_critical * 1000**2 / crit.beta_c - 1.0) < 1e-4
 
@@ -742,7 +736,6 @@ class TestFoldNewton:
         # N^-2 law predicts 1.4286e-8
         crit = critical_pair()
         res = maximize_over_separation(10_000)
-        assert res.coalescence
         assert abs(res.gamma_ssr.real / (crit.alpha_c * 10_000) - 1.0) < 1e-9
         assert abs(res.l_critical * 10_000**2 / crit.beta_c - 1.0) < 5e-8
 
@@ -753,7 +746,7 @@ class TestFoldNewton:
         for name in ("grid_scan_minima", "_newton"):
             real = getattr(ssr, name)
             monkeypatch.setattr(ssr, name, lambda *a, _r=real, **kw: calls.append(a) or _r(*a, **kw))
-        assert maximize_over_separation(10_000).coalescence
+        maximize_over_separation(10_000)
         assert not calls
 
     REJECTIONS = {
@@ -794,7 +787,6 @@ class TestBracket:
     def assert_default_fold(n, lo, hi):
         want = default_fold(n)
         res = maximize_over_separation(n, (lo * want.l_critical, hi * want.l_critical))
-        assert res.coalescence
         assert abs(res.l_critical - want.l_critical) <= 1e-12 * want.l_critical
         assert abs(res.gamma_ssr - want.gamma_ssr) <= 1e-12 * want.gamma_ssr.real
 
@@ -809,6 +801,14 @@ class TestBracket:
     def test_random_brackets(self, n, lo, hi):
         self.assert_default_fold(n, lo, hi)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_law_bracket_holds_the_few_qubit_fold(self, n):
+        # (0.05, 2.0) was the default bracket below N = 4
+        want = maximize_over_separation(n, (0.05, 2.0))
+        res = maximize_over_separation(n)
+        assert abs(res.l_critical - want.l_critical) <= 1e-12 * want.l_critical
+        assert abs(res.gamma_ssr - want.gamma_ssr) <= 1e-12 * want.gamma_ssr.real
+
     @pytest.mark.parametrize("n", [3, 10])
     @pytest.mark.parametrize("eps", [0.0, 1e-6])
     def test_scan_point_at_or_just_below_the_fold(self, n, eps):
@@ -820,9 +820,8 @@ class TestBracket:
     def test_thirteen_qubits_keep_the_nearest_pole(self):
         # the warm rate scan of an earlier maximizer jumped to a farther
         # pair at x_8 = 0.02177 and returned L = 0.021861, Gamma = 10.727 +
-        # 15.397i with coalescence false
+        # 15.397i, off the fold
         res = maximize_over_separation(13, (0.00040162342576661986, 0.7161294863218141))
-        assert res.coalescence
         assert res.gamma_ssr.real == pytest.approx(29.5974255938, abs=1e-9)
         assert res.gamma_ssr.imag == 0.0
         assert res.l_critical == pytest.approx(0.0104462474660, abs=1e-12)
@@ -873,9 +872,9 @@ class TestSweepAndFit:
         with pytest.raises(ContractViolationError):
             scaling_sweep([1, 2, 3])
 
-    def test_sweep_requires_sorted(self):
-        with pytest.raises(ContractViolationError):
-            scaling_sweep([5, 2])
+    def test_sweep_keeps_input_order(self):
+        # any order: each entry is the cold default-bracket solve of its N
+        assert scaling_sweep([5, 2, 3]) == [(maximize_over_separation(n), "") for n in (5, 2, 3)]
 
     def test_sweep_rejects_zero_jobs(self):
         with pytest.raises(ContractViolationError):
@@ -907,7 +906,7 @@ class TestSweepAndFit:
 
     def test_fit_recovers_exact_laws(self):
         synthetic = [
-            SSRResult(n, 1.5 / n**2, complex(2.5 * n, 0.0), True, 1, 0.0)
+            SSRResult(n, 1.5 / n**2, complex(2.5 * n, 0.0), 1, 0.0)
             for n in (10, 20, 30, 40)
         ]
         fit = fit_scaling(synthetic, n_min_fit=10)
@@ -917,6 +916,6 @@ class TestSweepAndFit:
         assert max(fit.lc_deviations) < 1e-12
 
     def test_fit_needs_three_points(self):
-        synthetic = [SSRResult(20, 1e-3, complex(45, 0), True, 1, 0.0)] * 2
+        synthetic = [SSRResult(20, 1e-3, complex(45, 0), 1, 0.0)] * 2
         with pytest.raises(ContractViolationError):
             fit_scaling(synthetic, n_min_fit=20)
