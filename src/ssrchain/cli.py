@@ -17,16 +17,16 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .asymptotic import critical_pair, g_eval, trace_contour
 from .core import ChainParams
-from .charfn import CharFn
 from .errors import ContractViolationError, SSRChainError
 from .output import Grid, build_meta, read_csv_table, write_json, write_table
-from .rootfind import SearchWindow, find_collective_rates
-from .ssr import SSRResult, fit_scaling, maximize_over_separation, scaling_sweep
+from .scaling import SSRResult, fit_scaling
+
+# numpy and the solver modules (charfn, rootfind, ssr) are imported inside
+# the commands that run them, so --version, --help, usage errors, asym and
+# fit start without loading numpy
 
 _POLE_COLUMNS = [
     "n_qubits", "separation", "mode", "re_delta", "im_delta",
@@ -124,6 +124,8 @@ def _param_flags(args) -> dict:
 
 
 def cmd_poles(args) -> int:
+    from .rootfind import SearchWindow, find_collective_rates
+
     params = _params_from_args(args)
     edges = (args.re_min, args.re_max, args.im_min, args.im_max)
     given = [e is not None for e in edges]
@@ -155,6 +157,8 @@ def _ssr_row(res: SSRResult) -> list:
 
 
 def cmd_ssr(args) -> int:
+    from .ssr import maximize_over_separation
+
     if args.n < 2:
         raise ContractViolationError("the SSR point needs --n >= 2")
     res = maximize_over_separation(args.n, tuple(args.bracket) if args.bracket else None)
@@ -166,6 +170,8 @@ def cmd_ssr(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .ssr import scaling_sweep
+
     if args.n_min < 2 or args.n_max < args.n_min or args.n_step < 1:
         raise ContractViolationError(
             f"empty or invalid sweep range n_min={args.n_min} n_max={args.n_max} n_step={args.n_step}"
@@ -251,6 +257,10 @@ def cmd_asym(args) -> int:
 
 
 def cmd_fieldmap(args) -> int:
+    import numpy as np
+
+    from .charfn import CharFn
+
     params = _params_from_args(args)
     re_lo, re_hi = args.re_range
     im_lo, im_hi = args.im_range

@@ -75,7 +75,8 @@ class ChainParams:
     sr_index: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
+        # bool is an int subclass: True would build a one-qubit chain
+        if not isinstance(self.n_qubits, int) or isinstance(self.n_qubits, bool) or self.n_qubits < 1:
             raise ContractViolationError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
         if not 0 <= self.separation < math.inf:
             raise ContractViolationError(f"separation must be finite and >= 0, got {self.separation!r}")
@@ -85,7 +86,7 @@ class ChainParams:
         if mode is None:
             raise ContractViolationError(f"unknown mode {self.mode!r}; expected one of {sorted(set(_MODE_ALIASES))}")
         object.__setattr__(self, "mode", mode)
-        if not isinstance(self.sr_index, int):
+        if not isinstance(self.sr_index, int) or isinstance(self.sr_index, bool):
             raise ContractViolationError(f"sr_index must be an integer, got {self.sr_index!r}")
         if self.omega < 10 and mode != MODE_SR:
             warnings.warn(

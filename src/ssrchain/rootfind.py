@@ -51,6 +51,9 @@ class SearchWindow:
     im_max: float
 
     def __post_init__(self):
+        edges = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, edges)):
+            raise ContractViolationError(f"window edges must be finite, got {self}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ContractViolationError(f"degenerate window {self}")
 

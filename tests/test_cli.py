@@ -73,6 +73,18 @@ class TestPoles:
         rc, _ = run(tmp_path, "p.csv", ["poles", "--n", "1", "--sep", "0.3", "--re-min", "-1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("edge", ["--re-min", "--re-max", "--im-min", "--im-max"])
+    def test_non_finite_window_edge_rejected(self, tmp_path, capsys, edge):
+        # --im-max inf once ran the boundary walk out of memory
+        window = {"--re-min": "-1", "--re-max": "1", "--im-min": "-1", "--im-max": "0"}
+        window[edge] = "-inf" if edge.endswith("min") else "inf"
+        # flag=value, as argparse reads a bare "-inf" as an option
+        argv = ["poles", "--n", "5", "--sep", "1.0"] + [f"{k}={v}" for k, v in window.items()]
+        rc, out = run(tmp_path, "p.csv", argv)
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_window_edges_echoed_in_metadata(self, tmp_path):
         window = ["--re-min", "-1", "--re-max", "1", "--im-min", "-2", "--im-max", "-0.05"]
         rc, out = run(tmp_path, "p.csv", ["poles", "--n", "1", "--sep", "0.3"] + window)
@@ -568,6 +580,63 @@ class TestStartup:
             )
             out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
             assert out.stdout.strip() == "[]", module
+
+    @staticmethod
+    def _loads_numpy(argv):
+        """Exit code of main(argv) in a fresh interpreter, and whether the
+        run imported numpy."""
+        src = os.path.dirname(os.path.dirname(ssrchain.__file__))
+        code = (
+            "import sys; from ssrchain.cli import main; rc = main(sys.argv[1:]); "
+            "sys.stderr.write(f\"\\n{rc} {'numpy' in sys.modules}\\n\")"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        rc, loaded = out.stderr.splitlines()[-1].split()
+        return int(rc), loaded == "True"
+
+    def test_cheap_commands_load_no_numpy(self, tmp_path):
+        # numpy's import costs more CPU than any of these commands
+        rc, sweep = run(tmp_path, "sweep.csv", ["sweep", "--n-min", "20", "--n-max", "40", "--n-step", "10"])
+        assert rc == 0
+        cheap = {
+            "version": (["--version"], 0),
+            "help": (["--help"], 0),
+            "usage error": (["ssr"], 2),
+            "asym critical": (["asym", "--critical", "-o", str(tmp_path / "c.json")], 0),
+            "asym contour": (["asym", "--contour", "--steps", "5", "-o", str(tmp_path / "c.csv")], 0),
+            "fit": (["fit", "--input", str(sweep), "-o", str(tmp_path / "fit.json")], 0),
+        }
+        for label, (argv, code) in cheap.items():
+            assert self._loads_numpy(argv) == (code, False), label
+        # the probe sees numpy where a command does load it
+        assert self._loads_numpy(["ssr", "--n", "2", "-o", str(tmp_path / "s.csv")]) == (0, True)
+
+    def test_package_names_are_their_modules_objects(self):
+        # the package resolves its names on first access
+        assert "__all__" in dir(ssrchain)
+        assert set(ssrchain.__all__) <= set(dir(ssrchain))
+        star = {}
+        exec("from ssrchain import *", star)
+        for name in ssrchain.__all__:
+            obj = getattr(ssrchain, name)
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+            assert star[name] is obj, name
+        assert ssr.fit_scaling is ssrchain.fit_scaling and ssr.SSRResult is ssrchain.SSRResult
+        with pytest.raises(AttributeError):
+            ssrchain.no_such_name  # noqa: B018
+        # a submodule is imported on its first access, as the package once imported them all
+        code = (
+            "import sys, ssrchain; before = 'numpy' in sys.modules; "
+            "print(before, ssrchain.rootfind.__name__, 'numpy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ssrchain.__file__))),
+        )
+        assert out.stdout.split() == ["False", "ssrchain.rootfind", "True"]
 
     def test_python_m_ssrchain_runs_the_cli(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["ssrchain", "--version"])

@@ -48,6 +48,13 @@ class TestChainParams:
         with pytest.raises(ContractViolationError):
             ChainParams(2, 0.5, mode="weird")
 
+    def test_rejects_bool_integers(self):
+        # bool is an int subclass: ChainParams(True, 0.1) once built a one-qubit chain
+        with pytest.raises(ContractViolationError, match="n_qubits"):
+            ChainParams(True, 0.1)
+        with pytest.raises(ContractViolationError, match="sr_index"):
+            ChainParams(2, 0.1, sr_index=True)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         # nan < 0 is false, so a sign test alone lets nan through

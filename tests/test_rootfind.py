@@ -49,6 +49,15 @@ class TestSearchWindow:
         with pytest.raises(ContractViolationError):
             SearchWindow(1.0, 1.0, -1.0, 0.0)
 
+    @pytest.mark.parametrize("edge", range(4))
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_edge(self, edge, bad):
+        # an infinite edge once sent the boundary walk into an unbounded allocation
+        edges = [-1.0, 1.0, -1.0, 0.0]
+        edges[edge] = bad
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            SearchWindow(*edges)
+
     def test_default_window_scales_with_n(self):
         w = default_window(4)
         assert (w.re_min, w.re_max, w.im_min, w.im_max) == (-6.0, 6.0, -10.0, 0.0)
