@@ -15,11 +15,14 @@ whose determinant is Delta^2: (M^N)_11 = V_{N-1} m11 - Delta^2 V_{N-2} with
 V_k = Delta^k U_k(x) and x = tr(M) / (2 Delta).  Where w = exp(i Omega L) =
 +-1, x is entire and the scalar f has a closed form in the paper's auxiliary
 angle theta, cos(theta) = cos(Delta L) + sin(Delta L) / (2 Delta): U_{N-1} =
-sin(N theta) / sin(theta) up to a sign, O(1) in N.  CharFn.eval and
+sin(N theta) / sin(theta) up to a sign, O(1) in N.  CharFn.eval, jet and
 noise_scale take it where N |theta| <= 16, which holds next to the fold, and
 the three-term recurrence elsewhere; CharFn._terms gives the rule and its
-measured errors.  Off that branch x has a 1/Delta pole, so the scalar path
-runs the entire recurrence of V_k itself; the vectorised path runs the
+measured errors.  CharFn.jet returns f' with f from the same pass: the
+slopes of the two terms come from closed forms of dU/dx on the w = +-1
+branch and from the recurrence differentiated alongside itself off it.
+Off that branch x has a 1/Delta pole, so the scalar path runs the entire
+recurrence of V_k itself; the vectorised path runs the
 rescaled recurrence of U_k in every mode, for f as (mantissa, log10 scale)
 (eval_scaled, read by the zero counter) and for log10 |f| (log10_magnitude).
 """
@@ -52,6 +55,46 @@ def _sinc(u: complex) -> complex:
         u2 = u * u
         return 1.0 - u2 / 6.0 + u2 * u2 / 120.0
     return cmath.sin(u) / u
+
+
+# c_k = (-1)^k 2k / (2k + 1)!, k = 8 down to 1 for Horner's rule:
+# sinc'(u) = u sum_k c_k u^(2k - 2)
+_SINC_SLOPE_SERIES = tuple((-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(8, 0, -1))
+
+
+def _sinc_slope(u: complex, sinc: complex) -> complex:
+    """d/du of sinc(u) = sin(u)/u, given sinc: (cos(u) - sinc) / u, which
+    loses eps / |u|^2 of itself to cancellation, so where |u| < 0.5 its
+    Taylor series to u^15, whose first omitted term is 1e-17 of it there."""
+    if abs(u) < 0.5:
+        v, total = u * u, 0.0
+        for c in _SINC_SLOPE_SERIES:
+            total = total * v + c
+        return u * total
+    return (cmath.cos(u) - sinc) / u
+
+
+def _chebyshev_slope(k: int, theta: complex, half: complex, s: complex, u: complex) -> complex:
+    """dU_(k-1)/dc at c = cos(theta), given half = sin^2(theta/2), s =
+    sin(theta) and u = U_(k-1)(c) = sin(k theta) / s.
+
+    (c u - k cos(k theta)) / s^2 cancels to (k theta)^2 of its terms and
+    loses about 3 eps / (k theta)^2 of the slope, 12 eps at |k theta| =
+    0.5.  Below that the slope is k (k^2 - 1) / 3 times the hypergeometric
+    series 2F1(2 - k, k + 2; 5/2; half), the derivative of U_(k-1) =
+    k 2F1(1 - k, k + 1; 3/2; (1 - c) / 2), summed until a term is below
+    1e-17 (at most eight terms there).  U_(-1) = 0 and U_0 = 1 are flat."""
+    if k < 2:
+        return 0.0
+    if abs(k * theta) < 0.5:
+        total = term = 1.0
+        m = 0
+        while abs(term) > 1e-17:
+            m += 1
+            term *= ((m + 1) ** 2 - k * k) * half / ((m + 1.5) * m)
+            total += term
+        return k * (k * k - 1) / 3.0 * total
+    return ((1.0 - 2.0 * half) * u - k * cmath.cos(k * theta)) / (s * s)
 
 
 @dataclass(frozen=True)
@@ -106,21 +149,43 @@ class CharFn:
     __call__ = eval
 
     def _eval(self, delta: complex) -> complex:
-        a, b, expo = self._terms(delta)
+        a, b, expo, _ = self._terms(delta)
         h = a - b
         return delta**expo * h if expo else h
 
-    def _terms(self, delta: complex) -> tuple[complex, complex, int]:
-        """(a, b, expo) with f = Delta^expo (a - b): a and b are the two terms
-        that cancel in f, m11 = Delta T_11 and M = Delta T the cell.
+    def jet(self, delta: complex) -> tuple[complex, complex]:
+        """(f, f') at a single complex detuning: f is eval's value bit for
+        bit wherever that is finite, and the pair is (_INF, _INF) wherever
+        it is not.
+
+        f' = Delta^(expo - 1) (expo (a - b) + Delta (a' - b')) from the
+        slopes that _terms carries alongside its terms."""
+        try:
+            delta = complex(delta)
+            a, b, expo, (da, db) = self._terms(delta, slope=True)
+            h = a - b
+            if expo:
+                h, dh = delta**expo * h, delta ** (expo - 1) * (expo * h + delta * (da - db))
+            else:
+                dh = da - db
+        except (OverflowError, ZeroDivisionError):
+            return _INF, _INF
+        return (h, dh) if cmath.isfinite(h) else (_INF, _INF)
+
+    def _terms(self, delta: complex, slope: bool = False):
+        """(a, b, expo, slopes) with f = Delta^expo (a - b): a and b are the
+        two terms that cancel in f, m11 = Delta T_11 and M = Delta T the
+        cell.  slopes is (a', b'), their Delta-derivatives, where slope is
+        set, and None otherwise.
 
         Off the w = +-1 branch x = tr(M) / (2 Delta) has a 1/Delta pole, so
         the terms are (V_{N-1} m11, Delta^2 V_{N-2}) of f itself (expo = 0),
         from the entire recurrence V_{k+1} = tr(M) V_k - Delta^2 V_{k-1}
-        that markovian_polynomial runs on coefficients.  Exact at Delta = 0,
-        where M has rank one.  Like any plain recurrence it loses precision
-        where x is near +-1: on random default-window points of N = 2 to
-        100 it was up to 121 eps of noise_scale off 40-digit mpmath.
+        that markovian_polynomial runs on coefficients, differentiated
+        alongside itself.  Exact at Delta = 0, where M has rank one.  Like
+        any plain recurrence it loses precision where x is near +-1: on
+        random default-window points of N = 2 to 100 it was up to 121 eps
+        of noise_scale off 40-digit mpmath.
 
         On the branch they are (U_{N-1}(x) m11, Delta U_{N-2}(x)) of
         Delta (T^N)_11 and expo is that of _consts.  exp(ikL) = w exp(iu)
@@ -134,7 +199,11 @@ class CharFn:
         nearly real, but follows the dominant solution where Im theta is
         large, and there sin(N theta) overflows before U does.  So the
         closed form runs where N |theta| <= _CLOSED_FORM_MAX and the
-        recurrence beyond.
+        recurrence beyond.  The slopes take dU/dx in closed form as well:
+        from _chebyshev_slope next to the closed form, and from the
+        recurrence's own pair by (1 - x^2) dU_{N-1}/dx = N U_{N-2} - (N - 1)
+        x U_{N-1} and (1 - x^2) dU_{N-2}/dx = N x U_{N-2} - (N - 1) U_{N-1}
+        beyond it, where 1 - x^2 = sin^2(theta) and N |theta| > 16.
 
         Against 40-digit mpmath on random points of the default windows of
         N = 2 to 1000 (L = 0.01 to 3 and beta_c / N^2), the worst error in
@@ -147,22 +216,48 @@ class CharFn:
         u = delta * le
         pm = w * cmath.exp(1j * u)
         m11 = (delta + 0.5j) / pm
+        # d/dDelta of exp(i Delta L) is i L exp(i Delta L)
+        dm11 = 1.0 / pm - 1j * le * m11 if slope else None
         if not real_w:
             trace = m11 + (delta - 0.5j) * pm
             d2 = delta * delta
             vk, vkm1 = 1.0 + 0j, 0j
+            if slope:
+                dtrace = dm11 + (1.0 + 1j * le * (delta - 0.5j)) * pm
+                dd2, dvk, dvkm1 = 2.0 * delta, 0j, 0j
             for _ in range(n - 1):
+                if slope:
+                    dvk, dvkm1 = dtrace * vk + trace * dvk - dd2 * vkm1 - d2 * dvkm1, dvk
                 vk, vkm1 = trace * vk - d2 * vkm1, vk
-            return vk * m11, d2 * vkm1, 0
+            slopes = (dvk * m11 + vk * dm11, dd2 * vkm1 + d2 * dvkm1) if slope else None
+            return vk * m11, d2 * vkm1, 0, slopes
         sinc = _sinc(u)
-        theta = 2.0 * cmath.asin(cmath.sqrt(cmath.sin(0.5 * u) ** 2 - 0.25 * le * sinc))
-        if n * abs(theta) <= _CLOSED_FORM_MAX:
+        half = cmath.sin(0.5 * u) ** 2 - 0.25 * le * sinc  # sin^2(theta / 2)
+        theta = 2.0 * cmath.asin(cmath.sqrt(half))
+        closed = n * abs(theta) <= _CLOSED_FORM_MAX
+        if closed:
             s = cmath.sin(theta)
             uk, ukm1 = (cmath.sin(n * theta) / s, cmath.sin((n - 1) * theta) / s) if s else (n, n - 1)
             sign = w.real ** (n - 1)
-            return sign * uk * m11, sign * w.real * delta * ukm1, expo
-        uk, ukm1 = chebyshev_u_pair(w * (cmath.cos(u) + 0.5 * le * sinc), n)
-        return uk * m11, delta * ukm1, expo
+            a, b = sign * uk * m11, sign * w.real * delta * ukm1
+        else:
+            x = w * (cmath.cos(u) + 0.5 * le * sinc)
+            uk, ukm1 = chebyshev_u_pair(x, n)
+            a, b = uk * m11, delta * ukm1
+        if not slope:
+            return a, b, expo, None
+        # c = cos(theta) = cos(u) + (L/2) sinc(u)
+        dc = le * (0.5 * le * _sinc_slope(u, sinc) - cmath.sin(u))
+        if closed:
+            # dU_{k-1}(x)/dDelta = w^(k-1) dU_{k-1}(c)/dc dc/dDelta
+            duk = _chebyshev_slope(n, theta, half, s, uk) * dc
+            dukm1 = _chebyshev_slope(n - 1, theta, half, s, ukm1) * dc
+            return a, b, expo, (sign * (duk * m11 + uk * dm11), sign * w.real * (ukm1 + delta * dukm1))
+        # dx/dDelta over sin^2(theta) = 1 - x^2; m11 joins before x does,
+        # since x U_{N-1} alone can overflow where a = U_{N-1} m11 does not
+        t = w * dc / (4.0 * half * (1.0 - half))
+        da = (n * ukm1 * m11 - (n - 1) * x * a) * t + uk * dm11
+        return a, b, expo, (da, ukm1 + delta * (n * x * ukm1 - (n - 1) * uk) * t)
 
     def noise_scale(self, delta: complex) -> float:
         """Magnitude of the terms cancelling in eval, at least 1 (inf where
@@ -172,7 +267,7 @@ class CharFn:
         |Delta|^expo (|a| + |b|) from the same _terms as eval, so the
         closed form sets the floor wherever it sets the value."""
         try:
-            a, b, expo = self._terms(delta)
+            a, b, expo, _ = self._terms(delta)
             scale = abs(a) + abs(b)
             if expo:
                 scale = abs(delta) ** expo * scale

@@ -32,7 +32,7 @@ NON_MARKOVIAN = "exclusively-non-markovian"
 
 # largest Im Delta of a decay pole: Re Gamma = -2 Im Delta >= -1e-9
 _MAX_POLE_IM = 5e-10
-# _track_root gives up once a halved stride is below _MIN_STEP * max(1, L)
+# _track gives up once a halved stride is below _MIN_STEP * max(1, L)
 _MIN_STEP = 1e-9
 _ZERO_MODE_RADIUS = 1e-6  # |Delta| of a pole classified as the zero mode
 
@@ -358,21 +358,38 @@ def localize_zeros(fn, window: SearchWindow, max_cell: float) -> list[complex]:
 # refinement
 
 
-def _newton(fn, z, tol):
-    """Damped Newton with a central-difference derivative, at most 100 steps.
+def _jet_of(fn):
+    """fn's evaluator of (f, f'): CharFn.jet (or that of a wrapper with a
+    jet method), or, for a plain callable, a central difference of step
+    1e-7 (1 + |z|) beside its value."""
+    jet = getattr(fn, "jet", None)
+    if jet is not None:
+        return jet
 
-    Returns (z, |f(z)|, converged).  Convergence demands both a small
-    residual and a collapsing step, so flat near-double valleys where |f|
-    dips below tol without a root nearby are not reported as zeros.
+    def central(z):
+        s = 1e-7 * (abs(z) + 1.0)
+        return fn(z), (fn(z + s) - fn(z - s)) / (2.0 * s)
+
+    return central
+
+
+def _newton(fn, z, tol):
+    """Damped Newton on the jet of fn (see _jet_of), at most 100 steps.
+
+    Returns (z, |f(z)|, converged).  Every trial point of the line search
+    is evaluated as a jet, so an accepted step already holds the slope of
+    the next one: a step that is not halved costs one jet.  Convergence
+    demands both a small residual and a collapsing step, so flat
+    near-double valleys where |f| dips below tol without a root nearby are
+    not reported as zeros.
     """
-    fz = fn(z)
+    jet = _jet_of(fn)
+    fz, d = jet(z)
     best, bres = z, abs(fz)
     step_small = False
     for _ in range(100):
         if bres < tol and step_small:
             return best, bres, True
-        s = 1e-7 * (abs(z) + 1.0)
-        d = (fn(z + s) - fn(z - s)) / (2.0 * s)
         if d == 0 or not cmath.isfinite(d):
             break
         full = fz / d
@@ -381,9 +398,9 @@ def _newton(fn, z, tol):
         # fallback line search toward the best point when a full step diverges
         for _ in range(30):
             z2 = z - t * full
-            f2 = fn(z2)
+            f2, d2 = jet(z2)
             if cmath.isfinite(f2) and abs(f2) < abs(fz):
-                z, fz, moved = z2, f2, True
+                z, fz, d, moved = z2, f2, d2, True
                 break
             t *= 0.5
         if not moved:
@@ -397,8 +414,10 @@ def _newton(fn, z, tol):
 def refine(fn, seed: complex, tol: float = 1e-9) -> complex:
     """Polish a seed to a zero of fn; |f| < tol on success.
 
-    Raises RefinementFailureError (carrying the best iterate and residual)
-    when Newton plus its damped fallback cannot converge from this seed.
+    Damped Newton with the exact slope of CharFn.jet (a central difference
+    for a plain callable).  Raises RefinementFailureError (carrying the
+    best iterate and residual) when Newton plus its damped fallback cannot
+    converge from this seed.
     """
     z, res, ok = _newton(fn, complex(seed), tol)
     if not ok:
@@ -411,21 +430,24 @@ def refine(fn, seed: complex, tol: float = 1e-9) -> complex:
 def coalescent_pair(fn, center: complex, scale: float | None = None):
     """Resolve two (possibly merged) nearby zeros around center.
 
-    Fits a local quadratic model of fn and takes its two roots, recentering
-    on their midpoint, three times; each root then gets a few plain Newton
-    steps.  Stays accurate through exact coalescence, where ordinary
+    Fits a local quadratic model c0 + c1 u + c2 u^2 of fn and takes its two
+    roots, recentering on their midpoint, three times; each root then gets
+    a few plain Newton steps.  c0 and c1 are the jet of fn at the center
+    (see _jet_of) and c2 = f''/2 is the second difference of f over z +- s;
+    the symmetric stencil keeps a center on the imaginary axis there under
+    the mirror symmetry of the superradiant condition.  Each Newton step
+    is one jet.  Stays accurate through exact coalescence, where ordinary
     refinement stalls on the flat |f| valley.
     """
+    jet = _jet_of(fn)
     z0 = complex(center)
     if scale is None:
         scale = abs(z0) + 1.0
     s = max(1e-4 * scale, 1e-9)
     u1 = u2 = 0.0j
     for _ in range(3):
-        c0 = fn(z0)
-        fp, fm = fn(z0 + s), fn(z0 - s)
-        c1 = (fp - fm) / (2.0 * s)
-        c2 = (fp - 2.0 * c0 + fm) / (2.0 * s * s)
+        c0, c1 = jet(z0)
+        c2 = (fn(z0 + s) - 2.0 * c0 + fn(z0 - s)) / (2.0 * s * s)
         if c2 == 0 or not (cmath.isfinite(c1) and cmath.isfinite(c2)):
             break
         disc = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
@@ -438,11 +460,10 @@ def coalescent_pair(fn, center: complex, scale: float | None = None):
     out = []
     for r in (z0 + half, z0 - half):
         for _ in range(6):
-            sr = 1e-7 * (abs(r) + 1.0)
-            d = (fn(r + sr) - fn(r - sr)) / (2.0 * sr)
+            fr, d = jet(r)
             if d == 0 or not cmath.isfinite(d):
                 break
-            rn = r - fn(r) / d
+            rn = r - fr / d
             if abs(rn - r) > abs(half) + 1e-6 * (1.0 + abs(r)):
                 break  # Newton escaping the pair; keep the model root
             done = abs(rn - r) < 1e-12 * (1.0 + abs(r))
@@ -473,15 +494,21 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
     """All decay poles inside the window, refined and classified.
 
     Zeros of the deflated characteristic function are located by
-    localize_zeros (max_cell = diameter / 128), polished by Newton from
-    each seed (the boundary's first moment for a cell that isolates one
-    zero, a cell center otherwise), deduplicated (1e-8), and classified:
-    ``zero-mode`` below _ZERO_MODE_RADIUS, ``markovian-like`` when continuation
-    to L -> 0 lands on a finite Markovian root, ``exclusively-non-markovian``
+    localize_zeros (max_cell = diameter / 128), polished by Newton on the
+    exact slope of CharFn.jet from each seed (the boundary's first moment
+    for a cell that isolates one zero, a cell center otherwise),
+    deduplicated (1e-8), and classified: ``zero-mode`` below
+    _ZERO_MODE_RADIUS, ``markovian-like`` when continuation to L -> 0
+    lands on a finite Markovian root, ``exclusively-non-markovian``
     otherwise.  In sr-condition mode a root left of the axis within
     1e-8 (1 + |Delta|) of the mirror image -conj(Delta) of a root right of
     it is replaced by that exact mirror image, and shares the
-    classification of its twin instead of being continued again.
+    classification of its twin instead of being continued again.  The
+    continuations of one call share their work (_TableMemo): every pole
+    follows the same schedule of waypoints in L, and a pole whose track
+    reaches a waypoint within 1e-12 (1 + |Delta|) of a state that an
+    earlier pole's track passed there takes that pole's label.  Nothing is
+    kept between calls.
     Refinement failures are warned about per pole, never abort the batch.
     Sorted by |Delta| ascending, then Re Delta, so a mirror pair comes
     negative Re first.
@@ -532,6 +559,7 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
             for u in uniq
         ]
     poles = []
+    memo = _TableMemo()
     for r in uniq:
         if not window.contains(r, pad=1e-6 * window.diameter()):
             continue
@@ -544,7 +572,7 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
             # a mirror partner continues to L -> 0 as the mirror image of
             # the pole already classified
             cls = next((p.classification for p in poles if p.delta == -r.conjugate()), None)
-        poles.append(Pole(delta=r, residual=res, classification=cls or _classify(params, r)))
+        poles.append(Pole(delta=r, residual=res, classification=cls or _classify(params, r, memo)))
     poles.sort(key=lambda p: (abs(p.delta), p.delta.real, p.delta.imag))
     return poles
 
@@ -572,23 +600,59 @@ def _markovian_rates(params: ChainParams, window: SearchWindow) -> list[Pole]:
     return poles
 
 
-def _classify(params: ChainParams, delta: complex) -> str:
+class _TableMemo:
+    """What the continuations of one find_collective_rates call share: the
+    searched CharFn at each separation they visit (fns), and the (Delta,
+    label) states they passed at each scheduled waypoint L (states).  Every
+    pole of one table has the same schedule, since it depends on L and N
+    only; see _classify."""
+
+    def __init__(self):
+        self.fns: dict[float, CharFn] = {}
+        self.states: dict[float, list[tuple[complex, str]]] = {}
+
+
+def _classify(params: ChainParams, delta: complex, memo: _TableMemo | None = None) -> str:
+    """Label of the pole delta: zero-mode below _ZERO_MODE_RADIUS, else
+    continued (see _track) to L = min(1e-3, 0.2 / N^2), markovian-like
+    where it lands within 0.15 N + 0.05 of the origin or of the Dicke pole
+    -i N / 2, and exclusively-non-markovian where it does not, runs past
+    |Delta| = 4 N + 10 or the continuation breaks down.
+
+    A track that reaches a scheduled waypoint within 1e-12 (1 + |Delta|) of
+    a state in memo takes that state's label instead of continuing; either
+    way its own waypoint states join memo under its label.
+    """
     if abs(delta) < _ZERO_MODE_RADIUS:
         return ZERO_MODE
     n = params.n_qubits
     l_end = min(1e-3, 0.2 / (n * n))
-    markov = -0.5j * n
-    bound = 4.0 * n + 10.0
-    z, l_cur = delta, params.separation
-    if l_cur > l_end:
+    z, label, passed = delta, None, []
+    if params.separation > l_end:
+        track = _track(
+            params, delta, params.separation, l_end, divergence=4.0 * n + 10.0,
+            fns=None if memo is None else memo.fns,
+        )
         try:
-            z = _track_root(params, delta, l_cur, l_end, divergence=bound)
+            for l_at, z in track:
+                if z is None:
+                    label = NON_MARKOVIAN
+                    break
+                if memo is not None:
+                    tol = 1e-12 * (1.0 + abs(z))
+                    label = next((lab for y, lab in memo.states.get(l_at, ()) if abs(z - y) <= tol), None)
+                    if label is not None:
+                        break
+                passed.append((l_at, z))
         except ContinuationBreakdownError:
-            return NON_MARKOVIAN
-        if z is None:
-            return NON_MARKOVIAN
-    near = min(abs(z), abs(z - markov))
-    return MARKOVIAN_LIKE if near <= 0.3 * (0.5 * n) + 0.05 else NON_MARKOVIAN
+            label = NON_MARKOVIAN
+    if label is None:
+        near = min(abs(z), abs(z + 0.5j * n))
+        label = MARKOVIAN_LIKE if near <= 0.3 * (0.5 * n) + 0.05 else NON_MARKOVIAN
+    if memo is not None:
+        for l_at, y in passed:
+            memo.states.setdefault(l_at, []).append((y, label))
+    return label
 
 
 def _fn_at_separation(params: ChainParams, sep: float) -> CharFn:
@@ -596,16 +660,20 @@ def _fn_at_separation(params: ChainParams, sep: float) -> CharFn:
     return characteristic_function(dataclasses.replace(params, separation=sep))
 
 
-def _track_root(params, z, l_from, l_to, divergence=None):
-    """Follow one zero from l_from to l_to with adaptive step halving.
+def _track(params, z, l_from, l_to, divergence=None, fns=None):
+    """Follow one zero from l_from to l_to with adaptive step halving,
+    yielding (L, Delta) at every scheduled waypoint, the last at l_to.
+    fns, where given, holds the searched CharFn of each separation, and
+    gains those this track builds.
 
-    A step only counts when Newton converges AND the root moved by less
-    than a third of its magnitude; larger jumps are treated as branch
-    hopping and the stride is halved.  Strides are also capped a priori at
-    35% relative changes of L.  Returns the root at l_to, or None once
-    |Delta| crosses the divergence bound (the signature of an exclusively
-    non-Markovian branch running away as L -> 0).  Raises
-    ContinuationBreakdownError once a halved stride is below _MIN_STEP max(1, L).
+    The schedule is geometric, at most 0.35 apart in ln L.  A step only
+    counts when Newton converges AND the root moved by less than 0.35
+    (1 + |Delta|); larger jumps are treated as branch hopping and the
+    stride is halved by a midpoint, which is not yielded.  Once |Delta|
+    crosses the divergence bound (the signature of an exclusively
+    non-Markovian branch running away as L -> 0) it yields (L, None) and
+    stops.  Raises ContinuationBreakdownError once a halved stride is below
+    _MIN_STEP max(1, L).
     """
     cur = l_from
     pending = [l_to]
@@ -613,9 +681,14 @@ def _track_root(params, z, l_from, l_to, divergence=None):
     if min(l_from, l_to) > 0 and abs(math.log(l_to / l_from)) > 0.35:
         k = math.ceil(abs(math.log(l_to / l_from)) / 0.3)
         pending = [l_from * (l_to / l_from) ** (i / k) for i in range(k, 0, -1)]
+    scheduled = len(pending)
     while pending:
         target = pending[-1]
-        fn = _fn_at_separation(params, target)
+        fn = None if fns is None else fns.get(target)
+        if fn is None:
+            fn = _fn_at_separation(params, target)
+            if fns is not None:
+                fns[target] = fn
         znew, res, ok = _newton(fn, z, _accept_tol(fn, z))
         if ok and abs(znew - z) > 0.35 * (1.0 + abs(z)):
             ok = False  # converged, but not to the tracked branch
@@ -631,7 +704,11 @@ def _track_root(params, z, l_from, l_to, divergence=None):
             z, cur = znew, target
             pending.pop()
             if divergence is not None and abs(z) > divergence:
-                return None
+                yield cur, None
+                return
+            if len(pending) < scheduled:
+                scheduled -= 1
+                yield cur, z
             continue
         mid = 0.5 * (cur + target)
         if abs(mid - cur) < _MIN_STEP * max(1.0, abs(cur)):
@@ -639,6 +716,12 @@ def _track_root(params, z, l_from, l_to, divergence=None):
                 f"continuation stalled at L = {cur:.6g} toward {target:.6g}", partial=[]
             )
         pending.append(mid)
+
+
+def _track_root(params, z, l_from, l_to):
+    """The zero z at l_from continued to l_to (see _track)."""
+    for _, z in _track(params, z, l_from, l_to):
+        pass
     return z
 
 

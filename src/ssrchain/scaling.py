@@ -18,11 +18,12 @@ class SSRResult:
     """Optimized super-superradiant point at fixed qubit number: the fold
     itself, where the two poles coalesce.
 
-    evaluations is the number of scalar f evaluations the solve made: the
-    coalescent-pair steps that resolve the pair at the fold, and the
-    residual.  The closed form of Im f(-iy) evaluates no f, so neither its
-    axis scan (_axis_im) nor the fold Newton steps on it (_axis_jet) are
-    counted; a solve takes about 10 to 50 evaluations.
+    evaluations is the number of scalar f evaluations the solve made, a
+    value or a jet (f, f') counting one each: the coalescent-pair steps
+    that resolve the pair at the fold, and the residual.  The closed form
+    of Im f(-iy) evaluates no f, so neither its axis scan (_axis_im) nor
+    the fold Newton steps on it (_axis_jet) are counted; a solve takes
+    about 9 to 18 evaluations.
     """
 
     n_qubits: int

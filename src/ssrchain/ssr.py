@@ -147,7 +147,8 @@ def _axis_jet(n: int, y: float, l: float) -> tuple[float, float, float, float, f
 
 
 class _CountedFn:
-    """A deflated CharFn whose scalar evaluations are tallied on its tracker."""
+    """A deflated CharFn whose scalar evaluations are tallied on its
+    tracker: one per value and one per jet (f, f')."""
 
     def __init__(self, charfn: CharFn, tracker: _PoleTracker):
         self.charfn = charfn
@@ -156,6 +157,10 @@ class _CountedFn:
     def __call__(self, delta: complex) -> complex:
         self.tracker.evals += 1
         return self.charfn.eval(delta)
+
+    def jet(self, delta: complex) -> tuple[complex, complex]:
+        self.tracker.evals += 1
+        return self.charfn.jet(delta)
 
     def noise_scale(self, delta: complex) -> float:
         return self.charfn.noise_scale(delta)
@@ -168,7 +173,8 @@ class _PoleTracker:
     """Finder of the two smallest nonzero poles at a separation; each pair()
     call starts cold.
 
-    evals counts the scalar f evaluations made through fn().
+    evals counts the scalar f evaluations made through fn(), values and
+    jets alike.
     """
 
     def __init__(self, n_qubits: int, sr_index: int = 1, depth: float = 2.5):

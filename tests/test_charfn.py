@@ -559,6 +559,169 @@ class TestGenericPhaseAccuracy:
             assert abs(got - want) <= 3 * n * EPS * scale
 
 
+def mp_jet(params, order, delta):
+    """(f, f') of mp_f / Delta^order to 40 digits, the slope carried through
+    the N explicit cells alongside the value.  At Delta = 0 the deflated
+    pair is the mean and the central difference of mp_f / Delta^order over
+    +-1e-20, with 20 more digits per power of Delta divided out."""
+    n = params.n_qubits
+    if delta == 0 and order:
+        with mp.workdps(60 + 20 * order):
+            sep, w, h = mp.mpf(params.phase_separation()), mp.mpc(params.phase_unit()), mp.mpf("1e-20")
+            up, down = (mp_f(z, sep, n, w) / z**order for z in (h, -h))
+            return (up + down) / 2, (up - down) / (2 * h)
+    # mp_f cancels to |Delta|^order of its terms
+    with mp.workdps(40 + (order and order * max(0, math.ceil(-math.log10(abs(delta)))))):
+        sep, w = mp.mpf(params.phase_separation()), mp.mpc(params.phase_unit())
+        d = mp.mpc(delta)
+        p = w * mp.exp(1j * d * sep)
+        dp, q = 1j * sep * p, 1 / p
+        dq = -1j * sep * q
+        a, b, da, db = mp.mpc(1), mp.mpc(0), mp.mpc(0), mp.mpc(0)
+        for _ in range(n):
+            a, b, da, db = (
+                (a * (d + 0.5j) - b * 0.5j) * q,
+                (a * 0.5j + b * (d - 0.5j)) * p,
+                (da * (d + 0.5j) + a - db * 0.5j) * q + (a * (d + 0.5j) - b * 0.5j) * dq,
+                (da * 0.5j + db * (d - 0.5j) + b) * p + (a * 0.5j + b * (d - 0.5j)) * dp,
+            )
+        if order:
+            a, da = a / d**order, (da - order * a / d) / d**order
+        return a, da
+
+
+def slope_scale(fn, delta):
+    """What noise_scale is to f, for f': the size of the terms whose
+    difference is f', |Delta|^e (|a'| + |b'|) + e |Delta|^(e - 1) (|a| +
+    |b|) from CharFn._terms, at least 1."""
+    a, b, expo, (da, db) = fn._terms(complex(delta), slope=True)
+    scale = abs(da) + abs(db)
+    if expo:
+        scale = abs(delta) ** expo * scale + expo * abs(delta) ** (expo - 1) * (abs(a) + abs(b))
+    return max(1.0, scale)
+
+
+def jet_error(fn, delta):
+    """|jet slope - f'| in eps of slope_scale, f' from mp_jet; the value
+    is eval's bit for bit, and (_INF, _INF) is returned exactly where eval
+    is not finite (then the error is 0)."""
+    f, df = fn.jet(delta)
+    want = fn.eval(delta)
+    if not cmath.isfinite(want):
+        assert (f, df) == (_INF, _INF)
+        return 0.0
+    assert (f.real, f.imag) == (want.real, want.imag)
+    _, ref = mp_jet(fn.params, fn.deflation_order, delta)
+    if not cmath.isfinite(df):
+        # the slope's terms can overflow where f' is within 20 decades of
+        # the float range (measured down to 1.7e295), never below
+        assert abs(ref) > 1e288
+        return 0.0
+    with mp.workdps(40):
+        return float(abs(mp.mpc(df) - ref) / (EPS * slope_scale(fn, delta)))
+
+
+def sr_branch(fn, delta):
+    """'closed' or 'recurrence': the branch _terms takes at delta."""
+    n, _, le, _, _ = fn._consts
+    u = complex(delta) * le
+    theta = 2.0 * cmath.asin(cmath.sqrt(cmath.sin(0.5 * u) ** 2 - 0.25 * le * _sinc(u)))
+    return "closed" if n * abs(theta) <= 16.0 else "recurrence"
+
+
+# at L = 0.01, sin^2(u/2) - (L/4) sinc(u) rounds to exactly 0 here: theta = 0
+THETA_ZERO = 9.995835242528342
+
+
+class TestJet:
+    """CharFn.jet = (f, f') against 40-digit mpmath, in eps of slope_scale.
+
+    Closed form and sr recurrence: within 48 eps on the accuracy matrix of
+    TestClosedFormKernel, also where theta = 0 and where the slope of
+    U_(k-1) switches from its series to (c U_(k-1) - k cos(k theta)) /
+    sin^2(theta) (|k theta| = 0.5).  The recurrence of V_k: within (3 N +
+    8) eps, the bound of the values in TestGenericPhaseAccuracy.  (Worst
+    measured: 17 eps closed form, 27 sr recurrence, 125 at (general, 100,
+    beta_c / N^2); 40 next to theta = 0 at N = 1000.)"""
+
+    SR_NS = [1, 2, 5, 10, 30, 50, 100, 1000]
+    SEPS = [0.01, 0.1, 0.5, 1.0, 3.0, "fold"]
+
+    @staticmethod
+    def sr_points(n, sep):
+        """The separation and the points of one sr matrix cell: random in
+        the default window, and the axis within 10% of the large-N fold."""
+        sep = 1.7569154 / n**2 if sep == "fold" else sep
+        win = default_window(n)
+        rng = np.random.default_rng(n)
+        k = 6 if n == 1000 else 30
+        deltas = rng.uniform(win.re_min, win.re_max, k) + 1j * rng.uniform(win.im_min, win.im_max, k)
+        return sep, np.concatenate([deltas, -1.1385j * n * np.linspace(0.9, 1.1, 5)]).tolist()
+
+    @pytest.mark.parametrize("n", SR_NS)
+    @pytest.mark.parametrize("sep", SEPS)
+    def test_sr_accuracy_matrix(self, n, sep):
+        sep, deltas = self.sr_points(n, sep)
+        for order in {0, n - 1}:
+            fn = CharFn(sr(n, sep), deflation_order=order)
+            for d in deltas:
+                assert jet_error(fn, d) <= 48.0
+
+    def test_sr_matrix_takes_both_branches(self):
+        taken = {"closed": 0, "recurrence": 0}
+        for n in self.SR_NS:
+            for sep in self.SEPS:
+                sep, deltas = self.sr_points(n, sep)
+                fn = CharFn(sr(n, sep))
+                for d in deltas:
+                    if cmath.isfinite(fn.eval(d)):
+                        taken[sr_branch(fn, d)] += 1
+        assert min(taken.values()) >= 100
+
+    @pytest.mark.parametrize("n", [2, 5, 30, 100, 1000])
+    def test_next_to_theta_zero(self, n):
+        # N theta from 0 through the series and past the switch at 0.5
+        u = complex(THETA_ZERO) * 0.01
+        assert cmath.sin(0.5 * u) ** 2 - 0.25 * 0.01 * _sinc(u) == 0
+        for order in (0, n - 1):
+            fn = CharFn(sr(n, 0.01), deflation_order=order)
+            for t in (0.0, 1e-9, 1e-7, 1e-5, 1e-4, 3e-4, 1e-3, 1e-2, 0.1):
+                assert jet_error(fn, complex(THETA_ZERO, -t)) <= 48.0
+
+    @pytest.mark.parametrize("mode", ["general", "markovian"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 30, 50, 100])
+    @pytest.mark.parametrize("sep", [0.01, 0.1, 0.5, 1.0, 3.0, "fold"])
+    def test_generic_accuracy_matrix(self, mode, n, sep):
+        sep = 1.7569154 / n**2 if sep == "fold" else sep
+        fn = CharFn(ChainParams(n, sep, mode=mode))
+        win = default_window(n)
+        rng = np.random.default_rng(n)
+        deltas = rng.uniform(win.re_min, win.re_max, 30) + 1j * rng.uniform(win.im_min, win.im_max, 30)
+        for d in deltas.tolist():
+            assert jet_error(fn, d) <= 3 * n + 8
+
+    @pytest.mark.parametrize("mode, n, sep", [
+        ("sr", 2, 0.56), ("sr", 3, 0.4), ("sr", 30, 0.01), ("sr", 100, 1.76e-4),
+        ("general", 30, 0.5), ("markovian", 50, 0.1),
+    ])
+    def test_origin(self, mode, n, sep):
+        # Delta = 0 in either deflation order, and the series of sinc' next
+        # to it
+        bound = 48.0 if mode == "sr" else 3 * n + 8
+        for order in ({0, n - 1} if mode == "sr" else {0}):
+            fn = CharFn(ChainParams(n, sep, mode=mode), deflation_order=order)
+            for d in (0j, 1e-12 * (1 - 1j), 1e-6j, -1e-4j, 1e-3 * (1 - 1j), 0.4 / sep):
+                assert jet_error(fn, d) <= bound
+
+    @pytest.mark.parametrize("mode", ["sr", "general"])
+    def test_overflow(self, mode):
+        # eval raises (exp of |Im Delta L| beyond 710) or overflows quietly
+        fn = CharFn(ChainParams(100, 3.0, mode=mode))
+        for d in (-300j, -119.5425j, 1e6 - 1e6j):
+            assert not cmath.isfinite(fn.eval(d))
+            assert fn.jet(d) == (_INF, _INF)
+
+
 class TestDeflationConsistency:
     # origin multiplicity N-1 under the superradiant condition, counted by
     # the argument principle; asserted up to N = 30 rather than assumed

@@ -275,35 +275,96 @@ def _counting_classify(monkeypatch):
     """Record the deltas find_collective_rates hands to _classify."""
     calls = []
 
-    def counted(params, delta):
+    def counted(params, delta, memo):
         calls.append(delta)
-        return _classify(params, delta)
+        return _classify(params, delta, memo)
 
     monkeypatch.setattr(rootfind, "_classify", counted)
     return calls
 
 
+# the six counted benchmark pole tables, two small sr chains, and every
+# configuration of the pole matrix that returns a table and classifies by
+# continuation (the Markovian labels need none)
+_CLASSIFIED_TABLES = list(dict.fromkeys(
+    [
+        ("sr", 5, 1.0),
+        ("sr", 10, 0.1),
+        ("sr", 30, 0.01),
+        ("sr", 50, 0.01),
+        ("general", 2, 1.0),
+        ("general", 5, 0.1),
+        ("sr", 5, 0.5),
+        ("sr", 2, 3.0),
+    ]
+    + [
+        (mode, n, sep)
+        for mode in ("sr", "general")
+        for n, labels in _MATRIX_LABELS[mode].items()
+        for sep, want in zip(_MATRIX_SEPS, labels)
+        if want is not None
+    ]
+))
+
+
 class TestMirrorClassification:
-    # the six counted benchmark pole tables, plus two small sr chains
-    @pytest.mark.parametrize(
-        "mode, n, sep",
-        [
-            ("sr", 5, 1.0),
-            ("sr", 10, 0.1),
-            ("sr", 30, 0.01),
-            ("sr", 50, 0.01),
-            ("general", 2, 1.0),
-            ("general", 5, 0.1),
-            ("sr", 5, 0.5),
-            ("sr", 2, 3.0),
-        ],
-    )
+    @pytest.mark.parametrize("mode, n, sep", _CLASSIFIED_TABLES)
     def test_same_classification_as_per_pole(self, mode, n, sep):
+        # a table shares continuations between its poles (and mirror
+        # partners); every label must be the one that continuing that pole
+        # alone gives
         params = ChainParams(n, sep, mode=mode)
-        poles = find_collective_rates(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            poles = find_collective_rates(params)
         assert poles
         for p in poles:
             assert p.classification == _classify(params, p.delta)
+
+    @pytest.mark.parametrize("mode, n, sep", [("sr", 5, 1.0), ("sr", 50, 0.01), ("general", 5, 0.1)])
+    def test_repeated_calls_share_nothing(self, mode, n, sep, monkeypatch):
+        # the continuation memo lives for one call: a second call makes the
+        # same scalar evaluations and returns the same poles
+        calls = [0]
+        value, jet = CharFn.eval, CharFn.jet
+
+        def counted_value(self, delta):
+            calls[0] += 1
+            return value(self, delta)
+
+        def counted_jet(self, delta):
+            calls[0] += 1
+            return jet(self, delta)
+
+        monkeypatch.setattr(CharFn, "eval", counted_value)
+        monkeypatch.setattr(CharFn, "__call__", counted_value)
+        monkeypatch.setattr(CharFn, "jet", counted_jet)
+        params = ChainParams(n, sep, mode=mode)
+        first = find_collective_rates(params)
+        evals = calls[0]
+        second = find_collective_rates(params)
+        assert second == first
+        assert calls[0] == 2 * evals > 0
+
+    def test_shared_continuation_saves_solves(self, monkeypatch):
+        # later poles of the (sr, 5, 1.0) table reach waypoint states that an
+        # earlier pole passed, and take its label there
+        solves = []
+        newton = rootfind._newton
+
+        def counted(fn, z, tol):
+            solves.append(fn.params.separation)
+            return newton(fn, z, tol)
+
+        monkeypatch.setattr(rootfind, "_newton", counted)
+        params = sr(5, 1.0)
+        poles = find_collective_rates(params)
+        shared = len(solves)
+        del solves[:]
+        for p in poles:
+            if p.delta.real >= 0.0:
+                _classify(params, p.delta)
+        assert shared < 0.8 * len(solves)
 
     def test_each_mirror_pair_classified_once(self, monkeypatch):
         calls = _counting_classify(monkeypatch)

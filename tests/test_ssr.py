@@ -423,15 +423,21 @@ class TestOverflowRegression:
 
 class TestEvaluationCount:
     def test_counts_every_scalar_f_call(self, monkeypatch):
+        # a value and a jet (f, f') count one evaluation each
         calls = [0]
-        original = CharFn.eval
+        original, jet = CharFn.eval, CharFn.jet
 
         def counted(self, delta):
             calls[0] += 1
             return original(self, delta)
 
+        def counted_jet(self, delta):
+            calls[0] += 1
+            return jet(self, delta)
+
         monkeypatch.setattr(CharFn, "eval", counted)
         monkeypatch.setattr(CharFn, "__call__", counted)
+        monkeypatch.setattr(CharFn, "jet", counted_jet)
         res = maximize_over_separation(2)
         assert res.evaluations == calls[0]
 
