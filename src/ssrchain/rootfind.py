@@ -381,7 +381,8 @@ def _newton(fn, z, tol):
     the next one: a step that is not halved costs one jet.  Convergence
     demands both a small residual and a collapsing step, so flat
     near-double valleys where |f| dips below tol without a root nearby are
-    not reported as zeros.
+    not reported as zeros.  At the rounding floor of f, where no trial
+    point lowers |f|, the collapsing step is the proposed full step.
     """
     jet = _jet_of(fn)
     fz, d = jet(z)
@@ -404,6 +405,9 @@ def _newton(fn, z, tol):
                 break
             t *= 0.5
         if not moved:
+            # at the rounding floor of f no trial point lowers |f|; there a
+            # small proposed full step is convergence
+            step_small = abs(full) < 3e-8 * (1.0 + abs(z))
             break
         step_small = abs(t * full) < 3e-8 * (1.0 + abs(z))
         if abs(fz) < bres:

@@ -23,7 +23,7 @@ class SSRResult:
     that resolve the pair at the fold, and the residual.  The closed form
     of Im f(-iy) evaluates no f, so neither its axis scan (_axis_im) nor
     the fold Newton steps on it (_axis_jet) are counted; a solve takes
-    about 9 to 18 evaluations.
+    about 9 to 22 evaluations.
     """
 
     n_qubits: int

@@ -14,9 +14,9 @@ Jacobian from one O(1) jet pass (_axis_jet), solves for it from that cell.
 Everything here runs in sr-condition mode, whose mirror symmetry
 f(-conj(Delta)) = (-1)^N conj(f(Delta)) pins the colliding pair to the
 imaginary axis: below L_c the two poles are roots of Im f(-iy), bracketed
-by sign changes on the y-grid and refined by Illinois steps on the scalar
-f; above L_c the pair sits at (Delta, -conj(Delta)) and is found by Newton
-from the minima of a magnitude map.
+by sign changes on the y-grid and refined by Newton on the same closed-form
+psi; above L_c the pair sits at (Delta, -conj(Delta)) and is found by
+Newton from the minima of a magnitude map.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ import math
 
 import numpy as np
 
+from .asymptotic import critical_pair
 from .charfn import CharFn
-from .core import MODE_SR, ChainParams
+from .core import _EPS, MODE_SR, ChainParams
 from .errors import BracketError, ContractViolationError, WindowExhaustedError
 from .rootfind import (
     Pole,
@@ -42,7 +43,8 @@ from .rootfind import (
 )
 from .scaling import ScalingFit, SSRResult, fit_scaling  # noqa: F401 - re-exported
 
-BETA_HAT = 1.76  # prior for the L_c ~ beta/N^2 bracket rule
+# beta_c of the large-N law L_c ~ beta_c / N^2, around which the bracket is laid
+_BETA_C = critical_pair().beta_c
 
 # up to about 3e-6 below L_c (relative) the colliding axis roots share one
 # y-grid cell, so a scan row there shows no sign change though L < L_c
@@ -128,7 +130,11 @@ def _axis_jet(n: int, y: float, l: float) -> tuple[float, float, float, float, f
         d1 = 1.0 / (math.sqrt(hv) * math.sqrt(1.0 + hv))
         phi = _jchain(h, 2.0 * math.asinh(math.sqrt(hv)), d1, -0.5 * d1 * (1.0 / hv + 1.0 / (1.0 + hv)))
         pv, q = phi[0], 1.0 / phi[0]
-        up = tuple(u - v for u, v in zip(phi, t))  # phi - t
+        # phi - t, its value from asinh a - asinh b = asinh(a sqrt(1 + b^2) - b sqrt(1 + a^2))
+        # at a = sqrt(h), b = sinh(t/2), where a^2 - b^2 = sinh(t) / (4y) leaves no
+        # cancellation; the plain difference loses phi / (phi - t), about 6 near the fold
+        cut = sh * inv / (math.sqrt(hv) * math.cosh(0.5 * tv) + math.sinh(0.5 * tv) * math.sqrt(1.0 + hv))
+        up = (2.0 * math.asinh(cut),) + tuple(u - v for u, v in zip(phi[1:], t[1:]))
         dn = tuple(-u - v for u, v in zip(phi, t))  # -phi - t
         e, en, m = math.exp(up[0]), math.exp(dn[0]), 2.0 * (n - 1)
         b, c = math.exp(-m * pv), math.exp(-2.0 * n * pv)
@@ -144,6 +150,39 @@ def _axis_jet(n: int, y: float, l: float) -> tuple[float, float, float, float, f
         return _jmul(_jadd(_jmul((y, 1.0, 0.0, 0.0, 0.0), diff), half), _jchain(phi, q, -q * q, 2.0 * q**3))
     except (OverflowError, ZeroDivisionError):
         return (math.nan,) * 5
+
+
+def _axis_root(n: int, l: float, lo: float, hi: float) -> float | None:
+    """The root of psi(., L) of _axis_jet in the cell [lo, hi]: Newton from
+    the midpoint, with a bisection step wherever a Newton step would leave
+    the bracket of the sign change; None where psi is not finite or does not
+    change sign over the cell.  At L = 0 psi is N - 2y, and its root N/2 is
+    returned exactly (_axis_jet is NaN there)."""
+    if l == 0.0:
+        return 0.5 * n
+    a, b = _axis_jet(n, lo, l)[0], _axis_jet(n, hi, l)[0]
+    if a == 0.0 or b == 0.0:
+        return lo if a == 0.0 else hi
+    if not (math.isfinite(a) and math.isfinite(b) and (a < 0.0) != (b < 0.0)):
+        return None
+    y = 0.5 * (lo + hi)
+    for _ in range(100):
+        psi, psi_y = _axis_jet(n, y, l)[:2]
+        if not math.isfinite(psi):
+            return None
+        if psi == 0.0:
+            return y
+        if (psi < 0.0) == (a < 0.0):
+            lo = y
+        else:
+            hi = y
+        nxt = y - psi / psi_y if psi_y != 0.0 else math.nan
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - y) <= 4.0 * _EPS * y or hi - lo <= 4.0 * _EPS * y:
+            return nxt
+        y = nxt
+    return y
 
 
 class _CountedFn:
@@ -199,56 +238,20 @@ class _PoleTracker:
 
     def axis_roots(self, fn: _CountedFn) -> list[float]:
         """Roots of Im f(-iy) above y = 1e-6, one per sign-change cell of
-        the y-grid, each refined on the scalar f.  Cells touching a point
-        where f is not finite hold no data and report nothing."""
+        the y-grid, each refined on the closed-form psi (_axis_root).  A cell
+        reports a root only where the scalar f is finite at both of its ends,
+        which costs at most two evaluations of f per cell."""
         g = self._ygrid
         p = fn.charfn.params
         roots = []
         for i in _sign_cells(_axis_im(p.n_qubits, p.sr_index, [p.separation], g)[0]):
-            y = self._refine_axis_root(fn, float(g[i]), float(g[i + 1]))
+            lo, hi = float(g[i]), float(g[i + 1])
+            if not all(cmath.isfinite(fn(-1j * v)) for v in (hi, lo)):
+                continue
+            y = _axis_root(p.n_qubits, p.separation, lo, hi)
             if y is not None and y > 1e-6:
                 roots.append(y)
         return roots
-
-    @staticmethod
-    def _refine_axis_root(fn: _CountedFn, lo: float, hi: float) -> float | None:
-        """Illinois (modified regula falsi) on Im f(-iy) inside [lo, hi],
-        keeping a sign-change bracket; None where the scalar f is not finite
-        or does not change sign over the cell."""
-        flo, fhi = fn(-1j * lo), fn(-1j * hi)
-        if not (cmath.isfinite(flo) and cmath.isfinite(fhi)):
-            return None
-        flo, fhi = flo.imag, fhi.imag
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if (flo < 0.0) == (fhi < 0.0):
-            return None
-        kept = 0  # +1 when lo survived the last step, -1 when hi did
-        for _ in range(100):
-            if hi - lo < 1e-15 * (1.0 + hi):
-                break
-            c = hi - fhi * (hi - lo) / (fhi - flo)
-            if not lo < c < hi:
-                c = 0.5 * (lo + hi)
-            fc = fn(-1j * c)
-            if not cmath.isfinite(fc):
-                return None
-            fc = fc.imag
-            if fc == 0.0:
-                return c
-            if (fc < 0.0) == (fhi < 0.0):
-                hi, fhi = c, fc
-                if kept == 1:
-                    flo *= 0.5
-                kept = 1
-            else:
-                lo, flo = c, fc
-                if kept == -1:
-                    fhi *= 0.5
-                kept = -1
-        return 0.5 * (lo + hi)
 
     def _valid(self, fn: _CountedFn, z: complex) -> bool:
         if not (
@@ -267,20 +270,15 @@ class _PoleTracker:
         """Up to two smallest-|Delta| nonzero poles, |Delta|-sorted; ties
         put the Im Gamma >= 0 member first.
 
-        The coalescent-pair probe runs only where a fold can hide: when two
-        axis roots lie within four grid cells of each other.  A lone axis
-        root is a sign change of Im f(-iy), so a simple root, and is
-        reported without a probe; a pair merged inside one cell shows no
-        sign change and is left to the magnitude map.
+        Axis roots are the candidates wherever there are any: each is a
+        sign change of the closed-form psi, refined on psi itself, so near
+        the fold both members of the pair come out at full accuracy with no
+        probe.  A pair merged inside one grid cell shows no sign change and
+        is left to the magnitude map.
         """
         fn = self.fn(separation)
         axis = self.axis_roots(fn)
         cands: list[complex] = [-1j * y for y in axis[:3]]
-        # near a fold the pair sits within a few grid cells; the local
-        # quadratic model resolves both members at once
-        if len(axis) >= 2 and axis[1] - axis[0] < 4.0 * self._cell(axis[0]):
-            probe = coalescent_pair(fn, -1j * axis[0], scale=axis[0] + 1.0)
-            cands += [z for z in probe if self._valid(fn, z)]
         if not cands:
             # no axis root: brute local minima of the magnitude map; seeds
             # that stall in a flat valley get the coalescent-pair treatment
@@ -310,8 +308,7 @@ class _PoleTracker:
             else:
                 uniq.append(z)
         # a lone sign-change root is simple: there is no partner to resolve
-        lone = len(cands) == 1 and len(axis) == 1
-        if len(uniq) == 1 and not lone:
+        if len(uniq) == 1 and len(axis) != 1:
             # a coalescing pair merges below the dedupe threshold; report both
             # members of the local quadratic model when they validate
             members = [
@@ -322,16 +319,6 @@ class _PoleTracker:
             if len(members) == 2:
                 return sorted(members, key=key)
         return uniq[:2]
-
-    def _cell(self, y: float) -> float:
-        """Width of the grid cell holding y (the lower one at a grid point),
-        or of the last cell when y is off the grid."""
-        g = self._ygrid
-        i = int(np.searchsorted(g, y))
-        if y < g[0] or i >= len(g):
-            i = len(g) - 1
-        i = max(i, 1)
-        return float(g[i] - g[i - 1])
 
     def overflow_note(self, separation: float) -> str:
         """The axis grid points where the scalar f is not finite, as a
@@ -372,8 +359,8 @@ def superradiant_pole(params: ChainParams) -> Pole:
 
 
 def _default_bracket(n_qubits: int) -> tuple[float, float]:
-    """The separation bracket around the law L_c ~ BETA_HAT / N^2."""
-    return 0.2 * BETA_HAT / n_qubits**2, 3.0 * BETA_HAT / n_qubits**2
+    """The separation bracket around the law L_c ~ beta_c / N^2."""
+    return 0.2 * _BETA_C / n_qubits**2, 3.0 * _BETA_C / n_qubits**2
 
 
 def _fold_newton(n: int, y: float, l: float) -> tuple[float, float, bool]:

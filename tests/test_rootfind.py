@@ -129,6 +129,14 @@ class TestRefine:
             refine(fn, 100.0 - 100.0j, tol=1e-12)
         assert err.value.residual >= 0.0
 
+    def test_converges_at_the_rounding_floor(self):
+        # |f| = 1.1e-13 is below tol, but no trial point lowers it and the
+        # last accepted step was not small: the small full step decides
+        fn = rootfind._fn_at_separation(sr(10, 0.1), 0.020748265578502893)
+        z, res, ok = rootfind._newton(fn, -21.489864142800915 - 17.542793121762735j, 1e-9)
+        assert ok and res < 1e-12
+        assert abs(fn(z)) == res
+
 
 class TestCoalescentPair:
     def test_resolves_exact_double_zero(self):

@@ -29,6 +29,7 @@ from ssrchain.ssr import (
     _PoleTracker,
     _axis_im,
     _axis_jet,
+    _axis_root,
     _default_bracket,
     _fold_newton,
 )
@@ -79,6 +80,13 @@ class TestSuperradiantPole:
     def test_requires_sr_mode(self):
         with pytest.raises(ContractViolationError):
             superradiant_pole(ChainParams(2, 0.5, mode="general"))
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 1000])
+    def test_zero_separation_is_the_dicke_pole(self, n):
+        # at L = 0, psi = N - 2y, so the axis root is y = N/2 exactly
+        pole = superradiant_pole(ChainParams(n, 0.0))
+        assert pole.delta == -0.5j * n
+        assert pole.residual == 0.0
 
 
 def scalar_axis_scan(fn, grid):
@@ -149,21 +157,37 @@ class TestAxisScan:
             i = max(k for k in range(len(grid) - 1) if grid[k] <= y)
             assert finite[i] and finite[i + 1]
 
-    def test_refinement_drops_cell_with_overflow_inside(self):
-        calls = []
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    @pytest.mark.parametrize("frac", [0.5, 0.9999])
+    def test_roots_against_mpmath(self, n, frac):
+        # 0.9999 L_c is a near-double root, where rounding in psi moves a
+        # root about a hundred times more than at 0.5 L_c
+        sep = frac * maximize_over_separation(n).l_critical
+        tracker = _PoleTracker(n)
+        roots = tracker.axis_roots(tracker.fn(sep))
+        assert len(roots) == (1 if frac == 0.5 else 2)
+        assert tracker.evals == 2 * len(roots)  # f only at the two ends of a cell
+        with mp.workdps(40):
+            for y in roots:
+                want = mp.findroot(lambda v: mp_axis_im(n, 1, mp.mpf(sep), v), mp.mpf(y))
+                assert abs(y - want) <= 1e-13 * want
 
-        def fn(delta):
-            y = -delta.imag
-            calls.append(y)
-            return complex(float("inf"), 0.0) if 0.9 < y < 1.1 else 1j * (y - 1.0)
+    def test_no_root_where_axis_jet_is_nan(self):
+        # e^t overflows above t = 709.78, inside the cell (700, 720) at L = 1
+        assert math.isfinite(_axis_jet(10, 700.0, 1.0)[0])
+        assert math.isnan(_axis_jet(10, 720.0, 1.0)[0])
+        assert _axis_root(10, 1.0, 700.0, 720.0) is None
 
-        assert _PoleTracker._refine_axis_root(fn, 0.5, 1.5) is None
-        assert any(0.9 < y < 1.1 for y in calls)
-
-    def test_refinement_keeps_bracket_and_width(self):
-        fn = lambda delta: 1j * math.expm1(-delta.imag - 1.3)
-        y = _PoleTracker._refine_axis_root(fn, 0.5, 2.0)
-        assert abs(y - 1.3) <= 1e-15 * 2.3
+    def test_bisects_where_newton_leaves_the_cell(self):
+        # 1e-4 below L_c the fold's psi_y = 0 lies between the two roots; from
+        # the middle of (11.2, 11.52) Newton would step to y = 10.97
+        sep = 0.9999 * maximize_over_separation(10).l_critical
+        tracker = _PoleTracker(10)
+        first, second = tracker.axis_roots(tracker.fn(sep))
+        assert 11.2 < first < 11.36 < 11.52 < second
+        psi, psi_y = _axis_jet(10, 11.36, sep)[:2]
+        assert not 11.2 < 11.36 - psi / psi_y < 11.52
+        assert abs(_axis_root(10, sep, 11.2, 11.52) - first) <= 1e-12 * first
 
 
 def scan_points(n):
@@ -286,15 +310,26 @@ class TestClosedFormScan:
         assert len(set(want)) == 2
 
 
+def grid_cell(grid, y):
+    """Width of the grid cell holding y (the lower one at a grid point), or
+    of the last cell when y is off the grid."""
+    i = int(np.searchsorted(grid, y))
+    if y < grid[0] or i >= len(grid):
+        i = len(grid) - 1
+    i = max(i, 1)
+    return float(grid[i] - grid[i - 1])
+
+
 def parent_pair(tracker, separation):
-    """_PoleTracker.pair as it was before the probe was limited to close
-    axis pairs: it also probed around a lone axis root, and probed again
-    whenever one candidate was left."""
+    """_PoleTracker.pair as it was before the coalescent-pair probe around
+    axis roots was dropped: it probed around a lone axis root and around
+    two roots within four grid cells, and probed again whenever one
+    candidate was left."""
     fn = tracker.fn(separation)
     axis = tracker.axis_roots(fn)
     cands = [-1j * y for y in axis[:3]]
     near_fold = bool(axis) and (
-        len(axis) == 1 or axis[1] - axis[0] < 4.0 * tracker._cell(axis[0])
+        len(axis) == 1 or axis[1] - axis[0] < 4.0 * grid_cell(tracker._ygrid, axis[0])
     )
     if near_fold:
         center = -1j * axis[0]
@@ -343,7 +378,7 @@ def assert_same_pair(fn, got, want):
         if b.real != 0.0:
             assert a == b
         else:
-            # the old probe could swap the Illinois root for a polished
+            # the probe of parent_pair could swap the psi root for a polished
             # coalescent member; both lie in the rounding band
             assert a.real == 0.0
             assert abs(a - b) <= 2.0 * axis_band(fn, -b.imag)
@@ -370,8 +405,9 @@ class TestProbeRule:
 
         monkeypatch.setattr(ssr, "coalescent_pair", counted)
         l_c = maximize_over_separation(n).l_critical
-        # 1e-5 below L_c two axis roots share a few grid cells; 1e-7 below
-        # they merge inside one cell and the axis scan finds none
+        # 1e-5 below L_c two axis roots share a few grid cells, and psi
+        # resolves both with no probe; 1e-7 below they merge inside one cell
+        # and the axis scan finds none
         for eps in (1e-5, 1e-7, -1e-7, -1e-5):
             sep = l_c * (1.0 - eps)
             new, old = _PoleTracker(n), _PoleTracker(n)
@@ -379,7 +415,7 @@ class TestProbeRule:
             axis = new.axis_roots(fn)
             assert_same_pair(fn, new.pair(sep), parent_pair(old, sep))
             if eps == 1e-5:
-                assert len(axis) == 2 and calls[0] > before
+                assert len(axis) == 2 and calls[0] == before
             if eps == 1e-7:
                 assert not axis and calls[0] > before
 
