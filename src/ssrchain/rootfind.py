@@ -219,48 +219,28 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
     return nearest.astype(int), where, moment / (2j * math.pi)
 
 
-def _count(evaluate, windows: list[SearchWindow]) -> tuple[list[int | complex], list[complex]]:
-    """Zero counts and first moments of a batch of windows, one of each per
-    window.  A window whose walk fails is recounted on a slightly expanded
-    copy, up to five times; its count is then the complex boundary point
-    where the last attempt failed, and its moment nan."""
-    out: list[int | complex] = [0] * len(windows)
-    moments = [complex("nan")] * len(windows)
-    current = list(windows)
-    todo = list(range(len(windows)))
-    attempt = 0
-    while todo:
-        got, where, s1 = _windings(evaluate, [current[i] for i in todo])
-        for i, c, w, m in zip(todo, got, where, s1):
-            if cmath.isnan(w):
-                out[i], moments[i] = int(c), complex(m)
-            else:
-                out[i] = complex(w)
-        todo = [i for i, w in zip(todo, where) if not cmath.isnan(w)]
-        attempt += 1
-        if attempt == 6:
-            break
-        for i in todo:
-            pad = windows[i].diameter() * 3e-7 * attempt
-            win = current[i]
-            current[i] = SearchWindow(
-                win.re_min - 1.31 * pad,
-                win.re_max + 0.77 * pad,
-                win.im_min - 1.09 * pad,
-                win.im_max + 0.89 * pad,
-            )
-    return out, moments
+def _count_window(evaluate, window: SearchWindow) -> tuple[int, complex, SearchWindow]:
+    """Zero count and first moment of one window, and the window counted.
 
-
-def _count_window(evaluate, window: SearchWindow) -> tuple[int, complex]:
-    """Zero count and first moment of one window; raises
-    BoundaryDegeneracyError where its walk fails after five jitters."""
-    (got,), (s1,) = _count(evaluate, [window])
-    if isinstance(got, complex):
-        raise BoundaryDegeneracyError(
-            f"zero persists on the counting boundary near {got} after 5 jitters"
+    A walk that fails is repeated on a slightly expanded copy, up to five
+    times, before a BoundaryDegeneracyError names the boundary point where
+    the last one failed; the counted window is the copy that walked
+    cleanly."""
+    win = window
+    for attempt in range(1, 7):
+        (count,), (where,), (s1,) = _windings(evaluate, [win])
+        if cmath.isnan(where):
+            return int(count), complex(s1), win
+        pad = window.diameter() * 3e-7 * attempt
+        win = SearchWindow(
+            win.re_min - 1.31 * pad,
+            win.re_max + 0.77 * pad,
+            win.im_min - 1.09 * pad,
+            win.im_max + 0.89 * pad,
         )
-    return got, s1
+    raise BoundaryDegeneracyError(
+        f"zero persists on the counting boundary near {complex(where)} after 5 jitters"
+    )
 
 
 def count_zeros(fn, window: SearchWindow) -> int:
@@ -271,8 +251,9 @@ def count_zeros(fn, window: SearchWindow) -> int:
     one vectorised CharFn.eval_scaled (a plain callable is applied point by
     point), so a window where |f| exceeds 1e308 counts.  A zero
     hugging the boundary triggers up to five jittered (slightly expanded)
-    retries before a BoundaryDegeneracyError.  localize_zeros counts the
-    children of every cut of one tree level in one such walk.
+    retries before a BoundaryDegeneracyError.  Only this window is ever
+    retried: localize_zeros cuts the copy that counted, and walks the
+    children of every cut of one tree level once, in one batch.
     """
     return _count_window(_vectorized(fn), window)[0]
 
@@ -299,12 +280,14 @@ def localize_zeros(fn, window: SearchWindow, max_cell: float) -> list[complex]:
     A cell holding one zero is a leaf at any size when the first moment of
     its boundary (see _windings) is finite and lies inside it; that moment
     is its seed.  Any other one-zero cell is cut until it is smaller than
-    max_cell and seeded at its center.  The tree is walked breadth first:
-    the children of every cut of one tree level are counted as one batch,
-    in one boundary walk (see count_zeros).  A cell whose children fail to
-    count or do not add up to its own count is cut again at the next
-    nudged split; after five it raises BoundaryDegeneracyError ("could not
-    partition"), for the first such cell in depth-first order.  Seeds come
+    max_cell and seeded at its center.  The root is the window that
+    count_zeros counted, a jittered copy of the given one where that walk
+    was retried.  The tree is walked breadth first: the children of every
+    cut of one tree level are counted in one boundary walk, and no child is
+    ever retried.  A cell whose children do not all walk cleanly or do not
+    add up to its own count is cut again at the next nudged split; after
+    five it raises BoundaryDegeneracyError ("could not partition"), for
+    the first such cell in depth-first order.  Seeds come
     in depth-first order of their cells and are repeated per multiplicity,
     so their total count equals count_zeros(window).  Clusters that stay
     unresolved below cells of 1e-12 are emitted as repeated centers and are
@@ -314,7 +297,8 @@ def localize_zeros(fn, window: SearchWindow, max_cell: float) -> list[complex]:
     found: list[tuple[tuple[int, ...], list[complex]]] = []
     failed: list[tuple[tuple[int, ...], str]] = []
     # (path from the root, window, zero count, first moment, index of the cut to try)
-    frontier = [((), window, *_count_window(evaluate, window), 0)]
+    count, s1, root = _count_window(evaluate, window)
+    frontier = [((), root, count, s1, 0)]
     while frontier:
         cut_now = []
         for path, win, count, s1, cut in frontier:
@@ -336,15 +320,17 @@ def localize_zeros(fn, window: SearchWindow, max_cell: float) -> list[complex]:
             # still change which error is raised
             first = min(failed)[0]
             cut_now = [node for node in cut_now if node[0] < first]
+        if not cut_now:
+            break
         children = [_split(win, *_CUTS[cut]) for _, win, _, _, cut in cut_now]
-        counts, moments = _count(evaluate, [child for four in children for child in four])
+        counts, where, moments = _windings(evaluate, [child for four in children for child in four])
         frontier = []
         for k, (path, win, count, s1, cut) in enumerate(cut_now):
-            got = counts[4 * k:4 * k + 4]
-            if all(isinstance(c, int) for c in got) and sum(got) == count:
+            four = slice(4 * k, 4 * k + 4)
+            if np.isnan(where[four]).all() and counts[four].sum() == count:
                 frontier.extend(
-                    (path + (j,), child, c, m, 0)
-                    for j, (child, c, m) in enumerate(zip(children[k], got, moments[4 * k:4 * k + 4]))
+                    (path + (j,), child, int(c), complex(m), 0)
+                    for j, (child, c, m) in enumerate(zip(children[k], counts[four], moments[four]))
                 )
             else:
                 frontier.append((path, win, count, s1, cut + 1))

@@ -57,6 +57,7 @@ def fit_scaling(results: list[SSRResult], n_min_fit: int = 20) -> ScalingFit:
     Deviations |fit - data| / |data| are evaluated for every supplied point,
     including those below the fit threshold.
     """
+    results = list(results)
     sel = [r for r in results if r.n_qubits >= n_min_fit]
     if len(sel) < 3:
         raise ContractViolationError(

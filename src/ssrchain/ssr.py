@@ -496,6 +496,7 @@ def scaling_sweep(n_list: list[int], jobs: int = 1) -> list[tuple[SSRResult | No
     many worker processes, with the same entries as jobs = 1; a solve costs
     the same at every N, so the pool pays only on sweeps of thousands of N.
     """
+    n_list = list(n_list)
     for n in n_list:
         if not isinstance(n, int) or n < 2:
             raise ContractViolationError(f"sweep entries need N >= 2, got {n!r}")

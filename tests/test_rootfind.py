@@ -33,7 +33,6 @@ from ssrchain.rootfind import (
     NON_MARKOVIAN,
     ZERO_MODE,
     _classify,
-    _count,
     _split,
     _vectorized,
     characteristic_function,
@@ -660,13 +659,11 @@ class TestBatchedWalkAgainstRecursiveWalk:
         window = default_window(n)
         children = _split(window, 0.5, 0.5)
         refs = [_ref_count_zeros(fn, win) for win in [window] + children]
-        named = {}
         for win, (want, ref, jitters) in zip([window] + children, refs):
             seen.clear()
             if want is None:
-                with pytest.raises(BoundaryDegeneracyError, match="counting boundary near") as err:
+                with pytest.raises(BoundaryDegeneracyError, match="counting boundary near"):
                     count_zeros(fn, win)
-                named[win] = _named_point(err)
                 continue
             assert count_zeros(fn, win) == want
             if jitters == 0:
@@ -674,16 +671,22 @@ class TestBatchedWalkAgainstRecursiveWalk:
                 # evaluations (a failed attempt stops the recursive walk at
                 # its first bad sample, the batched one at its level)
                 assert _sorted_points(seen) == _sorted_points(ref)
-        # the four children of the cut, counted as one batch: each child
-        # gets its own count, or the point count_zeros names for it alone
-        seen.clear()
-        got, _ = _count(fn.eval_scaled, children)
-        assert got == [want if want is not None else named[win] for win, (want, _, _)
-                       in zip(children, refs[1:])]
-        assert [type(g) for g in got] == [int if want is not None else complex
-                                          for want, _, _ in refs[1:]]
-        if all(want is not None and jitters == 0 for want, _, jitters in refs[1:]):
-            assert len(seen) == sum(len(ref) for _, ref, _ in refs[1:])
+        # the four children of the cut, walked as one batch in either order:
+        # each gets the count, or the failure point, of its own first walk
+        alone = {win: rootfind._windings(fn.eval_scaled, [win]) for win in children}
+        for batch in (children, children[::-1]):
+            seen.clear()
+            counts, where, _ = rootfind._windings(fn.eval_scaled, batch)
+            for win, c, w in zip(batch, counts, where):
+                (c1,), (w1,), _ = alone[win]
+                want, _, jitters = refs[1 + children.index(win)]
+                assert cmath.isnan(w) == (jitters == 0)
+                if jitters == 0:
+                    assert c == c1 == want
+                else:
+                    assert w == w1
+            if all(jitters == 0 for _, _, jitters in refs[1:]):
+                assert len(seen) == sum(len(ref) for _, ref, _ in refs[1:])
 
     @pytest.mark.parametrize(
         "fn",
@@ -733,20 +736,24 @@ class TestBatchedWalkAgainstRecursiveWalk:
         assert abs(_named_point(err) - (0.625 - 1j)) < 1e-4
 
     def test_batch_names_each_failing_window(self):
-        # in either order each failing window of a batch gets the point
-        # count_zeros names for it alone, and a counted one its count
-        plain = lambda z: complex("nan") if z.real > 0.55 else 1.0 + 0.0j
-        fn = _vectorized(plain)
+        # in any order each failing window of a batch gets the point its
+        # own first walk fails at, and a counted one its count
+        fn = _vectorized(lambda z: complex("nan") if z.real > 0.55 else 1.0 + 0.0j)
         left, right = SearchWindow(-1, 1, -1, 1), SearchWindow(2, 4, -1, 1)
         clear = SearchWindow(-1, 0.5, -1, 1)
-        named = {}
-        for win, near in ((left, 0.625 - 1j), (right, 2 - 1j)):
-            with pytest.raises(BoundaryDegeneracyError) as err:
-                count_zeros(plain, win)
-            named[win] = _named_point(err)
-            assert abs(named[win] - near) < 1e-4
+        # left: its first non-finite bottom-edge sample; right: no finite
+        # probe at all, so its first corner
+        named = {left: 0.625 - 1j, right: 2 - 1j}
+        for win, near in named.items():
+            (_,), (where,), _ = rootfind._windings(fn, [win])
+            assert where == near
         for batch in ([left, right], [right, left], [right, clear, left]):
-            assert _count(fn, batch)[0] == [named.get(win, 0) for win in batch]
+            counts, where, _ = rootfind._windings(fn, batch)
+            for win, c, w in zip(batch, counts, where):
+                if win in named:
+                    assert w == named[win]
+                else:
+                    assert cmath.isnan(w) and c == 0
 
     def test_overflowed_general_chain_still_fails(self):
         with pytest.raises(BoundaryDegeneracyError):
@@ -921,6 +928,25 @@ class TestBreadthFirstAgainstRecursiveQuadrisection:
         want = _outcome(_ref_localize, fn, window, 0.05)
         assert want[0] is BoundaryDegeneracyError and repr(cell_00) in want[1]
         assert _outcome(localize_zeros, fn, window, 0.05) == want
+
+    def test_only_the_root_is_ever_jittered(self, monkeypatch):
+        # square 3 fails the walk of every child whose boundary runs
+        # through it: those cuts are rejected, never recounted on an
+        # expanded copy, so every walked window but the root is a quarter
+        walked = []
+        original = rootfind._windings
+
+        def recorded(evaluate, windows):
+            walked.extend(windows)
+            return original(evaluate, windows)
+
+        monkeypatch.setattr(rootfind, "_windings", recorded)
+        window = SearchWindow(-1.0, 1.0, -1.0, 1.0)
+        with pytest.raises(BoundaryDegeneracyError, match="could not partition"):
+            localize_zeros(_pinned(_SQUARE_3), window, 0.05)
+        assert walked[0] == window
+        quarters = {q for parent in set(walked) for cut in rootfind._CUTS for q in _split(parent, *cut)}
+        assert len(walked) > 1 and set(walked[1:]) <= quarters
 
     def test_no_cell_after_the_first_failure_is_cut_further(self):
         # once cell (0, 0) has failed, the cells of the pair at 0.8 + 0.8j

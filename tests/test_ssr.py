@@ -918,6 +918,10 @@ class TestSweepAndFit:
         # any order: each entry is the cold default-bracket solve of its N
         assert scaling_sweep([5, 2, 3]) == [(maximize_over_separation(n), "") for n in (5, 2, 3)]
 
+    def test_sweep_reads_a_generator_once(self):
+        # the entries are those of the same N given as a list
+        assert scaling_sweep(n for n in (2, 3)) == scaling_sweep([2, 3])
+
     def test_sweep_rejects_zero_jobs(self):
         with pytest.raises(ContractViolationError):
             scaling_sweep([2, 3], jobs=0)
@@ -956,6 +960,13 @@ class TestSweepAndFit:
         assert fit.beta == pytest.approx(1.5, abs=1e-12)
         assert max(fit.gamma_deviations) < 1e-12
         assert max(fit.lc_deviations) < 1e-12
+
+    def test_fit_reads_an_iterator_once(self):
+        synthetic = [
+            SSRResult(n, 1.5 / n**2, complex(2.5 * n, 0.0), 1, 0.0)
+            for n in (10, 20, 30, 40)
+        ]
+        assert fit_scaling(iter(synthetic), n_min_fit=10) == fit_scaling(synthetic, n_min_fit=10)
 
     def test_fit_needs_three_points(self):
         synthetic = [SSRResult(20, 1e-3, complex(45, 0), 1, 0.0)] * 2
