@@ -499,7 +499,8 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
     reaches a waypoint within 1e-12 (1 + |Delta|) of a state that an
     earlier pole's track passed there takes that pole's label.  Nothing is
     kept between calls.
-    Refinement failures are warned about per pole, never abort the batch.
+    A seed from which Newton cannot converge raises RefinementFailureError
+    instead of leaving its pole out of the table.
     Sorted by |Delta| ascending, then Re Delta, so a mirror pair comes
     negative Re first.
     """
@@ -523,25 +524,17 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
         if mult >= 2:
             r1, r2 = coalescent_pair(fn, center, scale=max(abs(center), max_cell))
             roots.extend([r1, r2][:mult])
-            continue
-        try:
+        else:
             roots.append(refine(fn, center, tol=_accept_tol(fn, center)))
-        except RefinementFailureError as err:
-            r1, r2 = coalescent_pair(fn, center, scale=max(abs(center), max_cell))
-            pick = min((r1, r2), key=lambda r: abs(r - center))
-            if abs(fn(pick)) <= _accept_tol(fn, pick):
-                roots.append(pick)
-            else:
-                warnings.warn(f"dropping seed {center}: {err}", stacklevel=2)
-    # merge duplicates, then re-resolve suspiciously tight pairs as folds
+    # merge duplicates
     uniq: list[complex] = []
     for r in sorted(roots, key=abs):
         if not any(abs(r - u) < 1e-8 * (1.0 + abs(u)) for u in uniq):
             uniq.append(r)
     if params.mode == MODE_SR:
-        # f(-conj(Delta)) = (-1)^N conj(f(Delta)) bit for bit under the
-        # superradiant condition: a left root is emitted as the exact mirror
-        # image of its refined right twin
+        # the deflated f gives f(-conj(Delta)) = -conj(f(Delta)) bit for bit
+        # under the superradiant condition: a left root is emitted as the
+        # exact mirror image of its refined right twin
         right = [u for u in uniq if u.real > 0.0]
         uniq = [
             next((-t.conjugate() for t in right if abs(u + t.conjugate()) <= 1e-8 * (1.0 + abs(t))), u)
@@ -602,7 +595,7 @@ class _TableMemo:
         self.states: dict[float, list[tuple[complex, str]]] = {}
 
 
-def _classify(params: ChainParams, delta: complex, memo: _TableMemo | None = None) -> str:
+def _classify(params: ChainParams, delta: complex, memo: _TableMemo) -> str:
     """Label of the pole delta: zero-mode below _ZERO_MODE_RADIUS, else
     continued (see _track) to L = min(1e-3, 0.2 / N^2), markovian-like
     where it lands within 0.15 N + 0.05 of the origin or of the Dicke pole
@@ -611,7 +604,8 @@ def _classify(params: ChainParams, delta: complex, memo: _TableMemo | None = Non
 
     A track that reaches a scheduled waypoint within 1e-12 (1 + |Delta|) of
     a state in memo takes that state's label instead of continuing; either
-    way its own waypoint states join memo under its label.
+    way its own waypoint states join memo under its label.  A fresh
+    _TableMemo classifies the pole alone.
     """
     if abs(delta) < _ZERO_MODE_RADIUS:
         return ZERO_MODE
@@ -619,29 +613,24 @@ def _classify(params: ChainParams, delta: complex, memo: _TableMemo | None = Non
     l_end = min(1e-3, 0.2 / (n * n))
     z, label, passed = delta, None, []
     if params.separation > l_end:
-        track = _track(
-            params, delta, params.separation, l_end, divergence=4.0 * n + 10.0,
-            fns=None if memo is None else memo.fns,
-        )
+        track = _track(params, delta, params.separation, l_end, memo.fns, divergence=4.0 * n + 10.0)
         try:
             for l_at, z in track:
                 if z is None:
                     label = NON_MARKOVIAN
                     break
-                if memo is not None:
-                    tol = 1e-12 * (1.0 + abs(z))
-                    label = next((lab for y, lab in memo.states.get(l_at, ()) if abs(z - y) <= tol), None)
-                    if label is not None:
-                        break
+                tol = 1e-12 * (1.0 + abs(z))
+                label = next((lab for y, lab in memo.states.get(l_at, ()) if abs(z - y) <= tol), None)
+                if label is not None:
+                    break
                 passed.append((l_at, z))
         except ContinuationBreakdownError:
             label = NON_MARKOVIAN
     if label is None:
         near = min(abs(z), abs(z + 0.5j * n))
         label = MARKOVIAN_LIKE if near <= 0.3 * (0.5 * n) + 0.05 else NON_MARKOVIAN
-    if memo is not None:
-        for l_at, y in passed:
-            memo.states.setdefault(l_at, []).append((y, label))
+    for l_at, y in passed:
+        memo.states.setdefault(l_at, []).append((y, label))
     return label
 
 
@@ -650,11 +639,11 @@ def _fn_at_separation(params: ChainParams, sep: float) -> CharFn:
     return characteristic_function(dataclasses.replace(params, separation=sep))
 
 
-def _track(params, z, l_from, l_to, divergence=None, fns=None):
+def _track(params, z, l_from, l_to, fns, divergence=None):
     """Follow one zero from l_from to l_to with adaptive step halving,
     yielding (L, Delta) at every scheduled waypoint, the last at l_to.
-    fns, where given, holds the searched CharFn of each separation, and
-    gains those this track builds.
+    fns holds the searched CharFn of each separation, and gains those this
+    track builds.
 
     The schedule is geometric, at most 0.35 apart in ln L.  A step only
     counts when Newton converges AND the root moved by less than 0.35
@@ -674,11 +663,9 @@ def _track(params, z, l_from, l_to, divergence=None, fns=None):
     scheduled = len(pending)
     while pending:
         target = pending[-1]
-        fn = None if fns is None else fns.get(target)
+        fn = fns.get(target)
         if fn is None:
-            fn = _fn_at_separation(params, target)
-            if fns is not None:
-                fns[target] = fn
+            fn = fns[target] = _fn_at_separation(params, target)
         znew, res, ok = _newton(fn, z, _accept_tol(fn, z))
         if ok and abs(znew - z) > 0.35 * (1.0 + abs(z)):
             ok = False  # converged, but not to the tracked branch
@@ -710,7 +697,7 @@ def _track(params, z, l_from, l_to, divergence=None, fns=None):
 
 def _track_root(params, z, l_from, l_to):
     """The zero z at l_from continued to l_to (see _track)."""
-    for _, z in _track(params, z, l_from, l_to):
+    for _, z in _track(params, z, l_from, l_to, {}):
         pass
     return z
 
@@ -724,6 +711,7 @@ def continue_pole(params: ChainParams, pole: Pole, l_path: list[float]) -> list[
     -conj(Delta)), the emitted branch keeps the sign of Im Gamma across pair
     coalescence.
     """
+    l_path = list(l_path)
     if not l_path:
         raise ContractViolationError("l_path must contain at least the starting separation")
     if abs(l_path[0] - params.separation) > 1e-9 * max(1.0, params.separation):

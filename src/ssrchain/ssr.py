@@ -11,12 +11,13 @@ change and the next.  Newton on the regular fold system (psi = 0,
 dpsi/dy = 0) of the closed-form factor psi of Im f(-iy), with its exact
 Jacobian from one O(1) jet pass (_axis_jet), solves for it from that cell.
 
-Everything here runs in sr-condition mode, whose mirror symmetry
-f(-conj(Delta)) = (-1)^N conj(f(Delta)) pins the colliding pair to the
-imaginary axis: below L_c the two poles are roots of Im f(-iy), bracketed
-by sign changes on the y-grid and refined by Newton on the same closed-form
-psi; above L_c the pair sits at (Delta, -conj(Delta)) and is found by
-Newton from the minima of a magnitude map.
+Everything here runs in sr-condition mode, where the deflated f that is
+searched has the mirror symmetry f(-conj(Delta)) = -conj(f(Delta)), bit for
+bit, which pins the colliding pair to the imaginary axis: below L_c the two
+poles are roots of Im f(-iy), bracketed by sign changes on the y-grid and
+refined by Newton on the same closed-form psi; above L_c the pair sits at
+(Delta, -conj(Delta)) and is found by Newton from the minima of a magnitude
+map.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import BracketError, ContractViolationError, WindowExhaustedError
 from .rootfind import (
     Pole,
     SearchWindow,
+    _TableMemo,
     _accept_tol,
     _classify,
     _fn_at_separation,
@@ -220,11 +222,7 @@ class _PoleTracker:
         # the configuration at every separation; fn() replaces the separation
         self.params = ChainParams(n_qubits, 0.0, mode=MODE_SR, sr_index=sr_index)
         base = default_window(n_qubits)
-        self.window = (
-            base
-            if depth <= 2.5
-            else SearchWindow(base.re_min, base.re_max, -depth * n_qubits, base.im_max)
-        )
+        self.window = SearchWindow(base.re_min, base.re_max, -depth * n_qubits, base.im_max)
         self.evals = 0
         n = float(n_qubits)
         lo, knee, hi = 1e-4 * max(1.0, n), 0.35 * n, -self.window.im_min
@@ -274,28 +272,22 @@ class _PoleTracker:
         sign change of the closed-form psi, refined on psi itself, so near
         the fold both members of the pair come out at full accuracy with no
         probe.  A pair merged inside one grid cell shows no sign change and
-        is left to the magnitude map.
+        is left to the magnitude map: Newton runs from each of its local
+        minima, and a seed from which it does not converge is dropped.  Each
+        complex root brings its mirror partner -conj(Delta) unevaluated, as
+        the mirror symmetry gives it the same |f| and noise scale bit for bit.
         """
         fn = self.fn(separation)
         axis = self.axis_roots(fn)
         cands: list[complex] = [-1j * y for y in axis[:3]]
         if not cands:
-            # no axis root: brute local minima of the magnitude map; seeds
-            # that stall in a flat valley get the coalescent-pair treatment
+            # no axis root: brute local minima of the magnitude map
             for seed in grid_scan_minima(fn.log10_magnitude, self.window, resolution=160):
                 z, _, ok = _newton(fn, seed, _accept_tol(fn, seed))
                 if ok and self._valid(fn, z):
                     cands.append(z)
-                elif not ok:
-                    for z in coalescent_pair(fn, seed, scale=abs(seed) + 1.0):
-                        if self._valid(fn, z):
-                            cands.append(z)
         # complex roots come with their mirror partner -conj(z)
-        for z in list(cands):
-            if self._is_complex(z):
-                m = -z.conjugate()
-                if self._valid(fn, m):
-                    cands.append(m)
+        cands += [-z.conjugate() for z in cands if self._is_complex(z)]
         # merge near-duplicates, keeping the best-converged representative
         key = lambda c: (abs(c), -(2j * c).imag)  # noqa: E731
         uniq: list[complex] = []
@@ -355,7 +347,7 @@ def superradiant_pole(params: ChainParams) -> Pole:
         )
     z = pair[0]
     fn = tracker.fn(params.separation)
-    return Pole(delta=z, residual=abs(fn(z)), classification=_classify(params, z))
+    return Pole(delta=z, residual=abs(fn(z)), classification=_classify(params, z, _TableMemo()))
 
 
 def _default_bracket(n_qubits: int) -> tuple[float, float]:
@@ -473,7 +465,7 @@ def degenerate_pair_probe(
             )
         fn = tracker.fn(sep)
         p = tuple(
-            Pole(delta=z, residual=abs(fn(z)), classification=_classify(fn.charfn.params, z))
+            Pole(delta=z, residual=abs(fn(z)), classification=_classify(fn.charfn.params, z, _TableMemo()))
             for z in pair
         )
         out.append(p)

@@ -736,6 +736,59 @@ class TestDeflationConsistency:
         assert abs(deflated(0.0)) > 1e-3
 
 
+def n_theta(params, delta):
+    """N |theta| on the w = +-1 branch, theta from cos(theta) = 1 + g with
+    g = -2 sin^2(u/2) + (L/2) sinc(u), u = Delta L: the closed form of f
+    serves N |theta| <= 16, the recurrence the rest."""
+    u = delta * params.separation
+    try:
+        half = cmath.sin(0.5 * u) ** 2 - 0.25 * params.separation * (cmath.sin(u) / u if u else 1.0)
+    except OverflowError:
+        return math.inf
+    return params.n_qubits * abs(2.0 * cmath.asin(cmath.sqrt(half)))
+
+
+class TestMirrorSymmetry:
+    # under the superradiant condition the searched f, deflated by N - 1,
+    # has f(-conj Delta) = -conj f(Delta) bit for bit for every N; the full
+    # f, Delta^(N-1) times it, has (-1)^N conj f(Delta), bit for bit where
+    # Python's complex ** multiplies (exponents up to 100) and to rounding
+    # where it goes through polar form.  noise_scale is mirror-equal bit for
+    # bit in both.  _PoleTracker.pair relies on this to append the mirror
+    # partner of a validated root without evaluating f there.
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 30, 100, 1000])
+    @pytest.mark.parametrize("sr_index", [1, 2])
+    def test_mirror_is_exact(self, n, sr_index):
+        rng = np.random.default_rng(10 * n + sr_index)
+        win = default_window(n)
+        branches = set()
+        for sep in (1e-4, 0.003, 0.1, 1.0, 3.0):
+            params = sr(n, sep, sr_index)
+            # the default window, and a square around the origin where
+            # N |theta| is small for small L
+            zs = [complex(x, y) for x, y in zip(rng.uniform(win.re_min, win.re_max, 30),
+                                                 rng.uniform(win.im_min, 0.0, 30))]
+            zs += [complex(x, y) * 2.0 / n for x, y in rng.uniform(-1.0, 1.0, (30, 2))]
+            branches.update(n_theta(params, z) <= 16.0 for z in zs)
+            for order in (0, n - 1):
+                fn = CharFn(params, deflation_order=order)
+                sign = -1.0 if order == n - 1 else (-1.0) ** n
+                for z in zs:
+                    m = -z.conjugate()
+                    assert fn.noise_scale(m) == fn.noise_scale(z)
+                    fz, fm = fn(z), fn(m)
+                    assert cmath.isfinite(fm) == cmath.isfinite(fz)
+                    if not cmath.isfinite(fz):
+                        continue
+                    want = sign * fz.conjugate()
+                    if order == n - 1 or n - 1 <= 100:
+                        assert bits(fm).tolist() == bits(want).tolist(), (sep, order, z)
+                    else:
+                        assert abs(fm - want) <= 1e-11 * abs(fz), (sep, order, z)
+        # a single qubit keeps N |theta| below 16 on all of these points
+        assert branches == ({True} if n == 1 else {True, False})
+
+
 def mp_winding(params, order, window, dps=30):
     """Winding number of mp_f / Delta^order around the window's boundary at
     mpmath precision, with no float overflow: each edge starts as 32

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 import ssrchain
-from ssrchain import cli, ssr
+from ssrchain import cli, rootfind, ssr
 from ssrchain.charfn import CharFn
 from ssrchain.cli import main
 from ssrchain.core import ChainParams
-from ssrchain.errors import BracketError
+from ssrchain.errors import BracketError, RefinementFailureError
 from ssrchain.output import _json_clean, read_csv_table, write_table
 
 
@@ -101,6 +101,16 @@ class TestPoles:
         doc = json.loads(out.read_text())
         assert doc["meta"]["command"] == "poles"
         assert doc["data"][0]["re_gamma"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_refinement_failure_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(fn, seed, tol=1e-9):
+            raise RefinementFailureError(f"no zero reached from seed {seed}", best=seed, residual=1.0)
+
+        monkeypatch.setattr(rootfind, "refine", fail)
+        rc, out = run(tmp_path, "p.csv", ["poles", "--n", "5", "--sep", "1.0"])
+        assert rc == 3
+        assert "solver failure: no zero reached from seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSSR:

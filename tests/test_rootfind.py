@@ -32,6 +32,7 @@ from ssrchain.rootfind import (
     MARKOVIAN_LIKE,
     NON_MARKOVIAN,
     ZERO_MODE,
+    _TableMemo,
     _classify,
     _split,
     _vectorized,
@@ -193,6 +194,31 @@ class TestFindCollectiveRates:
         assert g != pytest.approx(ref[0].gamma.real, abs=1e-6)
         assert abs(g - ref[0].gamma.real) < 1.0
 
+    def test_refinement_failure_raises(self, monkeypatch):
+        # a seed from which Newton cannot converge fails the whole table with
+        # a typed error, with no further solve and no warning
+        events = []
+        refine, pair = rootfind.refine, rootfind.coalescent_pair
+
+        def fail_first(fn, seed, tol=1e-9):
+            events.append("refine")
+            if events.count("refine") == 1:
+                raise RefinementFailureError("forced", best=seed, residual=1.0)
+            return refine(fn, seed, tol)
+
+        def counted_pair(*args, **kwargs):
+            events.append("pair")
+            return pair(*args, **kwargs)
+
+        monkeypatch.setattr(rootfind, "refine", fail_first)
+        monkeypatch.setattr(rootfind, "coalescent_pair", counted_pair)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RefinementFailureError, match="forced"):
+                find_collective_rates(sr(5, 1.0))
+        # the failed refine is the last thing the call did
+        assert events[-1] == "refine" and events.count("refine") == 1
+
     def test_markovian_mode_roots(self):
         poles = find_collective_rates(ChainParams(5, math.pi / 50, mode="markovian", omega=50.0))
         assert sum(p.classification == ZERO_MODE for p in poles) == 4
@@ -212,9 +238,7 @@ class TestFindCollectiveRates:
         params = sr(50, 0.009875)
         win = default_window(50)
         band = SearchWindow(win.re_min, win.re_max, win.im_min, -0.5)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", message="dropping seed")
-            poles = find_collective_rates(params)
+        poles = find_collective_rates(params)
         want = count_zeros(characteristic_function(params), band)
         assert want == 22
         assert sum(p.delta.imag < -0.5 for p in poles) == want
@@ -326,7 +350,7 @@ class TestMirrorClassification:
             poles = find_collective_rates(params)
         assert poles
         for p in poles:
-            assert p.classification == _classify(params, p.delta)
+            assert p.classification == _classify(params, p.delta, _TableMemo())
 
     @pytest.mark.parametrize("mode, n, sep", [("sr", 5, 1.0), ("sr", 50, 0.01), ("general", 5, 0.1)])
     def test_repeated_calls_share_nothing(self, mode, n, sep, monkeypatch):
@@ -370,7 +394,7 @@ class TestMirrorClassification:
         del solves[:]
         for p in poles:
             if p.delta.real >= 0.0:
-                _classify(params, p.delta)
+                _classify(params, p.delta, _TableMemo())
         assert shared < 0.8 * len(solves)
 
     def test_each_mirror_pair_classified_once(self, monkeypatch):
@@ -483,6 +507,13 @@ class TestContinuePole:
         zero = Pole(delta=0.0j, residual=0.0, classification=ZERO_MODE)
         track = continue_pole(sr(2, 1e-3), zero, [1e-3, 0.1, 0.3, 0.56])
         assert all(t.gamma == 0 for t in track)
+
+    def test_path_is_read_once(self):
+        # a generator path gives the track of the same list
+        params = sr(2, 1e-3)
+        start = superradiant_pole(params)
+        path = [1e-3, 0.1, 0.3, 0.56]
+        assert continue_pole(params, start, (x for x in path)) == continue_pole(params, start, path)
 
     def test_path_must_start_at_params_separation(self):
         p = superradiant_pole(sr(2, 0.3))

@@ -419,6 +419,32 @@ class TestProbeRule:
             if eps == 1e-7:
                 assert not axis and calls[0] > before
 
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    @pytest.mark.parametrize("depth", [2.5, 7.0])
+    def test_same_pairs_above_the_fold(self, n, depth):
+        # parent_pair also rescues map seeds that stall by coalescent_pair
+        # and evaluates f again at each mirror partner; neither changes a pair
+        l_c = maximize_over_separation(n).l_critical
+        for factor in (1.00001, 1.05, 3.0, 10.0, 100.0):
+            sep = factor * l_c
+            new, old = _PoleTracker(n, depth=depth), _PoleTracker(n, depth=depth)
+            got, want = new.pair(sep), parent_pair(old, sep)
+            assert got == want, factor
+            assert new.evals <= old.evals
+
+    def test_stalled_map_seeds_are_dropped(self, monkeypatch):
+        # at (2, 100 L_c) Newton stalls from thousands of depth-7 map seeds,
+        # and no coalescent pair around them validates
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return coalescent_pair(*args, **kwargs)
+
+        monkeypatch.setattr(ssr, "coalescent_pair", counted)
+        _PoleTracker(2, depth=7.0).pair(100.0 * maximize_over_separation(2).l_critical)
+        assert calls[0] <= 1
+
     def test_few_coalescent_pair_probes(self, monkeypatch):
         calls = [0]
 
