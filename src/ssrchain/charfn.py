@@ -25,6 +25,10 @@ Off that branch x has a 1/Delta pole, so the scalar path runs the entire
 recurrence of V_k itself; the vectorised path runs the
 rescaled recurrence of U_k in every mode, for f as (mantissa, log10 scale)
 (eval_scaled, read by the zero counter) and for log10 |f| (log10_magnitude).
+Its set-up reaches u = Delta L only through real functions of Re u and of
+Im u, the separable phase factor w exp(iu) = e^(-Im u) w exp(i Re u)
+among them, so on a tensor grid (a map) those calls run on the grid's two
+axes and give the values of the pointwise call bit for bit.
 """
 
 from __future__ import annotations
@@ -308,14 +312,17 @@ class CharFn:
         Delta = 0 exactly the value is that of eval, which is exact there.
         Computed apart from eval_scaled: the modulus needs no phase of Delta^expo.
 
-        Each value depends on its own point, with one exception: _scaled
-        takes its rescale cadence from the largest finite |x| of the
-        batch, so a point whose recurrence passes 1e100 may round
-        differently when it is evaluated in another batch (fieldmap
-        evaluates a band of rows at a time).
-        Such values agree to about 1e-13 relative and are non-finite at the
-        same points; every other value is the same bit for bit in any
-        batch."""
+        A 2-D tensor grid, whose rows share their real parts and whose
+        columns share their imaginary parts (fieldmap's bands of rows), takes
+        its transcendental calls on the two axes (_setup) and gives the
+        values of the same points as a flat array bit for bit.  Each value
+        depends on its own point, with one exception: _scaled takes its
+        rescale cadence from the largest finite |x| of the batch, so a point
+        whose recurrence passes 1e100 may round differently when it is
+        evaluated in another batch (fieldmap evaluates a band of rows at a
+        time).  Such values agree to about 1e-13 relative and are non-finite
+        at the same points; every other value is the same bit for bit in
+        any batch."""
         _, _, _, expo, _ = self._consts
         z = np.asarray(deltas, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -330,50 +337,41 @@ class CharFn:
 
     def _scaled(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Delta (T^N)_11 as (mantissa, log10 scale): the value is mantissa *
-        10**scale.  The Chebyshev recurrence of U_k(x) is rescaled by
-        positive reals, so the phase of the mantissa is that of the value;
-        points where the recurrence overflows anyway come back non-finite.
-        On the w = +-1 branch x = w (cos u + (L/2) sinc u) as in _terms;
-        elsewhere x = tr(M) / (2 Delta), non-finite at Delta = 0.
+        10**scale.  The Chebyshev recurrence of U_k(x) from the 2x and m11
+        of _setup is rescaled by positive reals, so the phase of the
+        mantissa is that of the value; points where the recurrence
+        overflows anyway come back non-finite.
 
         The rescale check (divide U_k and U_{k-1} by the larger of their
         moduli wherever it exceeds 1e100) runs every `every` steps and at
         the last one, not at every step.  Since |U_{k+1}| <= (2|x| + 1)
         max(|U_k|, |U_{k-1}|), floor(200 / log10(2 max|x| + 1)) steps cannot
         carry a checked pair from 1e100 past 1e300, so no finite product
-        overflows in between.  The max runs over the finite |x| only: a
-        point with a non-finite x comes back non-finite at any cadence, so
-        it does not change the values of the others.  A point whose
-        recurrence never passes 1e100 gets the unrescaled values bit for
-        bit, and its scale is exactly 0.  Since the cadence depends on the
-        largest finite |x| of the batch, the points that do rescale can
-        round differently in a batch with another such max."""
-        n, w, le, _, real_w = self._consts
+        overflows in between; and where (2 max|x| + 1)^(N-1) <= 1e100 no
+        point can pass 1e100, so no step is checked.  The max runs over the
+        finite |x| only: a point with a non-finite x comes back non-finite
+        at any cadence, so it does not change the values of the others.  A
+        point whose recurrence never passes 1e100 gets the unrescaled values
+        bit for bit, and its scale is exactly 0.  Since the cadence depends
+        on the largest finite |x| of the batch, the points that do rescale
+        can round differently in a batch with another such max."""
+        n = self._consts[0]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            u = z * le
-            pm = w * np.exp(1j * u)
-            m11 = (z + 0.5j) / pm
-            if real_w:
-                small = np.abs(u) < 1e-4
-                us = np.where(small, u, 1.0)
-                series = 1.0 - us * us / 6.0 + us**4 / 120.0
-                direct = np.divide(np.sin(u), u, out=np.ones_like(u), where=~small)
-                x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
-            else:
-                x = (m11 + (z - 0.5j) * pm) / (2.0 * z)
-            x2 = 2.0 * x
-            ax = np.abs(x)
-            growth = math.log10(2.0 * float(ax.max(initial=0.0, where=np.isfinite(ax))) + 1.0)
+            x2, m11 = self._setup(z)
+            ax = np.abs(x2)  # 2 |x|, exactly
+            growth = math.log10(float(ax.max(initial=0.0, where=np.isfinite(ax))) + 1.0)
             every = max(1, int(200.0 / growth)) if growth > 0.0 else n
-            uk = np.ones_like(z)
-            ukm1 = np.zeros_like(z)
-            spare = np.empty_like(z)
-            ls = np.zeros(z.shape, dtype=float)
+            # no step is checked where the bound on |U_(N-1)| stays below 1e100
+            last = n - 1 if growth * (n - 1) > 100.0 else 0
+            uk = np.ones_like(x2)
+            ukm1 = np.zeros_like(x2)
+            spare = np.empty_like(x2)
+            ls = np.zeros(x2.shape, dtype=float)
             for k in range(1, n):
                 np.multiply(x2, uk, out=spare)
                 np.subtract(spare, ukm1, out=spare)
                 ukm1, uk, spare = uk, spare, ukm1
-                if k % every and k != n - 1:
+                if k % every and k != last:
                     continue
                 mag = np.maximum(np.abs(uk), np.abs(ukm1))
                 mask = mag > 1e100
@@ -382,6 +380,62 @@ class CharFn:
                     np.divide(ukm1, mag, out=ukm1, where=mask)
                     ls[mask] += np.log10(mag[mask])
             return uk * m11 - z * ukm1, ls
+
+    def _setup(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(2x, m11) of the cell Delta T at the detunings z, the operands of
+        the recurrence of _scaled.
+
+        u = Delta L enters only through the real cos and sin of a = Re u
+        and the real exp, cosh and sinh of b = Im u.  The phase factor is
+        separable, w exp(iu) = e^(-b) (c + i s) with c + i s = w exp(ia),
+        and m11 = (Delta + i/2) / (w exp(iu)).  e^(-b) is taken directly,
+        not as cosh b - sinh b, which cancel where |b| is large.  On the
+        w = +-1 branch x = w (cos u + sin u / (2 Delta)), the (L/2) sinc u
+        of _terms with no removable singularity but Delta = 0, where
+        eval_scaled and log10_magnitude take eval(0j); there w cos u =
+        c cosh b - i s sinh b and w sin u = s cosh b + i c sinh b.
+        Elsewhere x = tr(M) / (2 Delta) = (m11 + (Delta - i/2) w exp(iu)) /
+        (2 Delta), non-finite at Delta = 0.
+
+        The factors of a and of b broadcast (_axes): on a tensor grid the
+        transcendental calls run on its two axes, O(nx + ny), and the
+        products on the grid give the values of the pointwise call bit for
+        bit."""
+        _, w, le, _, real_w = self._consts
+        re, im = _axes(z)
+        a, b = re * le, im * le
+        ca, sa = np.cos(a), np.sin(a)
+        c, s = w.real * ca - w.imag * sa, w.real * sa + w.imag * ca
+        em = np.exp(-b)
+        pm = _complex(em * c, em * s)
+        m11 = (z + 0.5j) / pm
+        if real_w:
+            ch, sh = np.cosh(b), np.sinh(b)
+            x2 = _complex((2.0 * c) * ch, (-2.0 * s) * sh) + _complex(s * ch, c * sh) / z
+        else:
+            x2 = (m11 + (z - 0.5j) * pm) / z
+        return x2, m11
+
+
+def _axes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Re z, Im z) as operands that broadcast to the shape of z: the first
+    row's real parts and the first column's imaginary parts where z is a
+    2-D tensor grid, whose rows all hold the same real parts and whose
+    columns all hold the same imaginary parts, bit for bit; the full parts
+    otherwise."""
+    if z.ndim == 2 and z.size:
+        re, im = z[:1].real, z[:, :1].imag
+        if np.array_equal(_complex(re, im).view(np.uint64), np.ascontiguousarray(z).view(np.uint64)):
+            return re, im
+    return z.real, z.imag
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im, broadcast, without complex arithmetic."""
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def markovian_polynomial(params: ChainParams) -> list[complex]:

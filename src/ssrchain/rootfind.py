@@ -130,8 +130,9 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
     Each boundary is 4 edges of 16 segments.  A segment is accepted once
     its phase turns by at most 0.9 rad and it has been bisected at least
     once; the midpoints of all open segments of the batch are evaluated in
-    one call per level.  The near-zero floor of a window lies 13 decades
-    below the median log10|f| of 16 coarse boundary probes.  A window fails
+    one call per level, and the walk ends when no segment is open.  The
+    near-zero floor of a window lies 13 decades below the median log10|f|
+    of 16 coarse boundary probes.  A window fails
     at its first sample whose log10|f| is below the floor or not finite, at
     a segment still open after 36 bisections, or at a non-integer winding;
     its open segments are dropped at once.  Returns (counts, where,
@@ -199,6 +200,8 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
         term = 0.5 * (z0[done] + z1[done]) * step
         moment += np.bincount(win[done], weights=term.real, minlength=nw)
         moment += 1j * np.bincount(win[done], weights=term.imag, minlength=nw)
+        if done.all():
+            break
         if depth >= 36:
             fail(win, z0, ~done)
             break
@@ -368,7 +371,9 @@ def _newton(fn, z, tol):
     demands both a small residual and a collapsing step, so flat
     near-double valleys where |f| dips below tol without a root nearby are
     not reported as zeros.  At the rounding floor of f, where no trial
-    point lowers |f|, the collapsing step is the proposed full step.
+    point lowers |f|, the collapsing step is the proposed full step; once
+    |f| is below tol, a small full step that does not lower |f| ends the
+    line search at once instead of being halved.
     """
     jet = _jet_of(fn)
     fz, d = jet(z)
@@ -380,6 +385,7 @@ def _newton(fn, z, tol):
         if d == 0 or not cmath.isfinite(d):
             break
         full = fz / d
+        small_full = abs(full) < 3e-8 * (1.0 + abs(z))
         t, moved = 1.0, False
         # halve along the Newton direction until |f| decreases; this is the
         # fallback line search toward the best point when a full step diverges
@@ -389,11 +395,14 @@ def _newton(fn, z, tol):
             if cmath.isfinite(f2) and abs(f2) < abs(fz):
                 z, fz, d, moved = z2, f2, d2, True
                 break
+            if bres < tol and small_full:
+                break
             t *= 0.5
         if not moved:
             # at the rounding floor of f no trial point lowers |f|; there a
-            # small proposed full step is convergence
-            step_small = abs(full) < 3e-8 * (1.0 + abs(z))
+            # small proposed full step is convergence, and a full step that
+            # does not lower |f| ends the line search
+            step_small = small_full
             break
         step_small = abs(t * full) < 3e-8 * (1.0 + abs(z))
         if abs(fz) < bres:

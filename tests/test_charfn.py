@@ -16,7 +16,7 @@ from ssrchain import (
     find_collective_rates,
     markovian_polynomial,
 )
-from ssrchain.charfn import _INF, _sinc
+from ssrchain.charfn import _INF, _axes, _sinc
 from ssrchain.core import _EPS as EPS, chebyshev_u_pair
 from ssrchain.output import Grid
 from ssrchain.rootfind import default_window, refine
@@ -237,24 +237,17 @@ class TestEvalMany:
 
 
 def every_step_scaled(fn, z):
-    """Test-local copy of CharFn._scaled on the w = +-1 branch as it was
-    before the rescale cadence: the rescale check runs after every step of
-    the recurrence."""
-    p = fn.params
-    n, w, le = p.n_qubits, p.phase_unit(), p.phase_separation()
+    """Test-local copy of CharFn._scaled as it was before the rescale
+    cadence: the rescale check runs after every step of the recurrence.
+    It shares the set-up, so only the cadence differs."""
+    n = fn.params.n_qubits
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = z * le
-        small = np.abs(u) < 1e-4
-        us = np.where(small, u, 1.0)
-        series = 1.0 - us * us / 6.0 + us**4 / 120.0
-        direct = np.divide(np.sin(u), u, out=np.ones_like(u), where=~small)
-        x = w * (np.cos(u) + 0.5 * le * np.where(small, series, direct))
-        m11 = (z + 0.5j) / (w * np.exp(1j * u))
-        uk = np.ones_like(z)
-        ukm1 = np.zeros_like(z)
-        ls = np.zeros(z.shape, dtype=float)
+        x2, m11 = fn._setup(z)
+        uk = np.ones_like(x2)
+        ukm1 = np.zeros_like(x2)
+        ls = np.zeros(x2.shape, dtype=float)
         for _ in range(n - 1):
-            ukm1, uk = uk, 2.0 * x * uk - ukm1
+            ukm1, uk = uk, x2 * uk - ukm1
             mag = np.abs(uk)
             mask = mag > 1e100
             if mask.any():
@@ -405,6 +398,78 @@ class TestBandedMap:
         finite = np.isfinite(whole)
         assert np.array_equal(np.isfinite(banded), finite)
         assert np.all(np.abs(banded[finite] - whole[finite]) <= 1e-12 * np.abs(whole[finite]))
+
+
+class TestSeparableKernel:
+    """_setup takes the trigonometry of u = Delta L on the two axes of a
+    tensor grid; every value is that of the pointwise call bit for bit."""
+
+    @pytest.mark.parametrize("spec", [
+        (2, 0.56, "sr", (-1.0, 1.0), (-3.2, -1.4), 256),
+        (100, 1.757e-4, "sr", (-4.0, 4.0), (-118.0, -110.0), 256),
+        (100, 0.02, "general", (-6.0, 6.0), (-12.0, -0.5), 256),
+        # exp(i Delta L) overflows below Im Delta = -710 / L, and the
+        # recurrence rescales
+        (30, 1.0, "general", (-30.0, 30.0), (-800.0, -0.5), 128),
+        (300, 0.5, "sr", (-400.0, 400.0), (-3000.0, -0.5), 128),
+    ])
+    def test_grid_is_pointwise(self, spec):
+        n, sep, mode, re_range, im_range, resolution = spec
+        z = np.linspace(*re_range, resolution)[None, :] + 1j * np.linspace(*im_range, resolution)[:, None]
+        re, im = _axes(z)
+        assert re.shape == (1, resolution) and im.shape == (resolution, 1)
+        flat = z.ravel()
+        for order in (0, n - 1) if mode == "sr" else (0,):
+            fn = CharFn(ChainParams(n, sep, mode=mode), deflation_order=order)
+            grid = (*fn._scaled(z), *fn.eval_scaled(z), fn.log10_magnitude(z))
+            point = (*fn._scaled(flat), *fn.eval_scaled(flat), fn.log10_magnitude(flat))
+            for g, p in zip(grid, point):
+                assert g.shape == z.shape
+                assert np.array_equal(bits(g.ravel()), bits(p))
+            if resolution == 128:
+                finite = np.isfinite(grid[-1])
+                assert 0 < np.count_nonzero(finite) < z.size
+                assert np.count_nonzero(grid[1][finite]) > 0
+
+    @pytest.mark.parametrize("perturb", ["real part", "imaginary part", "signed zero"])
+    def test_perturbed_row_is_not_a_grid(self, perturb):
+        xs = np.linspace(-1.0, 1.0, 9)
+        z = xs[None, :] + 1j * np.linspace(-3.0, 0.0, 7)[:, None]
+        assert _axes(z)[0].shape == (1, 9)
+        bad = z.copy()
+        if perturb == "real part":
+            bad[3] = np.nextafter(bad[3].real, np.inf) + 1j * bad[3].imag
+        elif perturb == "imaginary part":
+            bad[3, 5] = complex(bad[3, 5].real, np.nextafter(bad[3, 5].imag, -np.inf))
+        else:
+            assert xs[4] == 0.0 and not np.signbit(xs[4])
+            bad[3, 4] = complex(-0.0, bad[3, 4].imag)
+        re, im = _axes(bad)
+        assert re.shape == im.shape == bad.shape
+        fn = CharFn(sr(30, 1.0))
+        assert np.array_equal(bits(fn.log10_magnitude(bad).ravel()), bits(fn.log10_magnitude(bad.ravel())))
+
+    def test_small_delta_needs_no_series(self):
+        # x = w (cos u + sin u / (2 Delta)) has no removable singularity
+        # but Delta = 0, which eval_scaled takes from eval; against the same
+        # closed form in 40-digit mpmath, the recurrence loses about N eps
+        # near x = w (measured 3.5e-16 at N = 2 and 8.9e-13 at N = 100)
+        rng = np.random.default_rng(5)
+        z = 10.0 ** rng.uniform(-14.0, -2.0, 100) * np.exp(-1j * rng.uniform(0.0, math.pi, 100))
+        for n, sep in [(2, 0.56), (10, 0.1), (30, 3.0), (100, 1.757e-4)]:
+            fn = CharFn(sr(n, sep), deflation_order=n - 1)
+            w = fn.params.phase_unit().real
+            got = scaled_value(fn, z)
+            with mp.workdps(40):
+                want = []
+                for d in z.tolist():
+                    dm = mp.mpc(d)
+                    u = dm * mp.mpf(sep)
+                    x = w * (mp.cos(u) + mp.sin(u) / (2 * dm))
+                    m11 = (dm + 0.5j) / (w * mp.exp(1j * u))
+                    want.append(complex(mp.chebyu(n - 1, x) * m11 - dm * mp.chebyu(n - 2, x)))
+            want = np.array(want)
+            assert np.all(np.abs(got - want) <= 2e-14 * n * np.abs(want))
 
 
 def mp_f(delta, sep, n, w):

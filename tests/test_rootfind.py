@@ -129,13 +129,23 @@ class TestRefine:
             refine(fn, 100.0 - 100.0j, tol=1e-12)
         assert err.value.residual >= 0.0
 
-    def test_converges_at_the_rounding_floor(self):
+    def test_converges_at_the_rounding_floor(self, monkeypatch):
         # |f| = 1.1e-13 is below tol, but no trial point lowers it and the
-        # last accepted step was not small: the small full step decides
+        # last accepted step was not small: the small full step decides,
+        # without halving it
         fn = rootfind._fn_at_separation(sr(10, 0.1), 0.020748265578502893)
+        jets = [0]
+        original = CharFn.jet
+
+        def counted(self, delta):
+            jets[0] += 1
+            return original(self, delta)
+
+        monkeypatch.setattr(CharFn, "jet", counted)
         z, res, ok = rootfind._newton(fn, -21.489864142800915 - 17.542793121762735j, 1e-9)
         assert ok and res < 1e-12
         assert abs(fn(z)) == res
+        assert jets[0] <= 8
 
 
 class TestCoalescentPair:
@@ -1066,3 +1076,19 @@ def test_quadrisection_evaluates_in_few_large_batches(case, monkeypatch):
                    _table_max_cell(window))
     assert points[0] == _COUNTED_TABLES[case]
     assert calls[0] <= 41
+
+
+@pytest.mark.parametrize("case", sorted(_COUNTED_TABLES))
+def test_walk_never_evaluates_an_empty_batch(case, monkeypatch):
+    # the boundary walk ends at the level where no segment is left open
+    mode, n, sep = case
+    sizes = []
+    original = CharFn.eval_scaled
+
+    def recorded(self, deltas):
+        sizes.append(np.size(deltas))
+        return original(self, deltas)
+
+    monkeypatch.setattr(CharFn, "eval_scaled", recorded)
+    find_collective_rates(ChainParams(n, sep, mode=mode))
+    assert sizes and min(sizes) > 0
