@@ -54,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    def add_params(p, n_required=True):
-        p.add_argument("--n", type=int, required=n_required, help="number of qubits")
-        p.add_argument("--sep", type=float, default=None, help="qubit separation [1/gamma_0]")
+    def add_params(p):
+        p.add_argument("--n", type=int, required=True, help="number of qubits")
+        p.add_argument("--sep", type=float, required=True, help="qubit separation [1/gamma_0]")
         p.add_argument(
             "--mode", choices=("sr", "sr-condition", "general", "markovian"), default="sr"
         )
@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ssr", help="maximize Re Gamma_u over separation at fixed N")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"), default=None)
     add_output(p)
 
     p = sub.add_parser("sweep", help="SSR point for a range of N")
@@ -105,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args) -> ChainParams:
-    if args.sep is None:
-        raise ContractViolationError("--sep is required")
     return ChainParams(
         n_qubits=args.n,
         separation=args.sep,
@@ -159,13 +156,8 @@ def _ssr_row(res: SSRResult) -> list:
 def cmd_ssr(args) -> int:
     from .ssr import maximize_over_separation
 
-    if args.n < 2:
-        raise ContractViolationError("the SSR point needs --n >= 2")
-    res = maximize_over_separation(args.n, tuple(args.bracket) if args.bracket else None)
-    flags = {"n": args.n}
-    if args.bracket:
-        flags.update(bracket_lo=args.bracket[0], bracket_hi=args.bracket[1])
-    write_table(args.output, build_meta("ssr", flags), _SSR_COLUMNS, [_ssr_row(res)], args.format)
+    res = maximize_over_separation(args.n)
+    write_table(args.output, build_meta("ssr", {"n": args.n}), _SSR_COLUMNS, [_ssr_row(res)], args.format)
     return 0
 
 

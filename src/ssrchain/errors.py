@@ -57,5 +57,6 @@ class WindowExhaustedError(SSRChainError):
 
 
 class BracketError(SSRChainError):
-    """The maximizer bracket does not hold the fold, or the fold found in it
-    failed a check; the message names which."""
+    """The SSR fold failed a check of the maximizer: its Newton did not
+    converge, an axis root lies below it, or the coalescing pair does not
+    resolve there; the message names which."""

@@ -780,7 +780,8 @@ def grid_scan_minima(fn_log10, window: SearchWindow, resolution: int = 400) -> l
             vals[:-2, :-2], vals[:-2, 2:], vals[2:, :-2], vals[2:, 2:],
         ]
     )
-    mask = interior <= neighbors.min(axis=0)
+    # a plateau of non-finite values (inf <= inf) holds no minimum
+    mask = np.isfinite(interior) & (interior <= neighbors.min(axis=0))
     ii, jj = np.nonzero(mask)
     for i, j in zip(ii, jj):
         out.append(complex(grid[i + 1, j + 1]))

@@ -21,9 +21,9 @@ class SSRResult:
     evaluations is the number of scalar f evaluations the solve made, a
     value or a jet (f, f') counting one each: the coalescent-pair steps
     that resolve the pair at the fold, and the residual.  The closed form
-    of Im f(-iy) evaluates no f, so neither its axis scan (_axis_im) nor
-    the fold Newton steps on it (_axis_jet) are counted; a solve takes
-    about 9 to 22 evaluations.
+    of Im f(-iy) evaluates no f, so neither the fold Newton steps on it
+    (_axis_jet) nor the axis row that checks the fold (_axis_im) are
+    counted; a solve takes about 9 to 22 evaluations.
     """
 
     n_qubits: int

@@ -3,13 +3,10 @@
 The objective Re Gamma_u(L) rises from the Dicke value N gamma_0, peaks at
 the critical separation L_c where the Markovian-like pole collides with the
 first exclusively non-Markovian one, and decays beyond.  The maximum is
-therefore a fold point, and the last separation where the leading pole
-is still a root of the real scalar Im f(-iy) brackets it: the closed form
-of Im f(-iy) (_axis_im) is scanned on a fixed y-grid at 16 separations in
-one vectorized pass, and the fold lies between the last row with a sign
-change and the next.  Newton on the regular fold system (psi = 0,
+therefore a fold point: Newton on the regular fold system (psi = 0,
 dpsi/dy = 0) of the closed-form factor psi of Im f(-iy), with its exact
-Jacobian from one O(1) jet pass (_axis_jet), solves for it from that cell.
+Jacobian from one O(1) jet pass (_axis_jet), solves for it from the
+large-N laws Gamma_SSR ~ alpha_c N and L_c ~ beta_c / N^2.
 
 Everything here runs in sr-condition mode, where the deflated f that is
 searched has the mirror symmetry f(-conj(Delta)) = -conj(f(Delta)), bit for
@@ -45,24 +42,19 @@ from .rootfind import (
 )
 from .scaling import ScalingFit, SSRResult, fit_scaling  # noqa: F401 - re-exported
 
-# beta_c of the large-N law L_c ~ beta_c / N^2, around which the bracket is laid
-_BETA_C = critical_pair().beta_c
-
-# up to about 3e-6 below L_c (relative) the colliding axis roots share one
-# y-grid cell, so a scan row there shows no sign change though L < L_c
-_MERGED_SLACK = 1e-4
+# the large-N laws Gamma_SSR ~ alpha_c N and L_c ~ beta_c / N^2 seed the fold Newton
+_CRIT = critical_pair()
 
 
-def _axis_im(n: int, sr_index: int, separations, y: np.ndarray) -> np.ndarray:
-    """Im f(-iy) of the deflated sr-branch f times a positive factor per
-    point (rows: separations, columns: y > 0); NaN where e^t = |exp(i Delta
-    L)| overflows (t = yL), as f does.  On Delta = -iy, x = w (1 + g) with
-    g = 2 sinh^2(t/2) + sinh(t) / (2y) >= 0, and U_k(w cosh phi) = w^k
-    sinh((k+1) phi) / sinh phi at phi = 2 asinh(sqrt(g/2)); so Im f is
-    w^N phi e^((N-1) phi) / (2 sinh phi) times (1/2 - y) e^(phi - t) s_N +
-    y s_(N-1), s_k = -expm1(-2k phi) / phi (2k at phi = 0, L = 0)."""
-    sep = np.asarray(separations, dtype=float)[:, None]
-    t = sep * y
+def _axis_im(n: int, sr_index: int, separation: float, y: np.ndarray) -> np.ndarray:
+    """Im f(-iy) of the deflated sr-branch f times a positive factor at each
+    y > 0; NaN where e^t = |exp(i Delta L)| overflows (t = yL), as f does.
+    On Delta = -iy, x = w (1 + g) with g = 2 sinh^2(t/2) + sinh(t) / (2y)
+    >= 0, and U_k(w cosh phi) = w^k sinh((k+1) phi) / sinh phi at phi =
+    2 asinh(sqrt(g/2)); so Im f is w^N phi e^((N-1) phi) / (2 sinh phi)
+    times (1/2 - y) e^(phi - t) s_N + y s_(N-1), s_k = -expm1(-2k phi) /
+    phi (2k at phi = 0, L = 0)."""
+    t = separation * y
     with np.errstate(over="ignore", invalid="ignore"):
         phi = 2.0 * np.arcsinh(np.sqrt(np.sinh(0.5 * t) ** 2 + np.sinh(t) / (4.0 * y)))
         s_n, s_m = (
@@ -72,7 +64,7 @@ def _axis_im(n: int, sr_index: int, separations, y: np.ndarray) -> np.ndarray:
         im = (0.5 - y) * np.exp(phi - t) * s_n + y * s_m
         im[~np.isfinite(np.exp(t))] = np.nan
     # w^N = -1 for odd N and sr_index, except at L = 0, where w = 1
-    return np.where((sep > 0.0) & (n * sr_index % 2 == 1), -im, im)
+    return -im if separation > 0.0 and n * sr_index % 2 == 1 else im
 
 
 def _sign_cells(row: np.ndarray) -> np.ndarray:
@@ -242,7 +234,7 @@ class _PoleTracker:
         g = self._ygrid
         p = fn.charfn.params
         roots = []
-        for i in _sign_cells(_axis_im(p.n_qubits, p.sr_index, [p.separation], g)[0]):
+        for i in _sign_cells(_axis_im(p.n_qubits, p.sr_index, p.separation, g)):
             lo, hi = float(g[i]), float(g[i + 1])
             if not all(cmath.isfinite(fn(-1j * v)) for v in (hi, lo)):
                 continue
@@ -350,11 +342,6 @@ def superradiant_pole(params: ChainParams) -> Pole:
     return Pole(delta=z, residual=abs(fn(z)), classification=_classify(params, z, _TableMemo()))
 
 
-def _default_bracket(n_qubits: int) -> tuple[float, float]:
-    """The separation bracket around the law L_c ~ beta_c / N^2."""
-    return 0.2 * _BETA_C / n_qubits**2, 3.0 * _BETA_C / n_qubits**2
-
-
 def _fold_newton(n: int, y: float, l: float) -> tuple[float, float, bool]:
     """Newton on the regular fold system (psi, psi_y) = (0, 0) in (y, L),
     with psi(y, L) of _axis_jet, Im f(-iy, L) up to a positive factor, and
@@ -385,53 +372,32 @@ def _fold_newton(n: int, y: float, l: float) -> tuple[float, float, bool]:
     return y, l, False
 
 
-def maximize_over_separation(n_qubits: int, bracket: tuple[float, float] | None = None) -> SSRResult:
+def maximize_over_separation(n_qubits: int) -> SSRResult:
     """Maximize Re Gamma_u over the separation: the SSR point (Gamma_SSR, L_c).
 
-    The bracket needs 0 < a < b with a, b and b / a finite
-    (ContractViolationError otherwise).  Im f(-iy) is scanned in closed
-    form (_axis_im, one call) on the tracker's y-grid at 16 log-spaced
-    separations x_0 < ... < x_15 of the bracket.  Below L_c the leading
-    pole is an axis root, so with x_k the last separation whose row has a
-    sign change, the fold lies in (x_k, x_(k+1)), or up to _MERGED_SLACK
-    past x_(k+1) where the pair shares a grid cell; BracketError is raised
-    when no row has one (the bracket lies above L_c) or the last row still
-    has one (below L_c).  Newton on the fold system starts from the lower
-    end of the leading root's sign-change cell on row k, at x_k.  Its
-    result is accepted when Newton converged, L lies in that cell, y lies
-    above the seed, and the coalescing pair resolves at the fold on the
-    scalar f; otherwise BracketError names the test that failed.
+    Newton on the fold system starts from the large-N laws, (y, L) =
+    (alpha_c N / 2, beta_c / N^2) of critical_pair(); their error falls
+    as N^-2 and is largest at N = 2, 21% in L.  The fold is accepted when
+    Newton converged, when the closed form of Im f(-iy) (_axis_im) at L_c
+    has no sign change on the tracker's y-grid below the fold, so that the
+    fold is the leading pole's, and when the coalescing pair resolves at
+    the fold on the scalar f; otherwise BracketError names the check that
+    failed.
     """
     if not isinstance(n_qubits, int) or n_qubits < 2:
         raise ContractViolationError("the SSR point needs at least 2 qubits")
-    a, b = bracket if bracket is not None else _default_bracket(n_qubits)
-    # the log-spaced scan needs a finite ratio b / a as well as finite ends
-    if not (0.0 < a < b < math.inf and b / a < math.inf):
-        raise ContractViolationError(
-            f"bad bracket ({a}, {b}): need 0 < lo < hi with lo, hi and hi / lo finite"
-        )
+    y0, l0 = 0.5 * _CRIT.alpha_c * n_qubits, _CRIT.beta_c / n_qubits**2
+    y, l_fold, converged = _fold_newton(n_qubits, y0, l0)
+    if not converged:
+        raise BracketError(f"the fold Newton from (y, L) = ({y0:.6g}, {l0:.6g}) did not converge")
     tracker = _PoleTracker(n_qubits)
     g = tracker._ygrid
-
-    nscan = 16
-    xs = [a * (b / a) ** (i / (nscan - 1)) for i in range(nscan)]
-    cells = [_sign_cells(row) for row in _axis_im(n_qubits, 1, xs, g)]
-    rooted = [k for k in range(nscan) if cells[k].size]
-    span = f"({a:.6g}, {b:.6g}): the bracket lies"
-    if not rooted:
-        raise BracketError(f"no axis root of Im f(-iy) at any separation of {span} above L_c")
-    if rooted[-1] == nscan - 1:
-        raise BracketError(f"an axis root of Im f(-iy) still at the upper end of {span} below L_c")
-    k = rooted[-1]
-    y0, l0 = float(g[cells[k][0]]), xs[k]
-    y, l_fold, converged = _fold_newton(n_qubits, y0, l0)
-    newton = f"the fold Newton from (y, L) = ({y0:.6g}, {l0:.6g})"
-    if not converged:
-        raise BracketError(f"{newton} did not converge")
-    if not xs[k] < l_fold < xs[k + 1] * (1.0 + _MERGED_SLACK):
-        raise BracketError(f"{newton} left the scan cell ({l0:.6g}, {xs[k + 1]:.6g}): L = {l_fold:.6g}")
-    if not y > y0:
-        raise BracketError(f"{newton} ended at y = {y:.6g}, not above its seed")
+    cells = _sign_cells(_axis_im(n_qubits, 1, l_fold, g))
+    if (g[cells + 1] < y).any():
+        raise BracketError(
+            f"an axis root of Im f(-iy) lies below the fold ({y:.6g}, {l_fold:.6g}): "
+            "the fold is not the leading pole's"
+        )
     fn = tracker.fn(l_fold)
     fold = -1j * y
     if not all(abs(z - fold) <= 1e-3 * (1.0 + y) for z in coalescent_pair(fn, fold, scale=y + 1.0)):
@@ -480,7 +446,7 @@ def _sweep_entry(n_qubits: int) -> tuple[SSRResult | None, str]:
 
 
 def scaling_sweep(n_list: list[int], jobs: int = 1) -> list[tuple[SSRResult | None, str]]:
-    """maximize_over_separation(n) with the default bracket for each N.
+    """maximize_over_separation(n) for each N.
 
     Returns one entry per N, in input order: (SSRResult, "") on success or
     (None, "<ErrorType>: <message>") when that N fails; the sweep goes on

@@ -113,6 +113,20 @@ class TestPoles:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poles", "--n", "2"],
+        ["fieldmap", "--n", "2", "--re-range", "-1", "1", "--im-range", "-3", "-1"],
+    ],
+)
+def test_sep_is_required(tmp_path, capsys, argv):
+    rc, out = run(tmp_path, "p.csv", argv)
+    assert rc == 2
+    assert "the following arguments are required: --sep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSSR:
     def test_two_qubits(self, tmp_path):
         rc, out = run(tmp_path, "s.csv", ["ssr", "--n", "2"])
@@ -127,35 +141,16 @@ class TestSSR:
         _, _, rows = read_csv_table(str(out))
         assert float(rows[0]["re_gamma_ssr"]) > 3.0
 
-    def test_single_qubit_rejected(self, tmp_path):
+    def test_single_qubit_rejected(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "s.csv", ["ssr", "--n", "1"])
         assert rc == 2
+        assert "needs at least 2 qubits" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("hi", ["inf", "1e308"])
-    def test_bad_bracket_named(self, tmp_path, capsys, hi):
-        # 1e308 / 0.01 overflows the log-spaced scan of the maximizer
-        rc, _ = run(tmp_path, "s.csv", ["ssr", "--n", "10", "--bracket", "0.01", hi])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "bad bracket (0.01, " in err
-        assert "separation" not in err
-
-    def test_tight_bracket_gives_the_default_fold(self, tmp_path):
-        # the rate sampled at 16 points of (0.7, 1.02) L_c once peaked at the
-        # upper end and exited 3; the axis roots bracket the fold there
-        _, default = run(tmp_path, "d.csv", ["ssr", "--n", "2"])
-        l_c = float(read_csv_table(str(default))[2][0]["l_critical"])
-        bracket = [repr(0.7 * l_c), repr(1.02 * l_c)]
-        rc, out = run(tmp_path, "s.csv", ["ssr", "--n", "2", "--bracket", *bracket])
-        assert rc == 0
-        got, want = read_csv_table(str(out))[2][0], read_csv_table(str(default))[2][0]
-        for key in ("l_critical", "re_gamma_ssr", "im_gamma_ssr"):
-            assert got[key] == want[key]
-
-    def test_bracket_above_the_fold_is_a_solver_failure(self, tmp_path, capsys):
-        rc, _ = run(tmp_path, "s.csv", ["ssr", "--n", "2", "--bracket", "0.9", "2.0"])
+    def test_rejected_fold_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ssr, "_fold_newton", lambda n, y, l: (y, l, False))
+        rc, _ = run(tmp_path, "s.csv", ["ssr", "--n", "2"])
         assert rc == 3
-        assert "solver failure: no axis root of Im f(-iy)" in capsys.readouterr().err
+        assert "solver failure: the fold Newton from (y, L) = " in capsys.readouterr().err
 
 
 class TestSweepAndFit:
@@ -569,12 +564,14 @@ class TestDeterminism:
 
     def test_parser_built_once_and_flags_do_not_leak(self, tmp_path):
         assert cli.build_parser() is cli.build_parser()
-        _, first = run(tmp_path, "a.json", ["ssr", "--n", "2", "--bracket", "0.05", "2.0", "--format", "json"])
-        _, second = run(tmp_path, "b.csv", ["ssr", "--n", "2"])
-        _, third = run(tmp_path, "c.json", ["ssr", "--n", "2", "--bracket", "0.05", "2.0", "--format", "json"])
-        assert json.loads(first.read_text())["meta"]["bracket_lo"] == "0.05"
+        base = ["poles", "--n", "1", "--sep", "0.3"]
+        window = ["--re-min", "-1", "--re-max", "1", "--im-min", "-2", "--im-max", "-0.05"]
+        _, first = run(tmp_path, "a.json", base + window + ["--format", "json"])
+        _, second = run(tmp_path, "b.csv", base)
+        _, third = run(tmp_path, "c.json", base + window + ["--format", "json"])
+        assert json.loads(first.read_text())["meta"]["re_min"] == "-1"
         meta, _, rows = read_csv_table(str(second))
-        assert "bracket_lo" not in meta and len(rows) == 1
+        assert "re_min" not in meta and rows
         assert json.loads(first.read_text())["data"] == json.loads(third.read_text())["data"]
 
 

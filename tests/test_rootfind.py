@@ -595,6 +595,19 @@ def test_grid_scan_oracle_small_n():
             assert min(abs(p.delta - z) for z in got) < 1e-6
 
 
+def test_grid_scan_finds_no_minimum_on_a_non_finite_plateau():
+    # log10|z - z0| where the map is finite, inf below Im z = -1 (overflow);
+    # inf <= inf once made every cell of the plateau a minimum
+    from ssrchain.rootfind import grid_scan_minima
+
+    def log10_map(z):
+        with np.errstate(divide="ignore"):
+            return np.where(z.imag < -1.0, np.inf, np.log10(np.abs(z - (0.3 - 0.5j))))
+
+    seeds = grid_scan_minima(log10_map, SearchWindow(-1.0, 1.0, -2.0, 0.0), resolution=41)
+    assert len(seeds) == 1 and abs(seeds[0] - (0.3 - 0.5j)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the batched boundary walk against the recursive scalar walk it replaced
 
