@@ -58,5 +58,5 @@ class WindowExhaustedError(SSRChainError):
 
 class BracketError(SSRChainError):
     """The SSR fold failed a check of the maximizer: its Newton did not
-    converge, an axis root lies below it, or the coalescing pair does not
-    resolve there; the message names which."""
+    converge, an axis root lies below it, or a root of the local quadratic
+    model of f lies over 1e-3 (1 + y) from it; the message names which."""

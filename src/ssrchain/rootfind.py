@@ -377,25 +377,24 @@ def _newton(fn, z, tol):
     """
     jet = _jet_of(fn)
     fz, d = jet(z)
-    best, bres = z, abs(fz)
     step_small = False
     for _ in range(100):
-        if bres < tol and step_small:
-            return best, bres, True
+        if abs(fz) < tol and step_small:
+            return z, abs(fz), True
         if d == 0 or not cmath.isfinite(d):
             break
         full = fz / d
         small_full = abs(full) < 3e-8 * (1.0 + abs(z))
         t, moved = 1.0, False
         # halve along the Newton direction until |f| decreases; this is the
-        # fallback line search toward the best point when a full step diverges
+        # fallback line search when a full step diverges
         for _ in range(30):
             z2 = z - t * full
             f2, d2 = jet(z2)
             if cmath.isfinite(f2) and abs(f2) < abs(fz):
                 z, fz, d, moved = z2, f2, d2, True
                 break
-            if bres < tol and small_full:
+            if abs(fz) < tol and small_full:
                 break
             t *= 0.5
         if not moved:
@@ -405,9 +404,7 @@ def _newton(fn, z, tol):
             step_small = small_full
             break
         step_small = abs(t * full) < 3e-8 * (1.0 + abs(z))
-        if abs(fz) < bres:
-            best, bres = z, abs(fz)
-    return best, bres, bres < tol and step_small
+    return z, abs(fz), abs(fz) < tol and step_small
 
 
 def refine(fn, seed: complex, tol: float = 1e-9) -> complex:
@@ -426,16 +423,25 @@ def refine(fn, seed: complex, tol: float = 1e-9) -> complex:
     return z
 
 
+def _quadratic_model(c0: complex, c1: complex, f_plus: complex, f_minus: complex, s: float):
+    """The roots (u1, u2) of the local model c0 + c1 u + c2 u^2 of f at z0 from
+    its jet (c0, c1) and f_plus, f_minus = f(z0 +- s), with c2 = f''/2 their
+    second difference; None where c1 or c2 is not finite, or c2 is 0."""
+    c2 = (f_plus - 2.0 * c0 + f_minus) / (2.0 * s * s)
+    if c2 == 0 or not (cmath.isfinite(c1) and cmath.isfinite(c2)):
+        return None
+    disc = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
+    return (-c1 + disc) / (2.0 * c2), (-c1 - disc) / (2.0 * c2)
+
+
 def coalescent_pair(fn, center: complex, scale: float | None = None):
     """Resolve two (possibly merged) nearby zeros around center.
 
-    Fits a local quadratic model c0 + c1 u + c2 u^2 of fn and takes its two
-    roots, recentering on their midpoint, three times; each root then gets
-    a few plain Newton steps.  c0 and c1 are the jet of fn at the center
-    (see _jet_of) and c2 = f''/2 is the second difference of f over z +- s;
-    the symmetric stencil keeps a center on the imaginary axis there under
-    the mirror symmetry of the superradiant condition.  Each Newton step
-    is one jet.  Stays accurate through exact coalescence, where ordinary
+    Takes the two roots of _quadratic_model from the jet at the center and
+    f at center +- s (s = max(1e-4 scale, 1e-9) at first; the stencil keeps
+    an axis center on the axis under the sr mirror symmetry), recentering
+    on their midpoint, three times, then a few Newton steps (one jet each)
+    on each root.  Stays accurate through exact coalescence, where ordinary
     refinement stalls on the flat |f| valley.
     """
     jet = _jet_of(fn)
@@ -446,12 +452,10 @@ def coalescent_pair(fn, center: complex, scale: float | None = None):
     u1 = u2 = 0.0j
     for _ in range(3):
         c0, c1 = jet(z0)
-        c2 = (fn(z0 + s) - 2.0 * c0 + fn(z0 - s)) / (2.0 * s * s)
-        if c2 == 0 or not (cmath.isfinite(c1) and cmath.isfinite(c2)):
+        roots = _quadratic_model(c0, c1, fn(z0 + s), fn(z0 - s), s)
+        if roots is None:
             break
-        disc = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
-        u1 = (-c1 + disc) / (2.0 * c2)
-        u2 = (-c1 - disc) / (2.0 * c2)
+        u1, u2 = roots
         z0 = z0 + 0.5 * (u1 + u2)
         gap = abs(u1 - u2)
         s = max(min(s, 4.0 * gap) if gap > 0 else s, 1e-9)
@@ -495,8 +499,9 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
     Zeros of the deflated characteristic function are located by
     localize_zeros (max_cell = diameter / 128), polished by Newton on the
     exact slope of CharFn.jet from each seed (the boundary's first moment
-    for a cell that isolates one zero, a cell center otherwise),
-    deduplicated (1e-8), and classified: ``zero-mode`` below
+    for a cell that isolates one zero, a cell center otherwise) or by
+    coalescent_pair for a cluster, deduplicated (1e-8, but never within
+    one cluster), and classified: ``zero-mode`` below
     _ZERO_MODE_RADIUS, ``markovian-like`` when continuation to L -> 0
     lands on a finite Markovian root, ``exclusively-non-markovian``
     otherwise.  In sr-condition mode a root left of the axis within
@@ -528,18 +533,19 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
                 break
         else:
             clusters.append((s, 1))
-    roots: list[complex] = []
-    for center, mult in clusters:
+    roots: list[tuple[complex, int]] = []  # (root, index of its cluster)
+    for k, (center, mult) in enumerate(clusters):
         if mult >= 2:
-            r1, r2 = coalescent_pair(fn, center, scale=max(abs(center), max_cell))
-            roots.extend([r1, r2][:mult])
+            pair = coalescent_pair(fn, center, scale=max(abs(center), max_cell))
+            roots.extend((r, k) for r in pair[:mult])
         else:
-            roots.append(refine(fn, center, tol=_accept_tol(fn, center)))
-    # merge duplicates
-    uniq: list[complex] = []
-    for r in sorted(roots, key=abs):
-        if not any(abs(r - u) < 1e-8 * (1.0 + abs(u)) for u in uniq):
-            uniq.append(r)
+            roots.append((refine(fn, center, tol=_accept_tol(fn, center)), k))
+    # merge duplicates, but never the two members of one coalescent pair
+    kept: list[tuple[complex, int]] = []
+    for r, k in sorted(roots, key=lambda root: abs(root[0])):
+        if not any(j != k and abs(r - u) < 1e-8 * (1.0 + abs(u)) for u, j in kept):
+            kept.append((r, k))
+    uniq = [r for r, _ in kept]
     if params.mode == MODE_SR:
         # the deflated f gives f(-conj(Delta)) = -conj(f(Delta)) bit for bit
         # under the superradiant condition: a left root is emitted as the

@@ -19,11 +19,11 @@ class SSRResult:
     itself, where the two poles coalesce.
 
     evaluations is the number of scalar f evaluations the solve made, a
-    value or a jet (f, f') counting one each: the coalescent-pair steps
-    that resolve the pair at the fold, and the residual.  The closed form
-    of Im f(-iy) evaluates no f, so neither the fold Newton steps on it
-    (_axis_jet) nor the axis row that checks the fold (_axis_im) are
-    counted; a solve takes about 9 to 22 evaluations.
+    value or a jet (f, f') counting one each: 2 at every N, the jet and the
+    value of the local quadratic model of f that checks the pair resolves
+    at the fold, whose f is also the residual.  The closed form of
+    Im f(-iy) evaluates no f, so neither the fold Newton steps on it
+    (_axis_jet) nor the axis row that checks the fold (_axis_im) count.
     """
 
     n_qubits: int

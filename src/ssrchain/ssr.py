@@ -5,8 +5,8 @@ the critical separation L_c where the Markovian-like pole collides with the
 first exclusively non-Markovian one, and decays beyond.  The maximum is
 therefore a fold point: Newton on the regular fold system (psi = 0,
 dpsi/dy = 0) of the closed-form factor psi of Im f(-iy), with its exact
-Jacobian from one O(1) jet pass (_axis_jet), solves for it from the
-large-N laws Gamma_SSR ~ alpha_c N and L_c ~ beta_c / N^2.
+Jacobian from one O(1) jet pass (_axis_jet), solves for it from the large-N
+laws Gamma_SSR ~ alpha_c N and L_c ~ beta_c / N^2; a local model of f checks it.
 
 Everything here runs in sr-condition mode, where the deflated f that is
 searched has the mirror symmetry f(-conj(Delta)) = -conj(f(Delta)), bit for
@@ -36,6 +36,8 @@ from .rootfind import (
     _classify,
     _fn_at_separation,
     _newton,
+    _quadratic_model,
+    characteristic_function,
     coalescent_pair,
     default_window,
     grid_scan_minima,
@@ -179,6 +181,14 @@ def _axis_root(n: int, l: float, lo: float, hi: float) -> float | None:
     return y
 
 
+def _axis_grid(n_qubits: int, depth: float = 2.5) -> np.ndarray:
+    """The y-grid of the axis scan, Delta = -iy down to Im Delta = -depth N:
+    200 points geometric from 1e-4 max(1, N) to 0.35 N, then 400 uniform."""
+    lo, knee, hi = 1e-4 * max(1, n_qubits), 0.35 * n_qubits, depth * n_qubits
+    grid = [lo * (knee / lo) ** (i / 199) for i in range(200)]
+    return np.array(grid + [knee + (hi - knee) * i / 400 for i in range(1, 401)])
+
+
 class _CountedFn:
     """A deflated CharFn whose scalar evaluations are tallied on its
     tracker: one per value and one per jet (f, f')."""
@@ -216,12 +226,7 @@ class _PoleTracker:
         base = default_window(n_qubits)
         self.window = SearchWindow(base.re_min, base.re_max, -depth * n_qubits, base.im_max)
         self.evals = 0
-        n = float(n_qubits)
-        lo, knee, hi = 1e-4 * max(1.0, n), 0.35 * n, -self.window.im_min
-        m, rest = 200, 400
-        grid = [lo * (knee / lo) ** (i / (m - 1)) for i in range(m)]
-        grid += [knee + (hi - knee) * i / rest for i in range(1, rest + 1)]
-        self._ygrid = np.array(grid)
+        self._ygrid = _axis_grid(n_qubits, depth)
 
     def fn(self, separation: float) -> _CountedFn:
         return _CountedFn(_fn_at_separation(self.params, separation), self)
@@ -379,10 +384,10 @@ def maximize_over_separation(n_qubits: int) -> SSRResult:
     (alpha_c N / 2, beta_c / N^2) of critical_pair(); their error falls
     as N^-2 and is largest at N = 2, 21% in L.  The fold is accepted when
     Newton converged, when the closed form of Im f(-iy) (_axis_im) at L_c
-    has no sign change on the tracker's y-grid below the fold, so that the
-    fold is the leading pole's, and when the coalescing pair resolves at
-    the fold on the scalar f; otherwise BracketError names the check that
-    failed.
+    has no sign change on the axis y-grid below the fold, so that the fold
+    is the leading pole's, and when both roots of the local quadratic model
+    of f at the fold (_quadratic_model, from one jet and one value) lie
+    within 1e-3 (1 + y) of it; otherwise BracketError names the check.
     """
     if not isinstance(n_qubits, int) or n_qubits < 2:
         raise ContractViolationError("the SSR point needs at least 2 qubits")
@@ -390,25 +395,26 @@ def maximize_over_separation(n_qubits: int) -> SSRResult:
     y, l_fold, converged = _fold_newton(n_qubits, y0, l0)
     if not converged:
         raise BracketError(f"the fold Newton from (y, L) = ({y0:.6g}, {l0:.6g}) did not converge")
-    tracker = _PoleTracker(n_qubits)
-    g = tracker._ygrid
+    g = _axis_grid(n_qubits)
     cells = _sign_cells(_axis_im(n_qubits, 1, l_fold, g))
     if (g[cells + 1] < y).any():
         raise BracketError(
             f"an axis root of Im f(-iy) lies below the fold ({y:.6g}, {l_fold:.6g}): "
             "the fold is not the leading pole's"
         )
-    fn = tracker.fn(l_fold)
-    fold = -1j * y
-    if not all(abs(z - fold) <= 1e-3 * (1.0 + y) for z in coalescent_pair(fn, fold, scale=y + 1.0)):
+    fn = characteristic_function(ChainParams(n_qubits, l_fold, mode=MODE_SR))
+    fold, s = -1j * y, max(1e-4 * (y + 1.0), 1e-9)
+    (c0, c1), f_plus = fn.jet(fold), fn(fold + s)
+    # fold - s is the mirror image -conj(fold + s), where f is -conj(f_plus) bit for bit
+    roots = _quadratic_model(c0, c1, f_plus, -f_plus.conjugate(), s)
+    if roots is None or not all(abs(u) <= 1e-3 * (1.0 + y) for u in roots):
         raise BracketError(f"the coalescing pair does not resolve at the fold ({y:.6g}, {l_fold:.6g})")
-    residual = abs(fn(fold))
     return SSRResult(
         n_qubits=n_qubits,
         l_critical=l_fold,
         gamma_ssr=complex(2.0 * y, 0.0),
-        evaluations=tracker.evals,
-        residual=residual,
+        evaluations=2,  # the jet at the fold and f(fold + s)
+        residual=abs(c0),
     )
 
 

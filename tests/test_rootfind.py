@@ -253,6 +253,15 @@ class TestFindCollectiveRates:
         assert want == 22
         assert sum(p.delta.imag < -0.5 for p in poles) == want
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10, 30])
+    def test_fold_table_keeps_both_members_of_the_pair(self, n):
+        # at L_c the leading pair is a double zero: coalescent_pair resolves
+        # its cluster into two members, which at N = 5 lie within the 1e-8
+        # merge distance of each other, and each is one zero of the count
+        params = sr(n, maximize_over_separation(n).l_critical)
+        poles = find_collective_rates(params)
+        assert len(poles) == count_zeros(characteristic_function(params), default_window(n)) == 2
+
     @pytest.mark.parametrize("n, sep", [(5, 1.0), (10, 0.1), (30, 0.01), (50, 0.01)])
     def test_mirror_pairs_are_exact_and_adjacent(self, n, sep):
         # the four sr benchmark pole tables: each off-axis pole sits next to

@@ -21,7 +21,7 @@ from ssrchain import (
     scaling_sweep,
     superradiant_pole,
 )
-from ssrchain import ssr
+from ssrchain import rootfind, ssr
 from ssrchain.charfn import CharFn
 from ssrchain.core import _EPS as EPS
 from ssrchain.rootfind import _accept_tol, _newton, coalescent_pair, grid_scan_minima
@@ -458,16 +458,16 @@ class TestProbeRule:
         _PoleTracker(2, depth=7.0).pair(100.0 * maximize_over_separation(2).l_critical)
         assert calls[0] <= 1
 
-    def test_few_coalescent_pair_probes(self, monkeypatch):
-        calls = [0]
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return coalescent_pair(*args, **kwargs)
-
-        monkeypatch.setattr(ssr, "coalescent_pair", counted)
-        maximize_over_separation(50)
-        assert 0 < calls[0] <= 4
+    @pytest.mark.parametrize("n", [2, 50, 10_000])
+    def test_maximizer_runs_no_tracker_and_no_coalescent_pair(self, n, monkeypatch):
+        # the fold is checked by one local quadratic model of f there
+        calls = []
+        for owner, name in ((ssr, "_PoleTracker"), (ssr, "_CountedFn"),
+                            (ssr, "coalescent_pair"), (rootfind, "coalescent_pair")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _r=real, **kw: calls.append(a) or _r(*a, **kw))
+        maximize_over_separation(n)
+        assert not calls
 
 
 class TestOverflowRegression:
@@ -524,6 +524,29 @@ class TestEvaluationCount:
 
     def test_two_qubit_budget(self):
         assert maximize_over_separation(2).evaluations <= 60
+
+    @pytest.mark.parametrize("n", [2, 3, 100, 10_000, 1_000_000])
+    def test_two_evaluations_at_every_n(self, n, monkeypatch):
+        # one jet and one value, also where ulp moves of the fold Newton's
+        # seed move the last bits of the fold; the value at fold - s is the
+        # mirror image of the one at fold + s, bit for bit
+        want = maximize_over_separation(n)
+        assert want.evaluations == 2
+        y = 0.5 * want.gamma_ssr.real
+        fn = CharFn(ChainParams(n, want.l_critical), deflation_order=n - 1)
+        s = max(1e-4 * (y + 1.0), 1e-9)
+        assert fn(-1j * y - s) == -fn(-1j * y + s).conjugate()
+        real, moved = _fold_newton, False
+        for k in (-3, -1, 1, 3):
+            monkeypatch.setattr(
+                ssr, "_fold_newton",
+                lambda m, y0, l0, k=k: real(m, y0 + k * math.ulp(y0), l0 - k * math.ulp(l0)),
+            )
+            res = maximize_over_separation(n)
+            assert res.evaluations == 2
+            assert abs(res.l_critical - want.l_critical) <= 1e-14 * want.l_critical
+            moved = moved or res.l_critical != want.l_critical
+        assert moved
 
 
 class TestMaximize:
@@ -869,6 +892,8 @@ class TestFoldNewton:
         "step_test_failed": "did not converge",
         "not_leading": "lies below the fold .* not the leading pole's",
         "no_coalescence": "coalescing pair does not resolve",
+        "model_roots_2e-3_off": "coalescing pair does not resolve",
+        "model_roots_5e-4_off": None,  # inside the 1e-3 (1 + y) tolerance
     }
 
     @pytest.mark.parametrize("outcome", list(REJECTIONS))
@@ -882,9 +907,16 @@ class TestFoldNewton:
                 # below L_c the Markovian-like root lies below the fold's y
                 "not_leading": (y, 0.9 * l, True),
                 "no_coalescence": (1.01 * y, l, True),  # on no fold
+                # the model's two roots lie about the shift away
+                "model_roots_2e-3_off": (y + 2e-3 * (1.0 + y), l, True),
+                "model_roots_5e-4_off": (y + 5e-4 * (1.0 + y), l, True),
             }[outcome]
 
         monkeypatch.setattr(ssr, "_fold_newton", fake)
+        if self.REJECTIONS[outcome] is None:
+            moved = maximize_over_separation(2).gamma_ssr.real
+            assert moved == 2.0 * fake(2, *law_seed(2))[0]
+            return
         with pytest.raises(BracketError, match=self.REJECTIONS[outcome]):
             maximize_over_separation(2)
 
