@@ -61,6 +61,18 @@ def _sinc(u: complex) -> complex:
     return cmath.sin(u) / u
 
 
+def _ipow(z: complex, n: int) -> complex:
+    """z**n, n >= 0, by the binary powering (c_powu) that CPython's ** uses up to n = 100, at every n."""
+    r = 1.0 + 0j
+    while n:
+        if n & 1:
+            r *= z
+        z, n = z * z, n >> 1
+    if cmath.isinf(r):
+        raise OverflowError("complex exponentiation")  # as ** raises
+    return r
+
+
 # c_k = (-1)^k 2k / (2k + 1)!, k = 8 down to 1 for Horner's rule:
 # sinc'(u) = u sum_k c_k u^(2k - 2)
 _SINC_SLOPE_SERIES = tuple((-1) ** k * 2 * k / math.factorial(2 * k + 1) for k in range(8, 0, -1))
@@ -146,16 +158,13 @@ class CharFn:
         form where N |theta| <= 16 on the w = +-1 branch, a three-term
         recurrence elsewhere."""
         try:
-            return self._eval(complex(delta))
+            delta = complex(delta)
+            a, b, expo, _ = self._terms(delta)
+            return _ipow(delta, expo) * (a - b) if expo else a - b
         except (OverflowError, ZeroDivisionError):
             return _INF
 
     __call__ = eval
-
-    def _eval(self, delta: complex) -> complex:
-        a, b, expo, _ = self._terms(delta)
-        h = a - b
-        return delta**expo * h if expo else h
 
     def jet(self, delta: complex) -> tuple[complex, complex]:
         """(f, f') at a single complex detuning: f is eval's value bit for
@@ -169,7 +178,7 @@ class CharFn:
             a, b, expo, (da, db) = self._terms(delta, slope=True)
             h = a - b
             if expo:
-                h, dh = delta**expo * h, delta ** (expo - 1) * (expo * h + delta * (da - db))
+                h, dh = _ipow(delta, expo) * h, _ipow(delta, expo - 1) * (expo * h + delta * (da - db))
             else:
                 dh = da - db
         except (OverflowError, ZeroDivisionError):

@@ -46,6 +46,7 @@ from .scaling import ScalingFit, SSRResult, fit_scaling  # noqa: F401 - re-expor
 
 # the large-N laws Gamma_SSR ~ alpha_c N and L_c ~ beta_c / N^2 seed the fold Newton
 _CRIT = critical_pair()
+_FRACS, _STEPS = [i / 199 for i in range(200)], np.arange(1, 401)  # for _axis_grid
 
 
 def _axis_im(n: int, sr_index: int, separation: float, y: np.ndarray) -> np.ndarray:
@@ -183,10 +184,11 @@ def _axis_root(n: int, l: float, lo: float, hi: float) -> float | None:
 
 def _axis_grid(n_qubits: int, depth: float = 2.5) -> np.ndarray:
     """The y-grid of the axis scan, Delta = -iy down to Im Delta = -depth N:
-    200 points geometric from 1e-4 max(1, N) to 0.35 N, then 400 uniform."""
+    200 points geometric from 1e-4 max(1, N) to 0.35 N, then 400 uniform,
+    each lo (knee / lo)^(i / 199) by libm pow (not np.power) or knee + (hi - knee) i / 400."""
     lo, knee, hi = 1e-4 * max(1, n_qubits), 0.35 * n_qubits, depth * n_qubits
-    grid = [lo * (knee / lo) ** (i / 199) for i in range(200)]
-    return np.array(grid + [knee + (hi - knee) * i / 400 for i in range(1, 401)])
+    geometric = lo * np.fromiter(map(pow, [knee / lo] * 200, _FRACS), float, 200)
+    return np.concatenate((geometric, knee + (hi - knee) * _STEPS / 400))
 
 
 class _CountedFn:
@@ -383,11 +385,11 @@ def maximize_over_separation(n_qubits: int) -> SSRResult:
     Newton on the fold system starts from the large-N laws, (y, L) =
     (alpha_c N / 2, beta_c / N^2) of critical_pair(); their error falls
     as N^-2 and is largest at N = 2, 21% in L.  The fold is accepted when
-    Newton converged, when the closed form of Im f(-iy) (_axis_im) at L_c
-    has no sign change on the axis y-grid below the fold, so that the fold
-    is the leading pole's, and when both roots of the local quadratic model
-    of f at the fold (_quadratic_model, from one jet and one value) lie
-    within 1e-3 (1 + y) of it; otherwise BracketError names the check.
+    Newton converged, when the closed form of Im f(-iy) (_axis_im) at L_c,
+    run on the axis y-grid points below the fold only, has no sign change
+    there (the fold is the leading pole's), and when both roots of the local
+    quadratic model of f at the fold (_quadratic_model, one jet and one
+    value) lie within 1e-3 (1 + y) of it; else BracketError names the check.
     """
     if not isinstance(n_qubits, int) or n_qubits < 2:
         raise ContractViolationError("the SSR point needs at least 2 qubits")
@@ -396,8 +398,7 @@ def maximize_over_separation(n_qubits: int) -> SSRResult:
     if not converged:
         raise BracketError(f"the fold Newton from (y, L) = ({y0:.6g}, {l0:.6g}) did not converge")
     g = _axis_grid(n_qubits)
-    cells = _sign_cells(_axis_im(n_qubits, 1, l_fold, g))
-    if (g[cells + 1] < y).any():
+    if _sign_cells(_axis_im(n_qubits, 1, l_fold, g[: np.searchsorted(g, y)])).size:
         raise BracketError(
             f"an axis root of Im f(-iy) lies below the fold ({y:.6g}, {l_fold:.6g}): "
             "the fold is not the leading pole's"

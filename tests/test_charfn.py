@@ -16,7 +16,7 @@ from ssrchain import (
     find_collective_rates,
     markovian_polynomial,
 )
-from ssrchain.charfn import _INF, _axes, _sinc
+from ssrchain.charfn import _INF, _axes, _ipow, _sinc
 from ssrchain.core import _EPS as EPS, chebyshev_u_pair
 from ssrchain.output import Grid
 from ssrchain.rootfind import default_window, refine
@@ -816,24 +816,27 @@ def n_theta(params, delta):
 class TestMirrorSymmetry:
     # under the superradiant condition the searched f, deflated by N - 1,
     # has f(-conj Delta) = -conj f(Delta) bit for bit for every N; the full
-    # f, Delta^(N-1) times it, has (-1)^N conj f(Delta), bit for bit where
-    # Python's complex ** multiplies (exponents up to 100) and to rounding
-    # where it goes through polar form.  noise_scale is mirror-equal bit for
-    # bit in both.  _PoleTracker.pair relies on this to append the mirror
-    # partner of a validated root without evaluating f there.
+    # f, Delta^(N-1) times it by binary powering, has (-1)^N conj f(Delta),
+    # bit for bit for every N too, apart from the sign of a part that
+    # underflows to zero (complex products round -x + -y = +0 where x + y =
+    # 0).  noise_scale is mirror-equal bit for bit in both.
+    # _PoleTracker.pair relies on this to append the mirror partner of a
+    # validated root without evaluating f there.
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 30, 100, 1000])
     @pytest.mark.parametrize("sr_index", [1, 2])
     def test_mirror_is_exact(self, n, sr_index):
         rng = np.random.default_rng(10 * n + sr_index)
         win = default_window(n)
-        branches = set()
+        branches, exact = set(), 0
         for sep in (1e-4, 0.003, 0.1, 1.0, 3.0):
             params = sr(n, sep, sr_index)
-            # the default window, and a square around the origin where
-            # N |theta| is small for small L
+            # the default window, a square around the origin where N |theta|
+            # is small for small L, and the lower half disc |Delta| < 1.9,
+            # where the full f at N = 1000 is finite and not all underflowed
             zs = [complex(x, y) for x, y in zip(rng.uniform(win.re_min, win.re_max, 30),
                                                  rng.uniform(win.im_min, 0.0, 30))]
             zs += [complex(x, y) * 2.0 / n for x, y in rng.uniform(-1.0, 1.0, (30, 2))]
+            zs += [cmath.rect(1.9 * math.sqrt(r), -math.pi * t) for r, t in rng.uniform(0.0, 1.0, (30, 2))]
             branches.update(n_theta(params, z) <= 16.0 for z in zs)
             for order in (0, n - 1):
                 fn = CharFn(params, deflation_order=order)
@@ -845,13 +848,59 @@ class TestMirrorSymmetry:
                     assert cmath.isfinite(fm) == cmath.isfinite(fz)
                     if not cmath.isfinite(fz):
                         continue
-                    want = sign * fz.conjugate()
-                    if order == n - 1 or n - 1 <= 100:
+                    want = complex(sign * fz.real, -sign * fz.imag)
+                    if fz.real and fz.imag:
                         assert bits(fm).tolist() == bits(want).tolist(), (sep, order, z)
+                        exact += 1
                     else:
-                        assert abs(fm - want) <= 1e-11 * abs(fz), (sep, order, z)
+                        assert fm == want, (sep, order, z)
+        assert exact >= 100
         # a single qubit keeps N |theta| below 16 on all of these points
         assert branches == ({True} if n == 1 else {True, False})
+
+
+class TestIntegerPower:
+    """The full f multiplies by Delta^(N-1) with _ipow, the binary powering
+    that CPython's ** runs up to exponent 100 and leaves for polar form
+    beyond."""
+
+    def test_equals_python_power_up_to_100(self):
+        rng = np.random.default_rng(100)
+        zs = [complex(r * math.cos(t), r * math.sin(t))
+              for r, t in zip(np.exp(rng.uniform(-3.0, 3.0, 200)), rng.uniform(-math.pi, math.pi, 200))]
+        zs += [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1j, -1.0 + 0j, complex(2.0, -0.0)]
+        zs += [complex(1e4, -1e4), complex(-3e3, 0.5)]  # ** overflows from n = 75 and 89
+        overflows = 0
+        for z in zs:
+            for n in range(101):
+                try:
+                    want = z**n
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        _ipow(z, n)
+                    overflows += 1
+                    continue
+                assert bits(_ipow(z, n)).tolist() == bits(want).tolist(), (z, n)
+        assert overflows > 0
+
+    def test_full_f_against_mpmath_at_a_thousand_qubits(self):
+        # |Delta| < 1.9, where Delta^999 and the full f stay finite, at the
+        # fold separation, where the closed form is accurate and the power's
+        # error shows: in eps of noise_scale the worst of these 40 points is
+        # 71 with _ipow and was 191 with ** (polar form), the median 24 and 41
+        n = 1000
+        fn = CharFn(sr(n, 1.757e-6), deflation_order=0)
+        rng = np.random.default_rng(n)
+        radii, angles = 1.9 * np.sqrt(rng.uniform(0.0, 1.0, 40)), rng.uniform(-math.pi, 0.0, 40)
+        worst = 0.0
+        for z in (radii * np.exp(1j * angles)).tolist():
+            got = fn.eval(z)
+            assert cmath.isfinite(got)
+            with mp.workdps(40):
+                sep, w = mp.mpf(fn.params.phase_separation()), mp.mpc(fn.params.phase_unit())
+                want = mp_f(mp.mpc(z), sep, n, w)
+                worst = max(worst, float(abs(mp.mpc(got) - want)) / (EPS * fn.noise_scale(z)))
+        assert worst <= 100.0
 
 
 def mp_winding(params, order, window, dps=30):

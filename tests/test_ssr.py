@@ -27,6 +27,7 @@ from ssrchain.core import _EPS as EPS
 from ssrchain.rootfind import _accept_tol, _newton, coalescent_pair, grid_scan_minima
 from ssrchain.ssr import (
     _PoleTracker,
+    _axis_grid,
     _axis_im,
     _axis_jet,
     _axis_root,
@@ -919,6 +920,73 @@ class TestFoldNewton:
             return
         with pytest.raises(BracketError, match=self.REJECTIONS[outcome]):
             maximize_over_separation(2)
+
+
+def listed_axis_grid(n_qubits, depth):
+    """Test-local copy of ssr._axis_grid as one Python expression per point."""
+    lo, knee, hi = 1e-4 * max(1, n_qubits), 0.35 * n_qubits, depth * n_qubits
+    grid = [lo * (knee / lo) ** (i / 199) for i in range(200)]
+    return np.array(grid + [knee + (hi - knee) * i / 400 for i in range(1, 401)])
+
+
+class TestAxisGrid:
+    @pytest.mark.parametrize("depth", [2.5, 7.0])
+    def test_same_bits_as_one_expression_per_point(self, depth):
+        for n in [*range(1, 3001), 10_000, 100_000, 1_000_000]:
+            got, want = _axis_grid(n, depth), listed_axis_grid(n, depth)
+            assert got.dtype == want.dtype and got.shape == (600,)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), n
+
+
+class TestLeadingPoleCheck:
+    """The maximizer evaluates _axis_im only on the grid points below the
+    fold's y: a cell counts exactly when both of its ends lie below y."""
+
+    def spy(self, monkeypatch, edit=None):
+        rows, real = [], _axis_im
+
+        def spied(n, sr_index, sep, ys):
+            rows.append(ys.copy())
+            row = real(n, sr_index, sep, ys)
+            return row if edit is None else edit(ys, row)
+
+        monkeypatch.setattr(ssr, "_axis_im", spied)
+        return rows
+
+    def test_only_points_below_the_fold(self, monkeypatch):
+        rows = self.spy(monkeypatch)
+        res = maximize_over_separation(100)
+        assert len(rows) == 1
+        (ys,) = rows
+        assert 0 < ys.size < 400
+        assert (ys < 0.5 * res.gamma_ssr.real).all()
+        assert ys.tolist() == _axis_grid(100)[: ys.size].tolist()
+
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_sign_change_below_the_fold_raises(self, n, monkeypatch):
+        # flip the last grid point below y: its cell's upper end is below y
+        y = 0.5 * maximize_over_separation(n).gamma_ssr.real
+        top = _axis_grid(n)[_axis_grid(n) < y].max()
+        self.spy(monkeypatch, lambda ys, row: np.where(ys == top, -row, row))
+        with pytest.raises(BracketError, match="not the leading pole's"):
+            maximize_over_separation(n)
+
+    @pytest.mark.parametrize("n", [2, 100])
+    def test_sign_change_in_the_cell_holding_y_does_not_raise(self, n, monkeypatch):
+        # flip every grid point at or above y: only the cell that holds y
+        # gains a sign change
+        want = maximize_over_separation(n)
+        y = 0.5 * want.gamma_ssr.real
+        self.spy(monkeypatch, lambda ys, row: np.where(ys >= y, -row, row))
+        assert maximize_over_separation(n) == want
+
+    @pytest.mark.parametrize("n", [2, 20, 100, 10_000])
+    def test_prefix_row_is_the_full_row_prefix(self, n):
+        l_fold = maximize_over_separation(n).l_critical
+        g = _axis_grid(n)
+        full = _axis_im(n, 1, l_fold, g).view(np.uint64).tolist()
+        for k in range(g.size + 1):
+            assert _axis_im(n, 1, l_fold, g[:k]).view(np.uint64).tolist() == full[:k], k
 
 
 @functools.lru_cache(maxsize=None)
