@@ -127,15 +127,18 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
     """Winding numbers and first moments of f around a batch of windows,
     walked level by level on f as (mantissa, log10 scale).
 
-    Each boundary is 4 edges of 16 segments.  A segment is accepted once
-    its phase turns by at most 0.9 rad and it has been bisected at least
-    once; the midpoints of all open segments of the batch are evaluated in
-    one call per level, and the walk ends when no segment is open.  The
-    near-zero floor of a window lies 13 decades below the median log10|f|
-    of 16 coarse boundary probes.  A window fails
-    at its first sample whose log10|f| is below the floor or not finite, at
-    a segment still open after 36 bisections, or at a non-integer winding;
-    its open segments are dropped at once.  Returns (counts, where,
+    Each boundary is 4 edges of 16 segments, and every segment is
+    bisected at least once: the first call of evaluate takes, for every
+    window of the batch, 16 coarse boundary probes, the 68 ends of its
+    segments and their 64 midpoints together.  From there a half segment is accepted
+    once its phase turns by at most 0.9 rad; the midpoints of all open
+    segments of the batch are evaluated in one call per level, and the
+    walk ends when no segment is open.  The near-zero floor of a window
+    lies 13 decades below the median log10|f| of its probes.  A window
+    fails at its first sample whose log10|f| is below the floor or not
+    finite (the segment ends before the first midpoints), at a segment
+    still open after 36 bisections, or at a non-integer winding; its open
+    segments are dropped at once.  Returns (counts, where,
     moments): where[i] is nan for a counted window and the boundary point
     that failed otherwise; moments[i] is the sum of the zeros inside,
     (1/2 pi i) of the contour integral of z dlog f, taken by the midpoint
@@ -157,10 +160,14 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
     step = np.roll(corners, -1, axis=1)[:, :, None] - a
     probes = (a + _PROBE_T * step).reshape(nw, -1)
     samples = a + _EDGE_T * step
-    mant, scale = evaluate(np.concatenate([probes.ravel(), samples.ravel()]))
+    mids = 0.5 * (samples[:, :, :-1] + samples[:, :, 1:])
+    mant, scale = evaluate(np.concatenate([probes.ravel(), samples.ravel(), mids.ravel()]))
+    i, j = probes.size, probes.size + samples.size
     with np.errstate(divide="ignore", invalid="ignore"):
-        probe_log = (np.log10(np.abs(mant)) + scale)[: probes.size].reshape(nw, -1)
-    m, s = (v[probes.size :].reshape(samples.shape) for v in (mant, scale))
+        probe_log = (np.log10(np.abs(mant[:i])) + scale[:i]).reshape(nw, -1)
+    # each point set as (z, mantissa, log10 scale)
+    edge = [samples, *(v[i:j].reshape(samples.shape) for v in (mant, scale))]
+    half = [mids, *(v[j:].reshape(mids.shape) for v in (mant, scale))]
 
     finite = np.isfinite(probe_log)
     ranked = np.sort(np.where(finite, probe_log, np.inf), axis=1)
@@ -179,40 +186,47 @@ def _windings(evaluate, windows: list[SearchWindow]) -> tuple[np.ndarray, np.nda
             lg = np.log10(np.abs(mz)) + sz
         return ~(np.isfinite(lg) & (lg >= floor[win]))
 
-    win = np.repeat(np.arange(nw), 4 * 17)
-    fail(win, samples.ravel(), below(m.ravel(), s.ravel(), win))
-    keep = np.isnan(where)[:, None, None] & np.ones((1, 4, 16), dtype=bool)
-    # the two ends of every open segment, each as (z, mantissa, log10 scale)
-    end0 = [v[:, :, :-1][keep] for v in (samples, m, s)]
-    end1 = [v[:, :, 1:][keep] for v in (samples, m, s)]
-    win = np.repeat(np.arange(nw), 4 * 16)[keep.ravel()]
+    # the samples fail first, then the midpoints of the first bisection
+    for (z, mz, sz), per in ((edge, 4 * 17), (half, 4 * 16)):
+        win = np.repeat(np.arange(nw), per)
+        fail(win, z.ravel(), below(mz.ravel(), sz.ravel(), win))
+    live = np.isnan(where)
+    # the two ends of every open half segment
+    end0 = [np.concatenate([v[:, :, :-1][live].ravel(), u[live].ravel()]) for v, u in zip(edge, half)]
+    end1 = [np.concatenate([u[live].ravel(), v[:, :, 1:][live].ravel()]) for v, u in zip(edge, half)]
+    win = np.tile(np.repeat(np.flatnonzero(live), 4 * 16), 2)
     total = np.zeros(nw)
     moment = np.zeros(nw, dtype=complex)
-    depth = 0
+    depth = 1
     while win.size:
         (z0, m0, s0), (z1, m1, s1) = end0, end1
         ratio = m1 / m0
         dphi = np.angle(ratio)
-        done = (np.abs(dphi) <= 0.9) & (depth >= 1)
-        total += np.bincount(win[done], weights=dphi[done], minlength=nw)
+        done = np.abs(dphi) <= 0.9
+        shut = win[done]
+        total += np.bincount(shut, weights=dphi[done], minlength=nw)
         # the segment's step of log f, weighted by its midpoint
         step = np.log(np.abs(ratio[done])) + (s1[done] - s0[done]) * math.log(10.0) + 1j * dphi[done]
         term = 0.5 * (z0[done] + z1[done]) * step
-        moment += np.bincount(win[done], weights=term.real, minlength=nw)
-        moment += 1j * np.bincount(win[done], weights=term.imag, minlength=nw)
-        if done.all():
+        moment += np.bincount(shut, weights=term.real, minlength=nw)
+        moment += 1j * np.bincount(shut, weights=term.imag, minlength=nw)
+        if shut.size == win.size:
             break
+        going = ~done
         if depth >= 36:
-            fail(win, z0, ~done)
+            fail(win, z0, going)
             break
-        end0, end1, win = [v[~done] for v in end0], [v[~done] for v in end1], win[~done]
+        end0, end1, win = [v[going] for v in end0], [v[going] for v in end1], win[going]
         zm = 0.5 * (end0[0] + end1[0])
         mid = [zm, *evaluate(zm)]
-        fail(win, zm, below(*mid[1:], win))
-        live = np.isnan(where[win])
-        end0, end1, mid = ([v[live] for v in ends] for ends in (end0, end1, mid))
+        bad = below(*mid[1:], win)
+        if bad.any():
+            fail(win, zm, bad)
+            live = np.isnan(where[win])
+            end0, end1, mid = ([v[live] for v in ends] for ends in (end0, end1, mid))
+            win = win[live]
         end0, end1 = [np.concatenate(p) for p in zip(end0, mid)], [np.concatenate(p) for p in zip(mid, end1)]
-        win = np.concatenate([win[live]] * 2)
+        win = np.concatenate([win, win])
         depth += 1
 
     count = total / (2.0 * math.pi)
@@ -511,8 +525,9 @@ def find_collective_rates(params: ChainParams, window: SearchWindow | None = Non
     continuations of one call share their work (_TableMemo): every pole
     follows the same schedule of waypoints in L, and a pole whose track
     reaches a waypoint within 1e-12 (1 + |Delta|) of a state that an
-    earlier pole's track passed there takes that pole's label.  Nothing is
-    kept between calls.
+    earlier pole's track passed there, or, in sr-condition mode, of the
+    mirror image -conj(y) of such a state y, takes that pole's label.
+    Nothing is kept between calls.
     A seed from which Newton cannot converge raises RefinementFailureError
     instead of leaving its pole out of the table.
     Sorted by |Delta| ascending, then Re Delta, so a mirror pair comes
@@ -618,15 +633,20 @@ def _classify(params: ChainParams, delta: complex, memo: _TableMemo) -> str:
     |Delta| = 4 N + 10 or the continuation breaks down.
 
     A track that reaches a scheduled waypoint within 1e-12 (1 + |Delta|) of
-    a state in memo takes that state's label instead of continuing; either
-    way its own waypoint states join memo under its label.  A fresh
-    _TableMemo classifies the pole alone.
+    a state y in memo takes that state's label instead of continuing; in
+    sr-condition mode so does a track that reaches the mirror image
+    -conj(y) there, since under the superradiant condition the track of
+    -conj(Delta) is the mirror image of the track of Delta bit for bit (the
+    symmetry that lets mirror partners share a label).  Either way its own
+    waypoint states join memo under its label.  A fresh _TableMemo
+    classifies the pole alone.
     """
     if abs(delta) < _ZERO_MODE_RADIUS:
         return ZERO_MODE
     n = params.n_qubits
     l_end = min(1e-3, 0.2 / (n * n))
     z, label, passed = delta, None, []
+    mirrored = params.mode == MODE_SR
     if params.separation > l_end:
         track = _track(params, delta, params.separation, l_end, memo.fns, divergence=4.0 * n + 10.0)
         try:
@@ -634,8 +654,7 @@ def _classify(params: ChainParams, delta: complex, memo: _TableMemo) -> str:
                 if z is None:
                     label = NON_MARKOVIAN
                     break
-                tol = 1e-12 * (1.0 + abs(z))
-                label = next((lab for y, lab in memo.states.get(l_at, ()) if abs(z - y) <= tol), None)
+                label = _memo_label(memo.states.get(l_at, ()), z, mirrored)
                 if label is not None:
                     break
                 passed.append((l_at, z))
@@ -647,6 +666,16 @@ def _classify(params: ChainParams, delta: complex, memo: _TableMemo) -> str:
     for l_at, y in passed:
         memo.states.setdefault(l_at, []).append((y, label))
     return label
+
+
+def _memo_label(states, z: complex, mirrored: bool) -> str | None:
+    """The label of the first (y, label) state within 1e-12 (1 + |z|) of z,
+    or, where mirrored, of its mirror image -conj(y); None if there is none."""
+    tol = 1e-12 * (1.0 + abs(z))
+    return next(
+        (lab for y, lab in states if abs(z - y) <= tol or (mirrored and abs(z + y.conjugate()) <= tol)),
+        None,
+    )
 
 
 def _fn_at_separation(params: ChainParams, sep: float) -> CharFn:

@@ -416,6 +416,80 @@ class TestMirrorClassification:
                 _classify(params, p.delta, _TableMemo())
         assert shared < 0.8 * len(solves)
 
+    @pytest.mark.parametrize("n, sep", [(5, 1.0), (50, 0.01)])
+    def test_mirrored_memo_state_gives_its_label(self, n, sep, monkeypatch):
+        # the track of -conj(Delta) is the mirror image of the track of
+        # Delta, so it takes the label at its first waypoint
+        params = sr(n, sep)
+        solves = []
+        newton = rootfind._newton
+
+        def counted(fn, z, tol):
+            solves.append(z)
+            return newton(fn, z, tol)
+
+        monkeypatch.setattr(rootfind, "_newton", counted)
+        right = [p.delta for p in find_collective_rates(params) if p.delta.real > 0.0]
+        assert len(right) >= 9
+        for z in right:
+            memo = _TableMemo()
+            label = _classify(params, z, memo)
+            del solves[:]
+            assert _classify(params, -z.conjugate(), memo) == label
+            assert len(solves) == 1
+
+    def test_general_mode_never_matches_a_mirrored_state(self, monkeypatch):
+        # off the superradiant condition f has no mirror symmetry: a memo
+        # holding only mirror images of a track's states changes nothing
+        params = ChainParams(5, 0.1, mode="general")
+        solves = [0]
+        newton = rootfind._newton
+
+        def counted(fn, z, tol):
+            solves[0] += 1
+            return newton(fn, z, tol)
+
+        monkeypatch.setattr(rootfind, "_newton", counted)
+        poles = [p for p in find_collective_rates(params) if p.classification != ZERO_MODE]
+        assert len(poles) >= 5
+        for p in poles:
+            memo = _TableMemo()
+            solves[0] = 0
+            label = _classify(params, p.delta, memo)
+            alone = solves[0]
+            mirrored = _TableMemo()
+            mirrored.states = {
+                l_at: [(-y.conjugate(), "seeded") for y, _ in states if abs(y + y.conjugate()) > 1e-6]
+                for l_at, states in memo.states.items()
+            }
+            assert sum(map(len, mirrored.states.values())) > 0
+            solves[0] = 0
+            assert _classify(params, p.delta, mirrored) == label
+            assert solves[0] == alone
+
+    def test_mirrored_memo_states_save_solves(self, monkeypatch):
+        # on (sr, 50, 0.01) some tracks reach mirror images of states that
+        # an earlier track passed; the table is the same without them
+        params = sr(50, 0.01)
+        solves = []
+        newton = rootfind._newton
+
+        def counted(fn, z, tol):
+            if fn.params.separation != params.separation:
+                solves.append(z)
+            return newton(fn, z, tol)
+
+        monkeypatch.setattr(rootfind, "_newton", counted)
+        poles = find_collective_rates(params)
+        mirrored = len(solves)
+        del solves[:]
+        memo_label = rootfind._memo_label
+        monkeypatch.setattr(
+            rootfind, "_memo_label", lambda states, z, mirrored: memo_label(states, z, False)
+        )
+        assert find_collective_rates(params) == poles
+        assert mirrored < len(solves)
+
     def test_each_mirror_pair_classified_once(self, monkeypatch):
         calls = _counting_classify(monkeypatch)
         poles = find_collective_rates(sr(5, 1.0))
@@ -778,17 +852,30 @@ class TestBatchedWalkAgainstRecursiveWalk:
         assert count_zeros(recorded, window) == want
         assert _sorted_points(seen) == _sorted_points(ref)
 
-    def test_non_finite_function_fails_at_once(self):
-        calls = [0]
+    def test_non_finite_function_fails_at_once(self, monkeypatch):
+        calls, batches = [0], []
+        vectorized = rootfind._vectorized
+
+        def counted(fn):
+            evaluate = vectorized(fn)
+
+            def batch(zs):
+                batches.append(zs.size)
+                return evaluate(zs)
+
+            return batch
 
         def nan(z):
             calls[0] += 1
             return complex("nan")
 
+        monkeypatch.setattr(rootfind, "_vectorized", counted)
         with pytest.raises(BoundaryDegeneracyError):
             count_zeros(nan, SearchWindow(-1, 1, -1, 1))
-        # 16 probes and 68 edge samples per attempt, no bisection
-        assert calls[0] == 6 * 84
+        # 16 probes, 68 edge samples and the 64 midpoints of the first
+        # bisection per attempt, all in one call, and no further level
+        assert calls[0] == 6 * 148
+        assert batches == [148] * 6
 
     def test_error_names_the_failing_sample(self):
         # f is not finite right of Re = 0.55; on the bottom edge the first
@@ -1097,7 +1184,7 @@ def test_quadrisection_evaluates_in_few_large_batches(case, monkeypatch):
     localize_zeros(characteristic_function(ChainParams(n, sep, mode=mode)), window,
                    _table_max_cell(window))
     assert points[0] == _COUNTED_TABLES[case]
-    assert calls[0] <= 41
+    assert calls[0] <= 29
 
 
 @pytest.mark.parametrize("case", sorted(_COUNTED_TABLES))
