@@ -362,9 +362,8 @@ def localize_zeros(fn, window: SearchWindow, max_cell: float) -> list[complex]:
 
 
 def _jet_of(fn):
-    """fn's evaluator of (f, f'): CharFn.jet (or that of a wrapper with a
-    jet method), or, for a plain callable, a central difference of step
-    1e-7 (1 + |z|) beside its value."""
+    """fn's evaluator of (f, f'): CharFn.jet, or, for a plain callable, a
+    central difference of step 1e-7 (1 + |z|) beside its value."""
     jet = getattr(fn, "jet", None)
     if jet is not None:
         return jet

@@ -14,12 +14,13 @@ bit, which pins the colliding pair to the imaginary axis: below L_c the two
 poles are roots of Im f(-iy), bracketed by sign changes on the y-grid and
 refined by Newton on the same closed-form psi; above L_c the pair sits at
 (Delta, -conj(Delta)) and is found by Newton from the minima of a magnitude
-map.
+map (_leading_pair).
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +35,6 @@ from .rootfind import (
     _TableMemo,
     _accept_tol,
     _classify,
-    _fn_at_separation,
     _newton,
     _quadratic_model,
     characteristic_function,
@@ -191,161 +191,119 @@ def _axis_grid(n_qubits: int, depth: float = 2.5) -> np.ndarray:
     return np.concatenate((geometric, knee + (hi - knee) * _STEPS / 400))
 
 
-class _CountedFn:
-    """A deflated CharFn whose scalar evaluations are tallied on its
-    tracker: one per value and one per jet (f, f')."""
-
-    def __init__(self, charfn: CharFn, tracker: _PoleTracker):
-        self.charfn = charfn
-        self.tracker = tracker
-
-    def __call__(self, delta: complex) -> complex:
-        self.tracker.evals += 1
-        return self.charfn.eval(delta)
-
-    def jet(self, delta: complex) -> tuple[complex, complex]:
-        self.tracker.evals += 1
-        return self.charfn.jet(delta)
-
-    def noise_scale(self, delta: complex) -> float:
-        return self.charfn.noise_scale(delta)
-
-    def log10_magnitude(self, deltas):
-        return self.charfn.log10_magnitude(deltas)
+def _axis_roots(fn: CharFn, grid: np.ndarray) -> list[float]:
+    """Roots of Im f(-iy) above y = 1e-6, one per sign-change cell of the
+    y-grid, each refined on the closed-form psi (_axis_root).  A cell
+    reports a root only where the scalar f is finite at both of its ends,
+    which costs at most two evaluations of f per cell."""
+    p = fn.params
+    roots = []
+    for i in _sign_cells(_axis_im(p.n_qubits, p.sr_index, p.separation, grid)):
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        if not all(cmath.isfinite(fn(-1j * v)) for v in (hi, lo)):
+            continue
+        y = _axis_root(p.n_qubits, p.separation, lo, hi)
+        if y is not None and y > 1e-6:
+            roots.append(y)
+    return roots
 
 
-class _PoleTracker:
-    """Finder of the two smallest nonzero poles at a separation; each pair()
-    call starts cold.
+def _valid(fn: CharFn, window: SearchWindow, z: complex) -> bool:
+    """z is a decay pole of fn up to 5% past the window, to 20 _accept_tol."""
+    if not (
+        z.imag < -1e-6
+        and abs(z.real) <= 1.05 * window.re_max
+        and -z.imag <= 1.05 * -window.im_min
+    ):
+        return False
+    fz, tol = fn(z), _accept_tol(fn, z)
+    return cmath.isfinite(fz) and math.isfinite(tol) and abs(fz) <= 20.0 * tol
 
-    evals counts the scalar f evaluations made through fn(), values and
-    jets alike.
+
+def _leading_pair(fn: CharFn, window: SearchWindow, grid: np.ndarray) -> list[complex]:
+    """Up to two smallest-|Delta| nonzero poles of the sr-mode fn,
+    |Delta|-sorted; ties put the Im Gamma >= 0 member first.
+
+    Axis roots on the y-grid are the candidates wherever there are any:
+    each is a sign change of the closed-form psi, refined on psi itself, so
+    near the fold both members of the pair come out at full accuracy with no
+    probe.  A pair merged inside one grid cell shows no sign change and is
+    left to a 160^2 magnitude map of the window: Newton runs from each of
+    its local minima, and a seed from which it does not converge is dropped.
+    Each complex root brings its mirror partner -conj(Delta) unevaluated, as
+    the mirror symmetry gives it the same |f| and noise scale bit for bit.
     """
+    axis = _axis_roots(fn, grid)
+    cands: list[complex] = [-1j * y for y in axis[:3]]
+    if not cands:
+        # no axis root: brute local minima of the magnitude map
+        for seed in grid_scan_minima(fn.log10_magnitude, window, resolution=160):
+            z, _, ok = _newton(fn, seed, _accept_tol(fn, seed))
+            if ok and _valid(fn, window, z):
+                cands.append(z)
+    # complex roots come with their mirror partner -conj(z)
+    cands += [-z.conjugate() for z in cands if abs(z.real) > 1e-7 * (1.0 + abs(z))]
+    # merge near-duplicates, keeping the best-converged representative
+    key = lambda c: (abs(c), -(2j * c).imag)  # noqa: E731
+    uniq: list[complex] = []
+    for z in sorted(cands, key=key):
+        for i, u in enumerate(uniq):
+            if abs(z - u) <= 1e-7 * (1.0 + abs(u)):
+                if abs(fn(z)) < abs(fn(u)):
+                    uniq[i] = z
+                break
+        else:
+            uniq.append(z)
+    # a lone sign-change root is simple: there is no partner to resolve
+    if len(uniq) == 1 and len(axis) != 1:
+        # a coalescing pair merges below the dedupe threshold; report both
+        # members of the local quadratic model when they validate
+        members = [
+            z
+            for z in coalescent_pair(fn, uniq[0], scale=abs(uniq[0]) + 1.0)
+            if _valid(fn, window, z) and abs(z - uniq[0]) < 1e-2 * (1.0 + abs(uniq[0]))
+        ]
+        if len(members) == 2:
+            return sorted(members, key=key)
+    return uniq[:2]
 
-    def __init__(self, n_qubits: int, sr_index: int = 1, depth: float = 2.5):
-        # the configuration at every separation; fn() replaces the separation
-        self.params = ChainParams(n_qubits, 0.0, mode=MODE_SR, sr_index=sr_index)
-        base = default_window(n_qubits)
-        self.window = SearchWindow(base.re_min, base.re_max, -depth * n_qubits, base.im_max)
-        self.evals = 0
-        self._ygrid = _axis_grid(n_qubits, depth)
 
-    def fn(self, separation: float) -> _CountedFn:
-        return _CountedFn(_fn_at_separation(self.params, separation), self)
-
-    def axis_roots(self, fn: _CountedFn) -> list[float]:
-        """Roots of Im f(-iy) above y = 1e-6, one per sign-change cell of
-        the y-grid, each refined on the closed-form psi (_axis_root).  A cell
-        reports a root only where the scalar f is finite at both of its ends,
-        which costs at most two evaluations of f per cell."""
-        g = self._ygrid
-        p = fn.charfn.params
-        roots = []
-        for i in _sign_cells(_axis_im(p.n_qubits, p.sr_index, p.separation, g)):
-            lo, hi = float(g[i]), float(g[i + 1])
-            if not all(cmath.isfinite(fn(-1j * v)) for v in (hi, lo)):
-                continue
-            y = _axis_root(p.n_qubits, p.separation, lo, hi)
-            if y is not None and y > 1e-6:
-                roots.append(y)
-        return roots
-
-    def _valid(self, fn: _CountedFn, z: complex) -> bool:
-        if not (
-            z.imag < -1e-6
-            and abs(z.real) <= 1.05 * self.window.re_max
-            and -z.imag <= 1.05 * -self.window.im_min
-        ):
-            return False
-        fz, tol = fn(z), _accept_tol(fn, z)
-        return cmath.isfinite(fz) and math.isfinite(tol) and abs(fz) <= 20.0 * tol
-
-    def _is_complex(self, z: complex) -> bool:
-        return abs(z.real) > 1e-7 * (1.0 + abs(z))
-
-    def pair(self, separation: float) -> list[complex]:
-        """Up to two smallest-|Delta| nonzero poles, |Delta|-sorted; ties
-        put the Im Gamma >= 0 member first.
-
-        Axis roots are the candidates wherever there are any: each is a
-        sign change of the closed-form psi, refined on psi itself, so near
-        the fold both members of the pair come out at full accuracy with no
-        probe.  A pair merged inside one grid cell shows no sign change and
-        is left to the magnitude map: Newton runs from each of its local
-        minima, and a seed from which it does not converge is dropped.  Each
-        complex root brings its mirror partner -conj(Delta) unevaluated, as
-        the mirror symmetry gives it the same |f| and noise scale bit for bit.
-        """
-        fn = self.fn(separation)
-        axis = self.axis_roots(fn)
-        cands: list[complex] = [-1j * y for y in axis[:3]]
-        if not cands:
-            # no axis root: brute local minima of the magnitude map
-            for seed in grid_scan_minima(fn.log10_magnitude, self.window, resolution=160):
-                z, _, ok = _newton(fn, seed, _accept_tol(fn, seed))
-                if ok and self._valid(fn, z):
-                    cands.append(z)
-        # complex roots come with their mirror partner -conj(z)
-        cands += [-z.conjugate() for z in cands if self._is_complex(z)]
-        # merge near-duplicates, keeping the best-converged representative
-        key = lambda c: (abs(c), -(2j * c).imag)  # noqa: E731
-        uniq: list[complex] = []
-        for z in sorted(cands, key=key):
-            for i, u in enumerate(uniq):
-                if abs(z - u) <= 1e-7 * (1.0 + abs(u)):
-                    if abs(fn(z)) < abs(fn(u)):
-                        uniq[i] = z
-                    break
-            else:
-                uniq.append(z)
-        # a lone sign-change root is simple: there is no partner to resolve
-        if len(uniq) == 1 and len(axis) != 1:
-            # a coalescing pair merges below the dedupe threshold; report both
-            # members of the local quadratic model when they validate
-            members = [
-                z
-                for z in coalescent_pair(fn, uniq[0], scale=abs(uniq[0]) + 1.0)
-                if self._valid(fn, z) and abs(z - uniq[0]) < 1e-2 * (1.0 + abs(uniq[0]))
-            ]
-            if len(members) == 2:
-                return sorted(members, key=key)
-        return uniq[:2]
-
-    def overflow_note(self, separation: float) -> str:
-        """The axis grid points where the scalar f is not finite, as a
-        clause for an error message; empty when f is finite on the whole grid."""
-        g = self._ygrid
-        bad = ~np.isfinite(list(map(self.fn(separation).charfn, (-1j * g).tolist())))
-        if not bad.any():
-            return ""
-        finite = np.flatnonzero(~bad)
-        top = finite[-1] + 1 if finite.size else 0
-        where = (
-            f"every y >= {g[top]:.4g}"
-            if top < g.size
-            else f"the lowest at y = {g[np.argmax(bad)]:.4g}"
-        )
-        return f"; f is not finite at {int(bad.sum())} of {g.size} axis grid points ({where})"
+def _overflow_note(fn: CharFn, grid: np.ndarray) -> str:
+    """The y-grid points where the scalar f is not finite on Delta = -iy, as
+    a clause for an error message; empty when f is finite on the whole grid."""
+    bad = ~np.isfinite(list(map(fn, (-1j * grid).tolist())))
+    if not bad.any():
+        return ""
+    finite = np.flatnonzero(~bad)
+    top = finite[-1] + 1 if finite.size else 0
+    where = (
+        f"every y >= {grid[top]:.4g}"
+        if top < grid.size
+        else f"the lowest at y = {grid[np.argmax(bad)]:.4g}"
+    )
+    return f"; f is not finite at {int(bad.sum())} of {grid.size} axis grid points ({where})"
 
 
 def superradiant_pole(params: ChainParams) -> Pole:
-    """The nonzero decay pole closest to the origin, Gamma_u.
+    """Gamma_u, the first pole of _leading_pair in the default window.
 
+    Where Im f(-iy) changes sign on the y-grid, as below L_c, that is the
+    smallest axis root; elsewhere the nearest pole Newton reaches from the
+    minima of a 160^2 magnitude map, which can miss a nearer one (N = 2,
+    L = 100 L_c: 0.66019 - 0.00894i, yet 0.0544607 - 1.0226e-4i is a pole).
     Requires sr-condition mode (the origin zeros are deflated by known
-    multiplicity there).  Ties inside a conjugate pair report the member
-    with Im Gamma >= 0.
+    multiplicity there); a conjugate pair reports its Im Gamma >= 0 member.
     """
     if params.mode != MODE_SR:
         raise ContractViolationError("superradiant_pole requires sr-condition mode")
-    tracker = _PoleTracker(params.n_qubits, params.sr_index)
-    pair = tracker.pair(params.separation)
+    fn, grid = characteristic_function(params), _axis_grid(params.n_qubits)
+    pair = _leading_pair(fn, default_window(params.n_qubits), grid)
     if not pair:
         raise WindowExhaustedError(
             f"no nonzero pole in the default window for N={params.n_qubits}, L={params.separation}"
-            + tracker.overflow_note(params.separation)
+            + _overflow_note(fn, grid)
         )
     z = pair[0]
-    fn = tracker.fn(params.separation)
     return Pole(delta=z, residual=abs(fn(z)), classification=_classify(params, z, _TableMemo()))
 
 
@@ -422,26 +380,27 @@ def maximize_over_separation(n_qubits: int) -> SSRResult:
 def degenerate_pair_probe(
     n_qubits: int, l_values: list[float], sr_index: int = 1
 ) -> list[tuple[Pole, Pole]]:
-    """The two smallest nonzero poles at each separation.
+    """The first two poles of _leading_pair at each separation, in the
+    default window deepened to Im Delta = -7 N.
 
-    Below L_c both members carry Im Gamma = 0 and distinct rates; above L_c
-    they form a conjugate pair (equal Re Gamma, opposite Im Gamma).
+    Below L_c both members are axis roots (Im Gamma = 0, distinct rates);
+    above L_c they are a conjugate pair (equal Re Gamma, opposite Im Gamma)
+    from the magnitude map, with the limit of superradiant_pole.  Raises
+    WindowExhaustedError where fewer than two are found, as at N = 2 at
+    0.3 L_c and at 100 L_c.
     """
+    # the second pole can sit well below the default window near L_c/2
+    base = ChainParams(n_qubits, 0.0, mode=MODE_SR, sr_index=sr_index)
+    window = dataclasses.replace(default_window(n_qubits), im_min=-7.0 * n_qubits)
+    grid = _axis_grid(n_qubits, 7.0)
     out = []
     for sep in l_values:
-        # the second pole can sit well below the default window near L_c/2
-        tracker = _PoleTracker(n_qubits, sr_index, depth=7.0)
-        pair = tracker.pair(sep)
+        params = dataclasses.replace(base, separation=sep)
+        fn = characteristic_function(params)
+        pair = _leading_pair(fn, window, grid)
         if len(pair) < 2:
-            raise WindowExhaustedError(
-                f"fewer than two nonzero poles inside {tracker.window} at L={sep:.6g}"
-            )
-        fn = tracker.fn(sep)
-        p = tuple(
-            Pole(delta=z, residual=abs(fn(z)), classification=_classify(fn.charfn.params, z, _TableMemo()))
-            for z in pair
-        )
-        out.append(p)
+            raise WindowExhaustedError(f"fewer than two nonzero poles inside {window} at L={sep:.6g}")
+        out.append(tuple(Pole(z, abs(fn(z)), _classify(params, z, _TableMemo())) for z in pair))
     return out
 
 
@@ -458,8 +417,9 @@ def scaling_sweep(n_list: list[int], jobs: int = 1) -> list[tuple[SSRResult | No
     Returns one entry per N, in input order: (SSRResult, "") on success or
     (None, "<ErrorType>: <message>") when that N fails; the sweep goes on
     past a failure and warns about none.  jobs > 1 solves the N in that
-    many worker processes, with the same entries as jobs = 1; a solve costs
-    the same at every N, so the pool pays only on sweeps of thousands of N.
+    many worker processes, with the same entries as jobs = 1; a solve takes
+    about 0.14 ms at every N, less than the pool costs, so on 2 CPUs jobs = 2
+    was no faster than jobs = 1 at any size measured, up to 20,000 N (README).
     """
     n_list = list(n_list)
     for n in n_list:

@@ -820,7 +820,7 @@ class TestMirrorSymmetry:
     # bit for bit for every N too, apart from the sign of a part that
     # underflows to zero (complex products round -x + -y = +0 where x + y =
     # 0).  noise_scale is mirror-equal bit for bit in both.
-    # _PoleTracker.pair relies on this to append the mirror partner of a
+    # ssr._leading_pair relies on this to append the mirror partner of a
     # validated root without evaluating f there.
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 30, 100, 1000])
     @pytest.mark.parametrize("sr_index", [1, 2])

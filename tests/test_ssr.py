@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import math
 import warnings
@@ -24,15 +25,24 @@ from ssrchain import (
 from ssrchain import rootfind, ssr
 from ssrchain.charfn import CharFn
 from ssrchain.core import _EPS as EPS
-from ssrchain.rootfind import _accept_tol, _newton, coalescent_pair, grid_scan_minima
+from ssrchain.rootfind import (
+    _accept_tol,
+    _newton,
+    characteristic_function,
+    coalescent_pair,
+    default_window,
+    grid_scan_minima,
+)
 from ssrchain.ssr import (
-    _PoleTracker,
     _axis_grid,
     _axis_im,
     _axis_jet,
     _axis_root,
+    _axis_roots,
     _fold_newton,
+    _leading_pair,
     _sign_cells,
+    _valid,
 )
 
 
@@ -56,6 +66,43 @@ def two_qubit_fold():
 
 
 ORACLE_GAMMA2, ORACLE_LC2 = two_qubit_fold()
+
+
+def searched(n, sep, sr_index=1):
+    """The searched (deflated) f of the sr-condition chain (N, L)."""
+    return characteristic_function(ChainParams(n, sep, sr_index=sr_index))
+
+
+def pair_window(n, depth=2.5):
+    """The default window deepened to Im Delta = -depth N, where the pair
+    search of that depth runs."""
+    return dataclasses.replace(default_window(n), im_min=-depth * n)
+
+
+def leading_pair(n, sep, depth=2.5):
+    """_leading_pair at (N, L) on the window and y-grid of that depth."""
+    return _leading_pair(searched(n, sep), pair_window(n, depth), _axis_grid(n, depth))
+
+
+@pytest.fixture
+def f_calls(monkeypatch):
+    """A one-item list that counts the scalar f evaluations from here on,
+    a value and a jet (f, f') one each."""
+    calls = [0]
+    value, jet = CharFn.eval, CharFn.jet
+
+    def counted(self, delta):
+        calls[0] += 1
+        return value(self, delta)
+
+    def counted_jet(self, delta):
+        calls[0] += 1
+        return jet(self, delta)
+
+    monkeypatch.setattr(CharFn, "eval", counted)
+    monkeypatch.setattr(CharFn, "__call__", counted)
+    monkeypatch.setattr(CharFn, "jet", counted_jet)
+    return calls
 
 
 class TestTwoQubitOracle:
@@ -91,7 +138,7 @@ class TestSuperradiantPole:
 
 
 def scalar_axis_scan(fn, grid):
-    """Test-local reference for _PoleTracker.axis_roots: Im f(-iy) on the
+    """Test-local reference for _axis_roots: Im f(-iy) on the
     grid one scalar call at a time, then plain bisection in every
     sign-change cell whose end values are finite."""
     phi = lambda y: fn(-1j * y).imag
@@ -135,11 +182,10 @@ class TestAxisScan:
     @pytest.mark.parametrize("n", [2, 10, 100])
     @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
     def test_matches_scalar_reference(self, n, factor):
-        tracker = _PoleTracker(n)
-        fn = tracker.fn(factor * rough_critical_separation(n))
-        grid = [float(y) for y in tracker._ygrid]
+        fn, g = searched(n, factor * rough_critical_separation(n)), _axis_grid(n)
+        grid = [float(y) for y in g]
         assert all(cmath.isfinite(fn(-1j * y)) for y in grid)
-        got = tracker.axis_roots(fn)
+        got = _axis_roots(fn, g)
         want = scalar_axis_scan(fn, grid)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -149,25 +195,25 @@ class TestAxisScan:
 
     @pytest.mark.parametrize("n, sep, depth", [(100, 3.0, 2.5), (50, 3.0, 7.0), (100, 3.0, 7.0)])
     def test_no_root_where_f_overflows(self, n, sep, depth):
-        tracker = _PoleTracker(n, depth=depth)
-        fn = tracker.fn(sep)
-        grid = [float(y) for y in tracker._ygrid]
+        fn, g = searched(n, sep), _axis_grid(n, depth)
+        grid = [float(y) for y in g]
         finite = [cmath.isfinite(fn(-1j * y)) for y in grid]
         assert not all(finite)
-        for y in tracker.axis_roots(fn):
+        for y in _axis_roots(fn, g):
             i = max(k for k in range(len(grid) - 1) if grid[k] <= y)
             assert finite[i] and finite[i + 1]
 
     @pytest.mark.parametrize("n", [10, 100, 1000])
     @pytest.mark.parametrize("frac", [0.5, 0.9999])
-    def test_roots_against_mpmath(self, n, frac):
+    def test_roots_against_mpmath(self, n, frac, f_calls):
         # 0.9999 L_c is a near-double root, where rounding in psi moves a
         # root about a hundred times more than at 0.5 L_c
         sep = frac * maximize_over_separation(n).l_critical
-        tracker = _PoleTracker(n)
-        roots = tracker.axis_roots(tracker.fn(sep))
+        fn, g = searched(n, sep), _axis_grid(n)
+        before = f_calls[0]
+        roots = _axis_roots(fn, g)
         assert len(roots) == (1 if frac == 0.5 else 2)
-        assert tracker.evals == 2 * len(roots)  # f only at the two ends of a cell
+        assert f_calls[0] - before == 2 * len(roots)  # f only at the two ends of a cell
         with mp.workdps(40):
             for y in roots:
                 want = mp.findroot(lambda v: mp_axis_im(n, 1, mp.mpf(sep), v), mp.mpf(y))
@@ -183,8 +229,7 @@ class TestAxisScan:
         # 1e-4 below L_c the fold's psi_y = 0 lies between the two roots; from
         # the middle of (11.2, 11.52) Newton would step to y = 10.97
         sep = 0.9999 * maximize_over_separation(10).l_critical
-        tracker = _PoleTracker(10)
-        first, second = tracker.axis_roots(tracker.fn(sep))
+        first, second = _axis_roots(searched(10, sep), _axis_grid(10))
         assert 11.2 < first < 11.36 < 11.52 < second
         psi, psi_y = _axis_jet(10, 11.36, sep)[:2]
         assert not 11.2 < 11.36 - psi / psi_y < 11.52
@@ -244,7 +289,7 @@ def recurrence_scan(n, sr_index, separations, y):
 
 
 def sign_cells(im):
-    """The cells of scan rows that axis_roots refines: both ends finite,
+    """The cells of scan rows that _axis_roots refines: both ends finite,
     and a sign change or an exact zero at the lower end."""
     data = np.isfinite(im)
     neg = im < 0.0
@@ -271,7 +316,7 @@ class TestClosedFormScan:
     @pytest.mark.parametrize("sr_index", [1, 2])
     @pytest.mark.parametrize("depth", [2.5, 7.0])
     def test_same_cells_as_recurrence(self, n, sr_index, depth):
-        y = _PoleTracker(n, sr_index, depth)._ygrid
+        y = _axis_grid(n, depth)
         xs = scan_points(n)
         got, want = scan_rows(n, sr_index, xs, y), recurrence_scan(n, sr_index, xs, y)
         assert got.shape == (16, y.size)
@@ -283,9 +328,7 @@ class TestClosedFormScan:
     @pytest.mark.parametrize("n, sep", [(100, 3.0), (30, 3.0)])
     @pytest.mark.parametrize("depth", [2.5, 7.0])
     def test_same_cells_where_f_overflows(self, n, sep, depth):
-        tracker = _PoleTracker(n, depth=depth)
-        y = tracker._ygrid
-        fn = tracker.fn(sep)
+        y, fn = _axis_grid(n, depth), searched(n, sep)
         assert not all(cmath.isfinite(fn(-1j * v)) for v in y)
         got, want = _axis_im(n, 1, sep, y), recurrence_scan(n, 1, [sep], y)[0]
         assert np.array_equal(np.isfinite(got), np.isfinite(want))
@@ -334,35 +377,36 @@ def grid_cell(grid, y):
     return float(grid[i] - grid[i - 1])
 
 
-def parent_pair(tracker, separation):
-    """_PoleTracker.pair as it was before the coalescent-pair probe around
+def parent_pair(n, separation, depth=2.5):
+    """_leading_pair as it was before the coalescent-pair probe around
     axis roots was dropped: it probed around a lone axis root and around
     two roots within four grid cells, and probed again whenever one
     candidate was left."""
-    fn = tracker.fn(separation)
-    axis = tracker.axis_roots(fn)
+    fn, window, grid = searched(n, separation), pair_window(n, depth), _axis_grid(n, depth)
+    valid = lambda z: _valid(fn, window, z)  # noqa: E731
+    axis = _axis_roots(fn, grid)
     cands = [-1j * y for y in axis[:3]]
     near_fold = bool(axis) and (
-        len(axis) == 1 or axis[1] - axis[0] < 4.0 * grid_cell(tracker._ygrid, axis[0])
+        len(axis) == 1 or axis[1] - axis[0] < 4.0 * grid_cell(grid, axis[0])
     )
     if near_fold:
         center = -1j * axis[0]
         for z in coalescent_pair(fn, center, scale=abs(center) + 1.0):
-            if tracker._valid(fn, z):
+            if valid(z):
                 cands.append(z)
     if not cands:
-        for seed in grid_scan_minima(fn.log10_magnitude, tracker.window, resolution=160):
+        for seed in grid_scan_minima(fn.log10_magnitude, window, resolution=160):
             z, _, ok = _newton(fn, seed, _accept_tol(fn, seed))
-            if ok and tracker._valid(fn, z):
+            if ok and valid(z):
                 cands.append(z)
             elif not ok:
                 for z in coalescent_pair(fn, seed, scale=abs(seed) + 1.0):
-                    if tracker._valid(fn, z):
+                    if valid(z):
                         cands.append(z)
     for z in list(cands):
-        if tracker._is_complex(z):
+        if abs(z.real) > 1e-7 * (1.0 + abs(z)):
             m = -z.conjugate()
-            if tracker._valid(fn, m):
+            if valid(m):
                 cands.append(m)
     key = lambda c: (abs(c), -(2j * c).imag)
     uniq = []
@@ -379,7 +423,7 @@ def parent_pair(tracker, separation):
         members = [
             z
             for z in coalescent_pair(fn, uniq[0], scale=abs(uniq[0]) + 1.0)
-            if tracker._valid(fn, z) and abs(z - uniq[0]) < 1e-2 * (1.0 + abs(uniq[0]))
+            if valid(z) and abs(z - uniq[0]) < 1e-2 * (1.0 + abs(uniq[0]))
         ]
         if len(members) == 2:
             pair = sorted(members, key=key)
@@ -400,13 +444,15 @@ def assert_same_pair(fn, got, want):
 
 class TestProbeRule:
     @pytest.mark.parametrize("n", [2, 10, 50, 100])
-    def test_same_pairs_as_probing_every_root(self, n):
+    def test_same_pairs_as_probing_every_root(self, n, f_calls):
         new_evals = old_evals = 0
         for x in scan_points(n):
-            new, old = _PoleTracker(n), _PoleTracker(n)
-            got, want = new.pair(x), parent_pair(old, x)
-            new_evals, old_evals = new_evals + new.evals, old_evals + old.evals
-            assert_same_pair(new.fn(x), got, want)
+            start = f_calls[0]
+            got = leading_pair(n, x)
+            mid = f_calls[0]
+            want = parent_pair(n, x)
+            new_evals, old_evals = new_evals + mid - start, old_evals + f_calls[0] - mid
+            assert_same_pair(searched(n, x), got, want)
         assert new_evals < old_evals
 
     @pytest.mark.parametrize("n", [2, 20, 100])
@@ -424,10 +470,9 @@ class TestProbeRule:
         # and the axis scan finds none
         for eps in (1e-5, 1e-7, -1e-7, -1e-5):
             sep = l_c * (1.0 - eps)
-            new, old = _PoleTracker(n), _PoleTracker(n)
-            fn, before = new.fn(sep), calls[0]
-            axis = new.axis_roots(fn)
-            assert_same_pair(fn, new.pair(sep), parent_pair(old, sep))
+            fn, before = searched(n, sep), calls[0]
+            axis = _axis_roots(fn, _axis_grid(n))
+            assert_same_pair(fn, leading_pair(n, sep), parent_pair(n, sep))
             if eps == 1e-5:
                 assert len(axis) == 2 and calls[0] == before
             if eps == 1e-7:
@@ -435,16 +480,18 @@ class TestProbeRule:
 
     @pytest.mark.parametrize("n", [2, 10, 100])
     @pytest.mark.parametrize("depth", [2.5, 7.0])
-    def test_same_pairs_above_the_fold(self, n, depth):
+    def test_same_pairs_above_the_fold(self, n, depth, f_calls):
         # parent_pair also rescues map seeds that stall by coalescent_pair
         # and evaluates f again at each mirror partner; neither changes a pair
         l_c = maximize_over_separation(n).l_critical
         for factor in (1.00001, 1.05, 3.0, 10.0, 100.0):
             sep = factor * l_c
-            new, old = _PoleTracker(n, depth=depth), _PoleTracker(n, depth=depth)
-            got, want = new.pair(sep), parent_pair(old, sep)
+            start = f_calls[0]
+            got = leading_pair(n, sep, depth)
+            mid = f_calls[0]
+            want = parent_pair(n, sep, depth)
             assert got == want, factor
-            assert new.evals <= old.evals
+            assert mid - start <= f_calls[0] - mid
 
     def test_stalled_map_seeds_are_dropped(self, monkeypatch):
         # at (2, 100 L_c) Newton stalls from thousands of depth-7 map seeds,
@@ -456,14 +503,14 @@ class TestProbeRule:
             return coalescent_pair(*args, **kwargs)
 
         monkeypatch.setattr(ssr, "coalescent_pair", counted)
-        _PoleTracker(2, depth=7.0).pair(100.0 * maximize_over_separation(2).l_critical)
+        leading_pair(2, 100.0 * maximize_over_separation(2).l_critical, depth=7.0)
         assert calls[0] <= 1
 
     @pytest.mark.parametrize("n", [2, 50, 10_000])
     def test_maximizer_runs_no_tracker_and_no_coalescent_pair(self, n, monkeypatch):
         # the fold is checked by one local quadratic model of f there
         calls = []
-        for owner, name in ((ssr, "_PoleTracker"), (ssr, "_CountedFn"),
+        for owner, name in ((ssr, "_leading_pair"), (ssr, "_axis_roots"),
                             (ssr, "coalescent_pair"), (rootfind, "coalescent_pair")):
             real = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, _r=real, **kw: calls.append(a) or _r(*a, **kw))
@@ -490,32 +537,17 @@ class TestOverflowRegression:
             superradiant_pole(ChainParams(100, 3.0))
 
     def test_valid_rejects_non_finite_f(self):
-        tracker = _PoleTracker(100)
-        fn = tracker.fn(3.0)
+        fn = searched(100, 3.0)
         z = -200j
         assert not cmath.isfinite(fn(z))
-        assert not tracker._valid(fn, z)
+        assert not _valid(fn, default_window(100), z)
 
 
 class TestEvaluationCount:
-    def test_counts_every_scalar_f_call(self, monkeypatch):
+    def test_counts_every_scalar_f_call(self, f_calls):
         # a value and a jet (f, f') count one evaluation each
-        calls = [0]
-        original, jet = CharFn.eval, CharFn.jet
-
-        def counted(self, delta):
-            calls[0] += 1
-            return original(self, delta)
-
-        def counted_jet(self, delta):
-            calls[0] += 1
-            return jet(self, delta)
-
-        monkeypatch.setattr(CharFn, "eval", counted)
-        monkeypatch.setattr(CharFn, "__call__", counted)
-        monkeypatch.setattr(CharFn, "jet", counted_jet)
         res = maximize_over_separation(2)
-        assert res.evaluations == calls[0]
+        assert res.evaluations == f_calls[0]
 
     def test_large_n_budget(self):
         assert maximize_over_separation(100).evaluations <= 60
@@ -594,11 +626,11 @@ class TestMaximize:
 
     @pytest.mark.parametrize("n", [2, 5, 10, 50])
     def test_golden_section_agrees_with_coalescence_solve(self, n):
-        # derivative-free search on the rate of the leading pole, found by
-        # a fresh tracker at every separation, peaks at the fold
+        # derivative-free search on the rate of the leading pole, found
+        # afresh at every separation, peaks at the fold
         res = maximize_over_separation(n)
         a, b = 0.8 * res.l_critical, 1.25 * res.l_critical
-        rate = lambda x: -2.0 * _PoleTracker(n).pair(x)[0].imag  # noqa: E731
+        rate = lambda x: -2.0 * leading_pair(n, x)[0].imag  # noqa: E731
         l_gs, _ = golden_max(rate, a, b, abstol=1e-10 * (b - a))
         assert abs(l_gs - res.l_critical) / res.l_critical < 1e-8
 
@@ -723,7 +755,7 @@ def parent_maximize(n, bracket=None):
     """Test-local copy of maximize_over_separation as it was before its
     fold Newton was seeded from the large-N laws: (L_c, Gamma_SSR).
 
-    It scanned Im f(-iy) on the tracker's y-grid at the 16 separations x_0
+    It scanned Im f(-iy) on the axis y-grid at the 16 separations x_0
     < ... < x_15 of scan_points(n, bracket), took x_k as the last one whose
     row has a sign change, and ran the fold Newton from the lower end of
     the leading root's sign-change cell on row k, at x_k.  The fold had to
@@ -731,8 +763,7 @@ def parent_maximize(n, bracket=None):
     roots can share one grid cell, above that seed, and the coalescing pair
     had to resolve there on the scalar f."""
     xs = scan_points(n, bracket)
-    tracker = _PoleTracker(n)
-    g = tracker._ygrid
+    g = _axis_grid(n)
     cells = [_sign_cells(row) for row in scan_rows(n, 1, xs, g)]
     rooted = [k for k in range(16) if cells[k].size]
     if not rooted or rooted[-1] == 15:
@@ -743,7 +774,7 @@ def parent_maximize(n, bracket=None):
     if not (converged and xs[k] < l_fold < xs[k + 1] * (1.0 + 1e-4) and y > y0):
         raise BracketError(f"the fold Newton from ({y0:.6g}, {l0:.6g}) was rejected")
     fold = -1j * y
-    fn = tracker.fn(l_fold)
+    fn = searched(n, l_fold)
     if not all(abs(z - fold) <= 1e-3 * (1.0 + y) for z in coalescent_pair(fn, fold, scale=y + 1.0)):
         raise BracketError(f"the coalescing pair does not resolve at ({y:.6g}, {l_fold:.6g})")
     return l_fold, 2.0 * y
